@@ -28,6 +28,7 @@ from .density import (
     DEConfig,
     NoSuccessInBracket,
     NonMonotoneBracket,
+    NonMonotoneRun,
     overhead_threshold,
     threshold_sweep,
 )
@@ -302,7 +303,7 @@ def main(argv=None) -> int:
     except (InvalidM, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoSuccessInBracket, NonMonotoneBracket, NonConvergence) as exc:
+    except (NoSuccessInBracket, NonMonotoneBracket, NonMonotoneRun, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

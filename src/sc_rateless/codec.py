@@ -33,6 +33,15 @@ class InvalidM(ValueError):
     """M violates the divisibility/size preconditions of the sampler."""
 
 
+class ConditioningFailed(InvalidM):
+    """The sampled socket matching kept a repeated bit or (for dl = 2) a
+    repeated check pair through every conditioning round; M is too small
+    for the ensemble."""
+
+
+CONDITIONING_ROUNDS = 200
+
+
 @dataclass(eq=False)
 class PrecodeGraph:
     """A sampled coupled precode: CSR of folded check supports over the L*M
@@ -89,28 +98,59 @@ class PrecodeGraph:
         return int(parities.sum())
 
 
-def _double_edge_sockets(sock_bit, sock_check):
-    order = np.lexsort((sock_bit, sock_check))
-    b = sock_bit[order]
-    c = sock_check[order]
-    dup = (b[1:] == b[:-1]) & (c[1:] == c[:-1]) & (b[1:] >= 0)
-    return order[1:][dup]
+def _double_edge_sockets(sock_bit, dr):
+    """Sockets whose bit already sits on an earlier socket of the same check,
+    in (check, bit, socket) order.
+
+    Check q owns the dr consecutive sockets [q*dr, (q+1)*dr), so the sockets
+    are the rows of a (checks, dr) array.  Rows with a repeat are found by
+    dr*(dr-1)/2 column comparisons; only those rows are sorted.
+    """
+    rows = sock_bit.reshape(-1, dr)
+    repeats = np.zeros(len(rows), dtype=bool)
+    for i in range(1, dr):
+        for j in range(i):
+            repeats |= (rows[:, i] == rows[:, j]) & (rows[:, i] >= 0)
+    checks = np.flatnonzero(repeats)
+    order = np.argsort(rows[checks], axis=1, kind="stable")
+    bits = rows[checks[:, None], order]
+    dup = (bits[:, 1:] == bits[:, :-1]) & (bits[:, 1:] >= 0)
+    return (checks[:, None] * dr + order)[:, 1:][dup]
 
 
-def _parallel_pair_sockets(sock_bit, sock_check, num_bits, dl):
-    # One socket per surplus bit sharing an identical check pair.  Only
-    # meaningful for dl = 2, where such pairs defeat even ML decoding unless
-    # a channel node happens to split them.
-    order = np.argsort(sock_bit, kind="stable")
-    order = order[sock_bit[order] >= 0]
-    checks = np.sort(sock_check[order].reshape(num_bits, dl), axis=1)
-    keys = checks[:, 0] * np.int64(2 ** 32) + checks[:, 1]
-    sort_idx = np.argsort(keys, kind="stable")
-    surplus = sort_idx[1:][keys[sort_idx][1:] == keys[sort_idx][:-1]]
-    return order.reshape(num_bits, dl)[surplus, 0]
+def _parallel_pair_sockets(sock_bit, num_bits, dr):
+    """One socket per surplus bit sharing an identical check pair, in
+    (check pair, bit) order; the socket is the bit's first one.
+
+    Only meaningful for dl = 2, where such pairs defeat even ML decoding
+    unless a channel node happens to split them.
+    """
+    size = sock_bit.size
+    # Sorting bit*size + socket groups each bit's two sockets in increasing
+    # order, bits ascending; filler keys are negative and sort first.
+    keyed = np.sort(sock_bit * size + np.arange(size))[size - 2 * num_bits:]
+    sockets = (keyed % size).reshape(num_bits, 2)
+    checks = sockets // dr  # non-decreasing along each row
+    num_checks = size // dr
+    pair = checks[:, 0] * num_checks + checks[:, 1]
+    ordered = np.sort(pair)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    bits = np.flatnonzero(np.isin(pair, shared))
+    bits = bits[np.argsort(pair[bits], kind="stable")]
+    surplus = bits[1:][pair[bits[1:]] == pair[bits[:-1]]]
+    return sockets[surplus, 0]
 
 
-def _condition_matching(sock_bit, sock_check, section_of_socket, stubs, num_bits, dl, rng):
+def _bad_sockets(sock_bit, num_bits, dl, dr):
+    """Sockets to re-draw: repeated bits first, then (dl = 2 only, once
+    none repeat) surplus bits on a shared check pair."""
+    bad = _double_edge_sockets(sock_bit, dr)
+    if bad.size == 0 and dl == 2:
+        bad = _parallel_pair_sockets(sock_bit, num_bits, dr)
+    return bad
+
+
+def _condition_matching(sock_bit, section_of_socket, stubs, num_bits, dl, dr, rng):
     """Swap stubs (within their check section) until no check repeats a bit
     and, for dl = 2, no two bits share the same pair of checks.
 
@@ -118,24 +158,32 @@ def _condition_matching(sock_bit, sock_check, section_of_socket, stubs, num_bits
     precode) and identical check pairs are undecodable two-bit cores, so the
     socket matching is conditioned to exclude both, as usual in finite-length
     constructions.  Swaps stay inside one section and preserve its stub
-    multiset, so degrees and socket counts are untouched.
+    multiset, so degrees and socket counts are untouched.  Raises
+    ConditioningFailed if the matching is still bad after the last round.
     """
-    for _ in range(200):
-        bad = _double_edge_sockets(sock_bit, sock_check)
-        if bad.size == 0 and dl == 2:
-            bad = _parallel_pair_sockets(sock_bit, sock_check, num_bits, dl)
+    for _ in range(CONDITIONING_ROUNDS):
+        bad = _bad_sockets(sock_bit, num_bits, dl, dr)
         if bad.size == 0:
             return
         for socket in bad:
             section_start = section_of_socket[socket] * stubs
             partner = section_start + int(rng.integers(stubs))
             sock_bit[socket], sock_bit[partner] = sock_bit[partner], sock_bit[socket]
+    bad = _bad_sockets(sock_bit, num_bits, dl, dr)
+    if bad.size:
+        raise ConditioningFailed(
+            f"{bad.size} sockets still repeat a bit or a check pair after "
+            f"{CONDITIONING_ROUNDS} swap rounds; M = {stubs // dl} is too small "
+            "for this ensemble"
+        )
 
 
 def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
     """Draw one member of the coupled precode ensemble.
 
     Requires dr | M*dl (integral check count per section) and M >= dr.
+    Raises ConditioningFailed when the socket matching cannot be conditioned
+    (common at M = dr, not seen from M = 2*dr for the (2, 3) ensemble).
     """
     dl, dr, L, w = params.dl, params.dr, params.L, params.w
     if (M * dl) % dr != 0:
@@ -158,13 +206,11 @@ def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
             chunks[(s, j)] = perm[bounds[j]:bounds[j + 1]]
 
     # Flat socket layout: check section c owns sockets [c*stubs, (c+1)*stubs),
-    # dr consecutive sockets per check node.
+    # dr consecutive sockets per check node, so check q owns [q*dr, (q+1)*dr).
     num_sections = L + w - 1
     num_checks = num_sections * cps
     section_of_socket = np.repeat(np.arange(num_sections), stubs)
-    sock_check = (
-        section_of_socket * cps + np.tile(np.arange(stubs) // dr, num_sections)
-    )
+    sock_check = np.arange(num_sections * stubs) // dr
     sock_bit = np.empty(num_sections * stubs, dtype=np.int64)
     for c in range(num_sections):
         arrivals = []
@@ -177,16 +223,13 @@ def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
                 arrivals.append(np.full(shares[j], -1, dtype=np.int64))
         sock_bit[c * stubs:(c + 1) * stubs] = rng.permutation(np.concatenate(arrivals))
 
-    _condition_matching(sock_bit, sock_check, section_of_socket, stubs, num_bits, dl, rng)
+    _condition_matching(sock_bit, section_of_socket, stubs, num_bits, dl, dr, rng)
 
     real = sock_bit >= 0
     real_stubs = np.bincount(sock_check[real], minlength=num_checks)
-    # Fold repeated (check, bit) incidences mod 2 (possible only for dl > 2
-    # parallel pairs the conditioning leaves alone).
-    keys, counts = np.unique(
-        sock_check[real] * np.int64(num_bits) + sock_bit[real], return_counts=True
-    )
-    keys = keys[counts % 2 == 1]
+    # Conditioning left no check repeating a bit, so the sorted (check, bit)
+    # keys are the supports, each sorted within its check.
+    keys = np.sort(sock_check[real] * np.int64(num_bits) + sock_bit[real])
     check_idx = keys // num_bits
     indptr = np.concatenate(
         ([0], np.cumsum(np.bincount(check_idx, minlength=num_checks)))
@@ -316,6 +359,18 @@ class TrialResult:
     assignment: np.ndarray
 
 
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and the index of each one's first occurrence,
+    as ``np.unique(keys, return_index=True)`` but without its per-call
+    overhead, which dominates on the small arrays of a peeling round."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    head = np.empty(ordered.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return ordered[head], order[head]
+
+
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     total = int(lengths.sum())
     if total == 0:
@@ -333,6 +388,11 @@ def peel(graph: PrecodeGraph, stream: ChannelStream) -> TrialResult:
     resolves it to the XOR of the rest; rounds are level-synchronous sweeps
     of the resolution frontier, so the fixpoint and the round count do not
     depend on scheduling.
+
+    Setting up the factor graph costs O(E log E) for its E edges.  After
+    that a round touches only the edges of the bits it resolves: it costs
+    O(e log e) for those e edges, independent of the graph size, so the
+    whole decode costs O(E log E) plus a per-round constant of numpy calls.
     """
     num_bits = graph.num_bits
     num_checks = graph.num_checks
@@ -364,7 +424,9 @@ def peel(graph: PrecodeGraph, stream: ChannelStream) -> TrialResult:
     unk_sum = np.bincount(
         edge_factor, weights=edge_bit, minlength=num_factors
     ).astype(np.int64)
-    by_bit = np.argsort(edge_bit, kind="stable")
+    # Factors of each bit's edges, grouped by bit; the order inside a group
+    # is immaterial, since a round's updates commute.
+    factor_by_bit = edge_factor[np.argsort(edge_bit)]
     bit_indptr = np.concatenate(
         ([0], np.cumsum(np.bincount(edge_bit, minlength=num_bits)))
     )
@@ -373,26 +435,16 @@ def peel(graph: PrecodeGraph, stream: ChannelStream) -> TrialResult:
     frontier = np.flatnonzero(unk_count == 1)
     rounds = 0
     while frontier.size:
-        bits_new, first = np.unique(unk_sum[frontier], return_index=True)
+        bits_new, first = _first_occurrences(unk_sum[frontier])
         vals_new = target[frontier[first]]
         state[bits_new] = vals_new
         lengths = bit_indptr[bits_new + 1] - bit_indptr[bits_new]
-        edges = by_bit[_concat_ranges(bit_indptr[bits_new], lengths)]
-        factors = edge_factor[edges]
-        unk_count -= np.bincount(factors, minlength=num_factors)
-        unk_sum -= np.bincount(
-            factors, weights=edge_bit[edges], minlength=num_factors
-        ).astype(np.int64)
-        target ^= (
-            np.bincount(
-                factors,
-                weights=np.repeat(vals_new, lengths).astype(float),
-                minlength=num_factors,
-            ).astype(np.int64)
-            & 1
-        )
-        touched = np.unique(factors)
-        frontier = touched[unk_count[touched] == 1]
+        factors = factor_by_bit[_concat_ranges(bit_indptr[bits_new], lengths)]
+        # Unbuffered updates: a factor may hold several of this round's bits.
+        np.subtract.at(unk_count, factors, 1)
+        np.subtract.at(unk_sum, factors, np.repeat(bits_new, lengths))
+        np.bitwise_xor.at(target, factors, np.repeat(vals_new, lengths))
+        frontier, _ = _first_occurrences(factors[unk_count[factors] == 1])
         rounds += 1
 
     return TrialResult(

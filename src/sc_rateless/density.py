@@ -38,6 +38,12 @@ class NonMonotoneBracket(RuntimeError):
     contradicting the monotonicity assumption bisection relies on."""
 
 
+class NonMonotoneRun(RuntimeError):
+    """The mean erasure probability rose between two DE iterations.  From
+    the all-ones start the map is monotone, so P_b cannot rise; a rise means
+    the update itself is wrong."""
+
+
 @dataclass
 class DEState:
     """Per-section erasure probabilities and the iteration count."""
@@ -164,7 +170,8 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
         p_next, s_next = _step_arrays(params, beta, p, s)
         pb_next = float(p_next.mean())
         # From the all-ones start the map is monotone, so P_b cannot rise.
-        assert pb_next <= pb + 1e-12, f"P_b rose from {pb} to {pb_next} at iteration {it}"
+        if pb_next > pb + 1e-12:
+            raise NonMonotoneRun(f"P_b rose from {pb} to {pb_next} at iteration {it}")
         change = max(
             float(np.abs(p_next - p).max(initial=0.0)),
             float(np.abs(s_next - s).max(initial=0.0)),

@@ -181,3 +181,76 @@ def combined_factors(graph, stream):
         refs = [int(b) for b in stream.bit_ids[t] if b >= 0]
         factors.append((refs, int(stream.values[t])))
     return factors
+
+
+def peel_rounds(num_bits, factors):
+    """Level-synchronous peeling with the round count.
+
+    ``factors`` is a list of (support list, value), in factor-id order.  In
+    each round every factor with exactly one unknown bit (after folding its
+    support mod 2) fires at once; a bit hit by several of them takes the
+    value of the lowest-numbered one.  Returns (assignment list with -1 for
+    unknown bits, number of rounds that resolved something).
+    """
+    supports = []
+    for cols, _ in factors:
+        folded = set()
+        for c in cols:
+            folded ^= {int(c)}
+        supports.append(sorted(folded))
+    values = [int(v) & 1 for _, v in factors]
+
+    assignment = [-1] * num_bits
+    rounds = 0
+    while True:
+        resolved = {}
+        for f, cols in enumerate(supports):
+            unknown = [c for c in cols if assignment[c] < 0]
+            if len(unknown) != 1:
+                continue
+            val = values[f]
+            for c in cols:
+                if c != unknown[0]:
+                    val ^= assignment[c]
+            if unknown[0] not in resolved:
+                resolved[unknown[0]] = val
+        if not resolved:
+            return assignment, rounds
+        for bit, val in resolved.items():
+            assignment[bit] = val
+        rounds += 1
+
+
+def double_edge_sockets_loops(sock_bit, sock_check):
+    """Sockets whose (real, >= 0) bit already occupies an earlier socket of
+    the same check, in (check, bit, socket) order."""
+    by_check = {}
+    for socket, (bit, check) in enumerate(zip(sock_bit, sock_check)):
+        by_check.setdefault(int(check), []).append((int(bit), socket))
+    out = []
+    for check in sorted(by_check):
+        seen = set()
+        for bit, socket in sorted(by_check[check]):
+            if bit >= 0 and bit in seen:
+                out.append(socket)
+            seen.add(bit)
+    return out
+
+
+def parallel_pair_sockets_loops(sock_bit, sock_check):
+    """For degree-2 bits: every bit whose pair of checks an earlier
+    (lower-numbered) bit already has, as that bit's lower socket, in
+    (check pair, bit) order."""
+    sockets = {}
+    for socket, bit in enumerate(sock_bit):
+        if bit >= 0:
+            sockets.setdefault(int(bit), []).append(socket)
+    by_pair = {}
+    for bit in sorted(sockets):
+        first, second = sorted(sockets[bit])
+        pair = tuple(sorted((int(sock_check[first]), int(sock_check[second]))))
+        by_pair.setdefault(pair, []).append((bit, first))
+    out = []
+    for pair in sorted(by_pair):
+        out.extend(socket for _, socket in by_pair[pair][1:])
+    return out

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from sc_rateless import __version__
@@ -99,6 +100,22 @@ class TestValidation:
             "--max-iter", "200",
         )
         assert code == 3
+
+    def test_rising_bit_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # Every DE run's second step jumps back to the all-ones state.
+        import sc_rateless.density as density
+
+        real_step = density._step_arrays
+
+        def faulty_step(params, beta, p, s):
+            if np.all(p == 1.0):
+                return real_step(params, beta, p, s)
+            return np.ones_like(p), np.ones_like(s)
+
+        monkeypatch.setattr(density, "_step_arrays", faulty_step)
+        code, _ = run(tmp_path, "threshold", "--dg", "3", "--L", "8")
+        assert code == 3
+        assert "P_b rose" in capsys.readouterr().err
 
 
 class TestBounds:

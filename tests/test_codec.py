@@ -4,11 +4,16 @@ import pytest
 from reference import (
     combined_factors,
     determined_bits,
+    double_edge_sockets_loops,
     masks_from_supports,
+    parallel_pair_sockets_loops,
+    peel_rounds,
     peel_sequential,
     rref_masks,
 )
 from sc_rateless import (
+    ChannelStream,
+    ConditioningFailed,
     EnsembleParams,
     InvalidM,
     channel_stream,
@@ -17,6 +22,7 @@ from sc_rateless import (
     peel,
     sample_precode,
 )
+from sc_rateless.codec import _double_edge_sockets, _parallel_pair_sockets
 
 
 def params(dl=2, dr=3, dg=3, L=4, w=2, eps=0.5):
@@ -24,6 +30,38 @@ def params(dl=2, dr=3, dg=3, L=4, w=2, eps=0.5):
 
 
 TOY = params()  # (2,3,3,L=4,w=2)
+
+
+# Toy ensembles for the oracle tests: w in {2, 3}, dl in {2, 3}; each has
+# shortened boundary sections, so filler sockets, and conditions cleanly
+# at its M.  Tuples are (params, M).
+ORACLE_TOYS = [
+    (params(), 6),
+    (params(L=6, w=3), 6),
+    (params(dl=3, dr=6, L=5), 12),
+    (params(dl=3, dr=4, L=6, w=3), 8),
+]
+
+
+def raw_sockets(p, M, rng):
+    """An unconditioned socket array laid out as the sampler lays it out:
+    check section c holds M*dl sockets, dr per check, filled from sections
+    c-w+1..c (bits drawn with repetition) or with -1 fillers off the chain."""
+    stubs = M * p.dl
+    shares = np.full(p.w, stubs // p.w)
+    shares[: stubs % p.w] += 1
+    sections = []
+    for c in range(p.L + p.w - 1):
+        arrivals = []
+        for j in range(p.w):
+            s = c - j
+            if 0 <= s < p.L:
+                arrivals.append(rng.integers(s * M, (s + 1) * M, size=shares[j]))
+            else:
+                arrivals.append(np.full(shares[j], -1))
+        sections.append(rng.permutation(np.concatenate(arrivals)))
+    sock_bit = np.concatenate(sections).astype(np.int64)
+    return sock_bit, np.arange(sock_bit.size) // p.dr
 
 
 def toy_instance(seed, M=6, alpha=0.3, p=TOY, zero=False):
@@ -96,6 +134,59 @@ class TestSamplePrecode:
             assert g.realized_dimension() == g.num_bits - len(pivots)
             assert len(pivots) <= g.num_checks
             assert g.realized_dimension() >= g.design_dimension()
+
+    def test_too_small_M_raises_conditioning_failed(self):
+        # At M = 3 most (2,3) toy matchings keep a repeated bit or check pair
+        # through every swap round; that must be an error, never a graph
+        # with a disconnected bit.
+        with pytest.raises(ConditioningFailed, match="swap rounds"):
+            sample_precode(TOY, 3, seed=0)
+        assert issubclass(ConditioningFailed, InvalidM)
+        outcomes = []
+        for seed in range(10):
+            try:
+                g = sample_precode(TOY, 3, seed=seed)
+            except ConditioningFailed:
+                outcomes.append(False)
+                continue
+            outcomes.append(True)
+            degrees = np.bincount(g.check_indices, minlength=g.num_bits)
+            assert np.all(degrees == 2)
+        assert True in outcomes and False in outcomes
+
+    def test_double_edge_sockets_match_loop_oracle(self):
+        rng = np.random.default_rng(7)
+        for p, M in ORACLE_TOYS:
+            for _ in range(10):
+                sock_bit, sock_check = raw_sockets(p, M, rng)
+                got = _double_edge_sockets(sock_bit, p.dr)
+                assert got.tolist() == double_edge_sockets_loops(sock_bit, sock_check)
+        # A dense alphabet: most checks repeat bits, fillers repeat too.
+        for dr in (3, 4, 6):
+            sock_bit = rng.integers(-1, 4, size=60 * dr)
+            sock_check = np.arange(sock_bit.size) // dr
+            got = _double_edge_sockets(sock_bit, dr)
+            assert got.size > 0
+            assert got.tolist() == double_edge_sockets_loops(sock_bit, sock_check)
+
+    def test_parallel_pair_sockets_match_loop_oracle(self):
+        rng = np.random.default_rng(8)
+        found = 0
+        for p, M in ORACLE_TOYS:
+            if p.dl != 2:
+                continue
+            for _ in range(20):
+                # Every bit on exactly two sockets, as after sampling.
+                sock_bit, sock_check = raw_sockets(p, M, rng)
+                real = np.flatnonzero(sock_bit >= 0)
+                sock_bit[real] = rng.permutation(
+                    np.repeat(np.arange(real.size // 2), 2)
+                )
+                got = _parallel_pair_sockets(sock_bit, real.size // 2, p.dr)
+                want = parallel_pair_sockets_loops(sock_bit, sock_check)
+                assert got.tolist() == want
+                found += len(want)
+        assert found > 0
 
     def test_seed_determinism(self):
         a = sample_precode(TOY, 12, seed=99)
@@ -187,8 +278,6 @@ class TestPeel:
         p = g.params
         section = p.L + p.w - 2  # rightmost channel section
         target = (p.L - 1) * g.M + 2
-        from sc_rateless import ChannelStream
-
         stream = ChannelStream(
             sections=np.array([section]),
             shifts=np.array([[p.w - 1, 0, 0]]),
@@ -277,6 +366,28 @@ class TestPeel:
                 unknowns = folded - known
                 assert len(unknowns) != 1, "peeling stopped with a usable factor"
         assert equality_seen
+
+    def test_rounds_and_assignment_match_level_synchronous_oracle(self):
+        # Same fixpoint, same round count and, where factors disagree (the
+        # random-value streams are not codewords), the same winner: the
+        # lowest-numbered factor of the round.
+        for p, M in ORACLE_TOYS:
+            for seed in range(8):
+                g, _, stream = toy_instance(seed, M=M, alpha=0.3, p=p)
+                if seed % 2:
+                    rng = np.random.default_rng(seed)
+                    stream = ChannelStream(
+                        sections=stream.sections,
+                        shifts=stream.shifts,
+                        bit_indices=stream.bit_indices,
+                        bit_ids=stream.bit_ids,
+                        values=rng.integers(0, 2, len(stream)).astype(np.uint8),
+                        erased=stream.erased,
+                    )
+                result = peel(g, stream)
+                assignment, rounds = peel_rounds(g.num_bits, combined_factors(g, stream))
+                assert result.peeling_rounds == rounds
+                assert result.assignment.tolist() == assignment
 
     def test_determinism(self):
         g, codeword, stream = toy_instance(21, M=12, alpha=0.4)

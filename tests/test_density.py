@@ -12,6 +12,7 @@ from sc_rateless import (
     EnsembleParams,
     NoSuccessInBracket,
     NonMonotoneBracket,
+    NonMonotoneRun,
     alpha_from_beta,
     beta_from_alpha,
     bit_error,
@@ -166,6 +167,24 @@ class TestRun:
         assert run.state.iteration == 5
         assert not run.converged_to_zero
         assert run.hit_iteration_cap
+
+    def test_rising_bit_error_raises(self, monkeypatch):
+        # A faulty update that lets P_b rise must stop the run with a
+        # declared error, also under ``python -O``: here the third step
+        # jumps back to the all-ones state.
+        real_step = density._step_arrays
+        calls = []
+
+        def faulty_step(params, beta, p, s):
+            calls.append(1)
+            if len(calls) < 3:
+                return real_step(params, beta, p, s)
+            return np.ones_like(p), np.ones_like(s)
+
+        monkeypatch.setattr(density, "_step_arrays", faulty_step)
+        with pytest.raises(NonMonotoneRun, match="at iteration 3"):
+            de_run(FIG2, beta_from_alpha(FIG2, 0.5))
+        assert len(calls) == 3
 
     def test_boundary_wave_starts_at_the_edges(self):
         p = FIG2
