@@ -20,10 +20,9 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .codec import InvalidM, monte_carlo
+from .codec import InvalidM, monte_carlo, pool_map
 from .density import (
     DEConfig,
     NoSuccessInBracket,
@@ -181,11 +180,7 @@ def cmd_sweep(args):
         base.dr = dr
         jobs.append((_ensemble(base, max(args.L_grid)), args.L_grid, config,
                      args.allow_dg1))
-    if args.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            curves = list(pool.map(_sweep_curve, jobs))
-    else:
-        curves = [_sweep_curve(job) for job in jobs]
+    curves = pool_map(_sweep_curve, jobs, args.workers)
     rows = []
     for (params, _, _, _), curve in zip(jobs, curves):
         for entry in curve:
@@ -207,14 +202,18 @@ def cmd_sweep(args):
     return spec, rows
 
 
-def _wilson(successes: float, n: int) -> tuple[float, float]:
+def _wilson(phat: float, n: int) -> tuple[float, float]:
+    """Wilson 95% interval for a success rate phat over n trials.  The low
+    end is exactly 0 at phat = 0 and the high end exactly 1 at phat = 1,
+    where the formula's round-off would leave them off by an ulp."""
     if n == 0:
         return math.nan, math.nan
-    phat = successes
     denom = 1.0 + _Z95 ** 2 / n
     center = (phat + _Z95 ** 2 / (2 * n)) / denom
     half = _Z95 * math.sqrt(phat * (1 - phat) / n + _Z95 ** 2 / (4 * n * n)) / denom
-    return center - half, center + half
+    low = 0.0 if phat == 0.0 else center - half
+    high = 1.0 if phat == 1.0 else center + half
+    return low, high
 
 
 def cmd_simulate(args):
@@ -226,6 +225,15 @@ def cmd_simulate(args):
         allow_dg1=args.allow_dg1,
         workers=args.workers,
     )
+    errors = sum(row.trial_errors for row in results)
+    if errors:
+        total = errors + sum(row.trials for row in results)
+        print(
+            f"warning: {errors} of {total} trials failed: the socket matching "
+            f"could not be conditioned at M = {args.M}; each row's rates cover "
+            "only its other trials",
+            file=sys.stderr,
+        )
     rows = []
     for row in results:
         lo, hi = _wilson(row.success_rate, row.trials)

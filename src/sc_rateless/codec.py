@@ -5,7 +5,9 @@ through a systematic form computed once per graph by GF(2) elimination,
 draws the endless channel-node stream truncated at n received symbols over
 BEC(eps), and runs the peeling decoder (sum-product reduces to iterative
 erasure filling on the BEC).  The Monte Carlo harness aggregates decoding
-trials over an overhead grid to cross-validate density evolution.
+trials over an overhead grid to cross-validate density evolution; a trial
+whose socket matching cannot be conditioned is counted as a trial error, and
+any other exception propagates to the caller.
 
 Sampling convention: bit sections live in [0, L-1]; sections within w-1 of
 either end of the chain are shortened (known zero, not transmitted) and
@@ -13,9 +15,10 @@ their stubs pre-fill boundary check sockets.  Each section's M*dl edge stubs
 are dealt to the w forward offsets in equal shares (plus/minus one when w
 does not divide M*dl), so every one of the L+w-1 check sections receives
 exactly M*dl stubs for its M*dl sockets and socket matching is a single
-permutation per section.  Repeated bit references inside one factor cancel
-mod 2 and are folded out of the stored supports; shortened references carry
-known zeros and are folded out as well.
+permutation per section.  Conditioning leaves no check with a repeated bit,
+so a stored check support is its distinct in-chain bits.  A channel node may
+reference a bit twice; the decoder folds such references out mod 2.
+Shortened references carry known zeros and are dropped from both.
 """
 from __future__ import annotations
 
@@ -44,24 +47,21 @@ CONDITIONING_ROUNDS = 200
 
 @dataclass(eq=False)
 class PrecodeGraph:
-    """A sampled coupled precode: CSR of folded check supports over the L*M
-    in-chain bits, plus the raw socket census used by structural tests."""
+    """A sampled coupled precode: the section of each check and the CSR of
+    check supports over the L*M in-chain bits.  A support holds the check's
+    distinct in-chain bits in increasing order; shortened references are not
+    stored, so its length is the check's count of in-chain stubs."""
 
     params: EnsembleParams
     M: int
     check_section: np.ndarray
     check_indptr: np.ndarray
     check_indices: np.ndarray
-    check_real_stubs: np.ndarray
     _encoder: tuple | None = field(default=None, repr=False)
 
     @property
     def num_bits(self) -> int:
         return self.params.L * self.M
-
-    @property
-    def checks_per_section(self) -> int:
-        return self.M * self.params.dl // self.params.dr
 
     @property
     def num_checks(self) -> int:
@@ -150,7 +150,7 @@ def _bad_sockets(sock_bit, num_bits, dl, dr):
     return bad
 
 
-def _condition_matching(sock_bit, section_of_socket, stubs, num_bits, dl, dr, rng):
+def _condition_matching(sock_bit, stubs, num_bits, dl, dr, rng):
     """Swap stubs (within their check section) until no check repeats a bit
     and, for dl = 2, no two bits share the same pair of checks.
 
@@ -158,15 +158,16 @@ def _condition_matching(sock_bit, section_of_socket, stubs, num_bits, dl, dr, rn
     precode) and identical check pairs are undecodable two-bit cores, so the
     socket matching is conditioned to exclude both, as usual in finite-length
     constructions.  Swaps stay inside one section and preserve its stub
-    multiset, so degrees and socket counts are untouched.  Raises
-    ConditioningFailed if the matching is still bad after the last round.
+    multiset, so degrees and socket counts are untouched; check section c
+    owns sockets [c*stubs, (c+1)*stubs).  Raises ConditioningFailed if the
+    matching is still bad after the last round.
     """
     for _ in range(CONDITIONING_ROUNDS):
         bad = _bad_sockets(sock_bit, num_bits, dl, dr)
         if bad.size == 0:
             return
         for socket in bad:
-            section_start = section_of_socket[socket] * stubs
+            section_start = socket // stubs * stubs
             partner = section_start + int(rng.integers(stubs))
             sock_bit[socket], sock_bit[partner] = sock_bit[partner], sock_bit[socket]
     bad = _bad_sockets(sock_bit, num_bits, dl, dr)
@@ -209,8 +210,6 @@ def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
     # dr consecutive sockets per check node, so check q owns [q*dr, (q+1)*dr).
     num_sections = L + w - 1
     num_checks = num_sections * cps
-    section_of_socket = np.repeat(np.arange(num_sections), stubs)
-    sock_check = np.arange(num_sections * stubs) // dr
     sock_bit = np.empty(num_sections * stubs, dtype=np.int64)
     for c in range(num_sections):
         arrivals = []
@@ -223,13 +222,12 @@ def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
                 arrivals.append(np.full(shares[j], -1, dtype=np.int64))
         sock_bit[c * stubs:(c + 1) * stubs] = rng.permutation(np.concatenate(arrivals))
 
-    _condition_matching(sock_bit, section_of_socket, stubs, num_bits, dl, dr, rng)
+    _condition_matching(sock_bit, stubs, num_bits, dl, dr, rng)
 
-    real = sock_bit >= 0
-    real_stubs = np.bincount(sock_check[real], minlength=num_checks)
+    real = np.flatnonzero(sock_bit >= 0)
     # Conditioning left no check repeating a bit, so the sorted (check, bit)
     # keys are the supports, each sorted within its check.
-    keys = np.sort(sock_check[real] * np.int64(num_bits) + sock_bit[real])
+    keys = np.sort(real // dr * np.int64(num_bits) + sock_bit[real])
     check_idx = keys // num_bits
     indptr = np.concatenate(
         ([0], np.cumsum(np.bincount(check_idx, minlength=num_checks)))
@@ -240,7 +238,6 @@ def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
         check_section=np.repeat(np.arange(num_sections), cps),
         check_indptr=indptr,
         check_indices=keys % num_bits,
-        check_real_stubs=real_stubs,
     )
 
 
@@ -264,48 +261,20 @@ def encode(graph: PrecodeGraph, info_bits) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class ChannelNodeDescriptor:
-    """One received rateless symbol: the section it lives in, the section
-    shifts and bit indices of its dg referenced bits, and the received value
-    (None once erased by the channel)."""
-
-    t: int
-    section: int
-    shifts: tuple[int, ...]
-    bit_indices: tuple[int, ...]
-    value: int | None
-
-
 @dataclass(eq=False)
 class ChannelStream:
-    """Struct-of-arrays form of n channel-node descriptors.
-
-    ``bit_ids`` holds flattened in-chain bit numbers, -1 where the reference
-    lands on a shortened section.
-    """
+    """n received rateless symbols as flat arrays: symbol t lives in section
+    ``sections[t]``, references the dg bits ``bit_ids[t]`` (flattened
+    in-chain bit numbers, -1 where the reference lands on a shortened
+    section), and carries ``values[t]`` unless ``erased[t]``."""
 
     sections: np.ndarray
-    shifts: np.ndarray
-    bit_indices: np.ndarray
     bit_ids: np.ndarray
     values: np.ndarray
     erased: np.ndarray
 
     def __len__(self) -> int:
         return len(self.sections)
-
-    def descriptor(self, t: int) -> ChannelNodeDescriptor:
-        return ChannelNodeDescriptor(
-            t=t,
-            section=int(self.sections[t]),
-            shifts=tuple(int(j) for j in self.shifts[t]),
-            bit_indices=tuple(int(l) for l in self.bit_indices[t]),
-            value=None if self.erased[t] else int(self.values[t]),
-        )
-
-    def __iter__(self):
-        return (self.descriptor(t) for t in range(len(self)))
 
 
 def channel_stream(
@@ -316,7 +285,9 @@ def channel_stream(
     Each symbol picks a uniform section in [0, L+w-2], dg uniform backward
     shifts and dg uniform bit indices (both with repetition), transmits the
     mod-2 sum of the referenced bits (shortened references are zero), and is
-    erased independently with probability epsilon.
+    erased independently with probability epsilon.  ``default_rng(seed)``
+    draws, in this order: the n sections, the (n, dg) shifts, the (n, dg)
+    bit indices, and n uniforms, of which those below epsilon mark erasures.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -328,32 +299,23 @@ def channel_stream(
     rng = np.random.default_rng(seed)
     sections = rng.integers(0, L + w - 1, size=n)
     shifts = rng.integers(0, w, size=(n, dg))
-    bit_indices = rng.integers(0, M, size=(n, dg))
+    indices = rng.integers(0, M, size=(n, dg))
     ref_sections = sections[:, None] - shifts
     in_chain = (ref_sections >= 0) & (ref_sections < L)
-    bit_ids = np.where(in_chain, ref_sections * M + bit_indices, -1)
+    bit_ids = np.where(in_chain, ref_sections * M + indices, -1)
     values = (
         (codeword[bit_ids] * in_chain).sum(axis=1, dtype=np.int64) & 1
     ).astype(np.uint8)
     erased = rng.random(n) < epsilon
-    return ChannelStream(
-        sections=sections,
-        shifts=shifts,
-        bit_indices=bit_indices,
-        bit_ids=bit_ids,
-        values=values,
-        erased=erased,
-    )
+    return ChannelStream(sections=sections, bit_ids=bit_ids, values=values, erased=erased)
 
 
 @dataclass(eq=False)
 class TrialResult:
-    """One decoding trial: stream accounting, the residual unresolved
-    fraction at the peeling fixpoint, and the resolved assignment
-    (-1 marks bits still unknown)."""
+    """One decoding trial: the residual unresolved fraction at the peeling
+    fixpoint, the number of rounds, and the resolved assignment (-1 marks
+    bits still unknown)."""
 
-    n: int
-    erased_channel_nodes: int
     residual_bit_erasure: float
     peeling_rounds: int
     assignment: np.ndarray
@@ -448,8 +410,6 @@ def peel(graph: PrecodeGraph, stream: ChannelStream) -> TrialResult:
         rounds += 1
 
     return TrialResult(
-        n=n,
-        erased_channel_nodes=int(stream.erased.sum()),
         residual_bit_erasure=float((state < 0).sum() / num_bits),
         peeling_rounds=rounds,
         assignment=state,
@@ -458,7 +418,9 @@ def peel(graph: PrecodeGraph, stream: ChannelStream) -> TrialResult:
 
 @dataclass
 class MonteCarloRow:
-    """Aggregated decoding trials at one overhead point."""
+    """Aggregated decoding trials at one overhead point.  ``trial_errors``
+    counts the trials whose graph could not be conditioned
+    (ConditioningFailed); the statistics cover the other ``trials``."""
 
     alpha: float
     n_symbols: float
@@ -469,18 +431,26 @@ class MonteCarloRow:
     trial_errors: int
 
 
+def pool_map(func, jobs: list, workers: int) -> list:
+    """``[func(job) for job in jobs]``, in order, over up to ``workers``
+    processes; serial when ``workers <= 1`` or there is at most one job.
+    Exceptions raised by ``func`` reach the caller either way.  This is the
+    package's one process pool: ``monte_carlo`` and the CLI sweep use it."""
+    if workers <= 1 or len(jobs) <= 1:
+        return [func(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        return list(pool.map(func, jobs))
+
+
 def _run_trial(args) -> tuple[float, float, float] | None:
-    try:
-        return _run_trial_strict(args)
-    except Exception:
-        return None
-
-
-def _run_trial_strict(args) -> tuple[float, float, float]:
+    """One decoding trial; None when its graph cannot be conditioned."""
     params, M, alpha, seed, alpha_index, trial_index, zero_codeword = args
     root = np.random.SeedSequence([seed, alpha_index, trial_index])
     graph_seed, info_seed, stream_seed = root.spawn(3)
-    graph = sample_precode(params, M, graph_seed)
+    try:
+        graph = sample_precode(params, M, graph_seed)
+    except ConditioningFailed:
+        return None
     if zero_codeword:
         # Erasure dynamics on the BEC do not depend on the codeword, so the
         # all-zero shortcut is exact; it skips the GF(2) elimination and uses
@@ -512,8 +482,11 @@ def monte_carlo(
 
     Every trial draws a fresh graph and stream from a PRNG keyed by
     (seed, alpha index, trial index), so trials are reproducible and
-    order-independent; rows come back sorted by alpha.  Per-trial failures
-    are recorded in the row rather than aborting the run.
+    order-independent; rows come back sorted by alpha.  A trial whose
+    socket matching cannot be conditioned (ConditioningFailed: M too small
+    for the ensemble) is counted in the row's ``trial_errors`` and left out
+    of its statistics.  Any other exception, including InvalidM for an M
+    that fails the sampler preconditions, propagates.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -522,8 +495,6 @@ def monte_carlo(
             "dg = 1 cannot reach capacity and is excluded from simulation "
             "by default; pass allow_dg1=True to simulate it anyway"
         )
-    if (M * params.dl) % params.dr != 0 or M < params.dr:
-        raise InvalidM(f"M = {M} fails the sampler preconditions for {params}")
 
     alphas = sorted(float(a) for a in alpha_grid)
     jobs = [
@@ -531,11 +502,7 @@ def monte_carlo(
         for ai, alpha in enumerate(alphas)
         for t in range(trials)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial, jobs, chunksize=8))
-    else:
-        outcomes = [_run_trial(job) for job in jobs]
+    outcomes = pool_map(_run_trial, jobs, workers)
 
     rows = []
     for ai, alpha in enumerate(alphas):

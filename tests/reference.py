@@ -254,3 +254,34 @@ def parallel_pair_sockets_loops(sock_bit, sock_check):
     for pair in sorted(by_pair):
         out.extend(socket for _, socket in by_pair[pair][1:])
     return out
+
+
+def channel_stream_loops(codeword, L, w, M, dg, n, epsilon, seed):
+    """The channel stream of ``channel_stream`` re-drawn from
+    ``default_rng(seed)`` in its documented order (n sections, (n, dg)
+    shifts, (n, dg) bit indices, n erasure uniforms), with the referenced
+    bit ids and the received values built one reference at a time.
+
+    Returns (sections, shifts, bit_indices, bit_ids, values, erased) as
+    lists; a bit id is -1 where the reference lands outside [0, L-1].
+    """
+    rng = np.random.default_rng(seed)
+    sections = [int(c) for c in rng.integers(0, L + w - 1, size=n)]
+    shifts = [[int(j) for j in row] for row in rng.integers(0, w, size=(n, dg))]
+    bit_indices = [[int(i) for i in row] for row in rng.integers(0, M, size=(n, dg))]
+    erased = [bool(u < epsilon) for u in rng.random(n)]
+    bit_ids = []
+    values = []
+    for t in range(n):
+        ids = []
+        value = 0
+        for shift, index in zip(shifts[t], bit_indices[t]):
+            section = sections[t] - shift
+            if 0 <= section < L:
+                ids.append(section * M + index)
+                value ^= int(codeword[section * M + index])
+            else:
+                ids.append(-1)
+        bit_ids.append(ids)
+        values.append(value)
+    return sections, shifts, bit_indices, bit_ids, values, erased

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sc_rateless import __version__
-from sc_rateless.cli import main
+from sc_rateless.cli import _wilson, main
 
 
 def run(tmp_path, *argv):
@@ -225,6 +225,38 @@ class TestSimulate:
             jsonschema.validate(row, ROW_SCHEMA["simulate"])
             assert row["wilson_low"] <= row["success_rate"] <= row["wilson_high"]
             assert 0.0 <= row["wilson_low"] <= row["wilson_high"] <= 1.0
+
+    def test_wilson_endpoints_exact(self):
+        for n in range(1, 201):
+            for k in range(n + 1):
+                lo, hi = _wilson(k / n, n)
+                assert 0.0 <= lo <= k / n <= hi <= 1.0, (k, n, lo, hi)
+                if k == 0:
+                    assert lo == 0.0, (n, lo)
+                if k == n:
+                    assert hi == 1.0, (n, hi)
+
+    def test_failed_trials_reported_on_stderr(self, tmp_path, capsys):
+        # At M = 3 most (2, 3) matchings cannot be conditioned.
+        argv = [
+            "simulate", "--dg", "3", "--L", "4", "--M", "3", "--trials", "10",
+            "--alpha", "0.4", "--zero-codeword",
+        ]
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        errors = int(rows[0]["trial_errors"])
+        assert errors > 0
+        assert errors + int(rows[0]["trials"]) == 10
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"{errors} of 10 trials" in err[0]
+        assert "could not be conditioned at M = 3" in err[0]
+
+    def test_no_stderr_without_failed_trials(self, tmp_path, capsys):
+        code, _ = run(tmp_path, *self.ARGS)
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_stdout_when_no_out(self, capsys):
         code = main(["bounds", "--dg", "3", "--L", "8"])

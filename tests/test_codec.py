@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reference import (
+    channel_stream_loops,
     combined_factors,
     determined_bits,
     double_edge_sockets_loops,
@@ -88,17 +89,19 @@ class TestSamplePrecode:
         for seed in range(5):
             g = sample_precode(params(L=6, w=2), 12, seed=seed)
             p = g.params
+            real_stubs = np.diff(g.check_indptr)
             # every in-chain bit emits exactly dl stubs, all of which land
-            assert g.check_real_stubs.sum() == p.L * g.M * p.dl
+            assert real_stubs.sum() == p.L * g.M * p.dl
             interior = (g.check_section >= p.w - 1) & (g.check_section <= p.L - 1)
-            assert np.all(g.check_real_stubs[interior] == p.dr)
-            assert np.all(g.check_real_stubs <= p.dr)
+            assert np.all(real_stubs[interior] == p.dr)
+            assert np.all(real_stubs <= p.dr)
 
     def test_folded_supports_clean_for_dl2(self):
-        # Conditioning removes repeated bits, so folded support sizes equal
-        # the stub census everywhere and each bit keeps both its edges.
+        # Conditioning removes repeated bits, so no stub is folded away and
+        # each bit keeps both its edges.
         g = sample_precode(params(L=8), 30, seed=3)
-        assert np.all(np.diff(g.check_indptr) == g.check_real_stubs)
+        p = g.params
+        assert np.diff(g.check_indptr).sum() == p.L * g.M * p.dl
         degrees = np.bincount(g.check_indices, minlength=g.num_bits)
         assert np.all(degrees == 2)
 
@@ -118,7 +121,7 @@ class TestSamplePrecode:
         g = sample_precode(params(dg=2, L=1, w=1), 9, seed=1)
         assert g.num_checks == 6
         assert np.all(g.check_section == 0)
-        assert np.all(g.check_real_stubs == 3)
+        assert np.all(np.diff(g.check_indptr) == 3)
 
     def test_supports_sorted_within_check(self):
         g = sample_precode(TOY, 12, seed=2)
@@ -224,19 +227,26 @@ class TestEncode:
             encode(g, np.zeros(g.realized_dimension() + 1, dtype=np.uint8))
 
 
+def stream_and_oracle(g, codeword, n, eps, seed):
+    """``channel_stream`` and its loop oracle on the same inputs; asserts
+    that the stream's arrays equal the oracle's exactly."""
+    p = g.params
+    stream = channel_stream(g, codeword, n, eps, seed=seed)
+    oracle = channel_stream_loops(codeword, p.L, p.w, g.M, p.dg, n, eps, seed)
+    sections, _, _, bit_ids, values, erased = oracle
+    assert stream.sections.tolist() == sections
+    assert stream.bit_ids.tolist() == bit_ids
+    assert stream.values.tolist() == values
+    assert stream.erased.tolist() == erased
+    return stream, oracle
+
+
 class TestChannelStream:
     def test_values_recompute_without_erasures(self):
         g, codeword, _ = toy_instance(0, M=12)
-        stream = channel_stream(g, codeword, 400, 0.0, seed=17)
+        stream, _ = stream_and_oracle(g, codeword, 400, 0.0, seed=17)
         assert not stream.erased.any()
-        L, M = g.params.L, g.M
-        for t, node in enumerate(stream):
-            acc = 0
-            for shift, idx in zip(node.shifts, node.bit_indices):
-                section = node.section - shift
-                if 0 <= section < L:
-                    acc ^= int(codeword[section * M + idx])
-            assert node.value == acc, f"descriptor {t} value mismatch"
+        assert np.any(stream.values == 1) and np.any(stream.values == 0)
 
     def test_erasure_rate_matches_epsilon(self):
         g, codeword, _ = toy_instance(1, M=12)
@@ -248,19 +258,25 @@ class TestChannelStream:
 
     def test_sections_cover_full_range(self):
         g, codeword, _ = toy_instance(2, M=12)
-        stream = channel_stream(g, codeword, 20_000, 0.5, seed=3)
+        stream, (_, shifts, bit_indices, _, _, _) = stream_and_oracle(
+            g, codeword, 20_000, 0.5, seed=3
+        )
         p = g.params
         assert stream.sections.min() == 0
         assert stream.sections.max() == p.L + p.w - 2
-        assert np.all((stream.shifts >= 0) & (stream.shifts < p.w))
-        assert np.all((stream.bit_indices >= 0) & (stream.bit_indices < g.M))
+        shifts, bit_indices = np.array(shifts), np.array(bit_indices)
+        assert np.all((shifts >= 0) & (shifts < p.w))
+        assert np.all((bit_indices >= 0) & (bit_indices < g.M))
 
     def test_shortened_references_marked(self):
         g, codeword, _ = toy_instance(3, M=12)
-        stream = channel_stream(g, codeword, 5000, 0.5, seed=4)
-        ref_sections = stream.sections[:, None] - stream.shifts
+        stream, (_, shifts, _, _, _, _) = stream_and_oracle(
+            g, codeword, 5000, 0.5, seed=4
+        )
+        ref_sections = stream.sections[:, None] - np.array(shifts)
         in_chain = (ref_sections >= 0) & (ref_sections < g.params.L)
         np.testing.assert_array_equal(stream.bit_ids < 0, ~in_chain)
+        assert np.any(~in_chain)
 
     def test_rejects_bad_inputs(self):
         g, codeword, _ = toy_instance(4, M=12)
@@ -280,8 +296,6 @@ class TestPeel:
         target = (p.L - 1) * g.M + 2
         stream = ChannelStream(
             sections=np.array([section]),
-            shifts=np.array([[p.w - 1, 0, 0]]),
-            bit_indices=np.array([[2, 0, 0]]),
             bit_ids=np.array([[target, -1, -1]]),
             values=np.array([codeword[target]], dtype=np.uint8),
             erased=np.array([False]),
@@ -297,15 +311,11 @@ class TestPeel:
             np.testing.assert_array_equal(
                 result.assignment[resolved], codeword[resolved]
             )
-            assert result.n == len(stream)
-            assert result.erased_channel_nodes == int(stream.erased.sum())
 
     def test_erased_nodes_contribute_nothing(self):
         g, codeword, stream = toy_instance(11, M=12, alpha=0.4)
         all_erased = type(stream)(
             sections=stream.sections,
-            shifts=stream.shifts,
-            bit_indices=stream.bit_indices,
             bit_ids=stream.bit_ids,
             values=stream.values,
             erased=np.ones_like(stream.erased),
@@ -378,8 +388,6 @@ class TestPeel:
                     rng = np.random.default_rng(seed)
                     stream = ChannelStream(
                         sections=stream.sections,
-                        shifts=stream.shifts,
-                        bit_indices=stream.bit_indices,
                         bit_ids=stream.bit_ids,
                         values=rng.integers(0, 2, len(stream)).astype(np.uint8),
                         erased=stream.erased,
@@ -393,7 +401,6 @@ class TestPeel:
         g, codeword, stream = toy_instance(21, M=12, alpha=0.4)
         a = peel(g, stream)
         b = peel(g, stream)
-        assert a.n == b.n
         assert a.peeling_rounds == b.peeling_rounds
         assert a.residual_bit_erasure == b.residual_bit_erasure
         np.testing.assert_array_equal(a.assignment, b.assignment)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sc_rateless.codec as codec
-from sc_rateless import EnsembleParams, InvalidM, monte_carlo
+from sc_rateless import ConditioningFailed, EnsembleParams, InvalidM, monte_carlo
 
 
 def params(dl=2, dr=3, dg=3, L=16, w=2, eps=0.5):
@@ -94,18 +94,35 @@ class TestMonteCarlo:
         with pytest.raises(InvalidM):
             monte_carlo(params(), 7, [0.5], trials=1, seed=0)
 
+    def test_invalid_M_raised_from_workers(self):
+        # With a pool the sampler's check runs in the workers; the pickled
+        # InvalidM reaches the caller with its message.
+        with pytest.raises(InvalidM, match=r"M\*dl = 14 must be divisible by dr = 3"):
+            monte_carlo(params(), 7, [0.5], trials=3, seed=0, workers=2)
+
     def test_trial_failures_recorded(self, monkeypatch):
-        original = codec._run_trial_strict
+        original = codec.sample_precode
 
-        def flaky(args):
-            if args[5] == 1:  # trial index
-                raise RuntimeError("boom")
-            return original(args)
+        def flaky(params, M, seed):
+            if seed.entropy[2] == 1:  # trial index
+                raise ConditioningFailed("no conditioned matching")
+            return original(params, M, seed)
 
-        monkeypatch.setattr(codec, "_run_trial_strict", flaky)
+        monkeypatch.setattr(codec, "sample_precode", flaky)
         rows = monte_carlo(SMALL, 12, [0.3], trials=4, seed=11, zero_codeword=True)
         assert rows[0].trial_errors == 1
         assert rows[0].trials == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_undeclared_trial_exception_propagates(self, workers):
+        # A fault inside a trial is not a trial error.  A NaN overhead makes
+        # round() of its trials' symbol count raise, in the caller's process
+        # or in a worker, under any process start method.
+        with pytest.raises(ValueError, match="NaN"):
+            monte_carlo(
+                SMALL, 12, [0.3, float("nan")], trials=4, seed=11,
+                zero_codeword=True, workers=workers,
+            )
 
 
 class TestWaterfall:
