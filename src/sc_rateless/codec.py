@@ -461,7 +461,7 @@ def _run_trial(args) -> tuple[float, float, float] | None:
         k = graph.realized_dimension()
         info = np.random.default_rng(info_seed).integers(0, 2, size=k, dtype=np.uint8)
         codeword = encode(graph, info)
-    n = max(1, round((1.0 + alpha) * k / (1.0 - params.epsilon)))
+    n = round((1.0 + alpha) * k / (1.0 - params.epsilon))
     stream = channel_stream(graph, codeword, n, params.epsilon, stream_seed)
     result = peel(graph, stream)
     return result.residual_bit_erasure, float(n), float(k)
@@ -486,7 +486,8 @@ def monte_carlo(
     socket matching cannot be conditioned (ConditioningFailed: M too small
     for the ensemble) is counted in the row's ``trial_errors`` and left out
     of its statistics.  Any other exception, including InvalidM for an M
-    that fails the sampler preconditions, propagates.
+    that fails the sampler preconditions, propagates; so does the
+    ValueError of an overhead too close to -1 to send one symbol.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -495,8 +496,11 @@ def monte_carlo(
             "dg = 1 cannot reach capacity and is excluded from simulation "
             "by default; pass allow_dg1=True to simulate it anyway"
         )
-
     alphas = sorted(float(a) for a in alpha_grid)
+    for alpha in alphas:
+        if not -1.0 < alpha < math.inf:
+            raise ValueError(f"every alpha must be finite and > -1, got {alpha}")
+
     jobs = [
         (params, M, alpha, seed, ai, t, zero_codeword)
         for ai, alpha in enumerate(alphas)

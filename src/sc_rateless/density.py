@@ -52,14 +52,6 @@ class DEState:
     s: np.ndarray
     iteration: int = 0
 
-    @classmethod
-    def all_ones(cls, L: int) -> "DEState":
-        return cls(p=np.ones(L), s=np.ones(L))
-
-    @property
-    def L(self) -> int:
-        return len(self.p)
-
 
 @dataclass(frozen=True)
 class DEConfig:
@@ -103,10 +95,6 @@ class DERun:
     trace: list[tuple[int, float]]
     hit_iteration_cap: bool = False
 
-    @property
-    def final_bit_error(self) -> float:
-        return bit_error(self.state)
-
 
 @dataclass
 class SweepRow:
@@ -122,7 +110,11 @@ class SweepRow:
     error: str | None = None
 
 
-def _step_arrays(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
+def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
+    """One synchronous density-evolution update of the per-section erasure
+    probabilities p and s; returns the next (p, s)."""
+    if len(p) != params.L or len(s) != params.L:
+        raise ValueError(f"p and s need {params.L} sections, got {len(p)} and {len(s)}")
     w = params.w
     kernel = np.full(w, 1.0 / w)
     # Inner average per check/channel section (length L+w-1, zero-extended),
@@ -139,19 +131,6 @@ def _step_arrays(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarr
     return p_next, s_next
 
 
-def de_step(params: EnsembleParams, beta: float, state: DEState) -> DEState:
-    """One synchronous density-evolution update."""
-    if state.L != params.L:
-        raise ValueError(f"state has {state.L} sections, params expect {params.L}")
-    p_next, s_next = _step_arrays(params, beta, state.p, state.s)
-    return DEState(p=p_next, s=s_next, iteration=state.iteration + 1)
-
-
-def bit_error(state: DEState) -> float:
-    """Mean erasure probability over the L chain sections."""
-    return float(state.p.mean())
-
-
 def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -> DERun:
     """Iterate from the all-ones start until the mean erasure probability
     drops below the success target, the state stalls, or the iteration cap.
@@ -159,15 +138,15 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     The trace records (iteration, P_b) every iteration up to 1000, then on a
     geometric grid, and always includes the final iteration.
     """
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     p = np.ones(params.L)
     s = np.ones(params.L)
     pb = 1.0
     trace = [(0, pb)]
     next_record = 1
     for it in range(1, config.max_iterations + 1):
-        p_next, s_next = _step_arrays(params, beta, p, s)
+        p_next, s_next = de_step(params, beta, p, s)
         pb_next = float(p_next.mean())
         # From the all-ones start the map is monotone, so P_b cannot rise.
         if pb_next > pb + 1e-12:
@@ -197,57 +176,48 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
 def overhead_threshold(
     params: EnsembleParams,
     config: DEConfig = DEConfig(),
-    search_bracket: tuple[float, float] = (0.0, 1.0),
+    upper: float = 1.0,
     *,
     allow_dg1: bool = False,
 ) -> ThresholdResult:
     """Bisection on alpha for the smallest decoding overhead.
 
-    The bracket must fail at its lower end and succeed at its upper end; the
-    upper end is expanded by doubling the width (capped at alpha = 10) until
-    it succeeds, and a succeeding lower end is pushed down to 0, which cannot
-    decode (capacity).  After bisection one spot probe below the bracket
-    re-checks the monotonicity assumption.
+    The bracket starts as [0, upper].  Zero overhead is probed first: at
+    capacity it cannot decode, and if it does anyway there is nothing to
+    bisect.  The upper end is doubled (capped at alpha = 10) until it
+    decodes.  After bisection one spot probe below the bracket re-checks the
+    monotonicity assumption.
     """
     if params.dg == 1 and not allow_dg1:
         raise ValueError(
             "dg = 1 cannot reach capacity and is excluded from the threshold "
             "search by default; pass allow_dg1=True to analyze it anyway"
         )
-    lo, hi = search_bracket
-    if not -1.0 <= lo < hi:
-        raise ValueError(f"need -1 <= lo < hi in the search bracket, got {search_bracket}")
+    if not upper > 0.0:
+        raise ValueError(f"the upper starting point must be > 0, got {upper}")
 
     def decodes(alpha: float) -> tuple[bool, int]:
         run = de_run(params, beta_from_alpha(params, alpha), config)
         return run.converged_to_zero, run.state.iteration
 
-    initial_lo = lo
+    lo, hi = 0.0, upper
     ok_lo, iters = decodes(lo)
     if ok_lo:
-        if lo <= 0.0:
-            # Decoding at (or below) zero overhead: nothing to bisect.
-            alpha = max(lo, 0.0)
-            return ThresholdResult(
-                alpha_star=alpha,
-                beta_star=beta_from_alpha(params, alpha),
-                iterations_at_threshold=iters,
-                bracket=(alpha, alpha),
+        return ThresholdResult(
+            alpha_star=lo,
+            beta_star=beta_from_alpha(params, lo),
+            iterations_at_threshold=iters,
+            bracket=(lo, lo),
+        )
+    while True:
+        ok, success_iters = decodes(hi)
+        if ok:
+            break
+        if hi >= 10.0:
+            raise NoSuccessInBracket(
+                f"density evolution fails up to alpha = {hi:g} for {params}"
             )
-        hi, lo, initial_lo = lo, 0.0, 0.0
-        success_iters = iters
-    else:
-        width = hi - lo
-        while True:
-            ok, success_iters = decodes(hi)
-            if ok:
-                break
-            if hi >= 10.0:
-                raise NoSuccessInBracket(
-                    f"density evolution fails up to alpha = {hi:g} for {params}"
-                )
-            width *= 2.0
-            hi = min(lo + width, 10.0)
+        hi = min(2.0 * hi, 10.0)
 
     while hi - lo > config.bisection_tol:
         mid = 0.5 * (lo + hi)
@@ -263,7 +233,7 @@ def overhead_threshold(
     # also fail (probing just above the bracket instead would sit in the
     # critically slow regime and stall spuriously).
     spot = alpha_star - max(0.02, 10.0 * config.bisection_tol)
-    if spot > initial_lo:
+    if spot > 0.0:
         ok, _ = decodes(spot)
         if ok:
             raise NonMonotoneBracket(
@@ -288,9 +258,9 @@ def threshold_sweep(
     lengths.
 
     Rows are ordered by L, and each bisection warm-starts from the previous
-    row: the threshold shrinks with L in every regime of interest, so the previous
-    estimate (plus margin) caps the fresh bracket.  Per-row failures land in
-    the row's ``error`` field instead of aborting the sweep.
+    row: the threshold shrinks with L in every regime of interest, so the
+    previous estimate (plus margin) is the fresh bracket's upper end.  Per-row
+    failures land in the row's ``error`` field instead of aborting the sweep.
     """
     if not L_values:
         raise ValueError("L_values must be nonempty")
@@ -303,8 +273,8 @@ def threshold_sweep(
             report = stability.threshold_lower_bounds(p_l)
             row.lower_bound_alpha = report.lower_bound_alpha
             row.lower_bound_beta = report.lower_bound_beta
-            bracket = (0.0, prev_alpha + 0.02) if prev_alpha is not None else (0.0, 1.0)
-            result = overhead_threshold(p_l, config, bracket, allow_dg1=allow_dg1)
+            upper = prev_alpha + 0.02 if prev_alpha is not None else 1.0
+            result = overhead_threshold(p_l, config, upper, allow_dg1=allow_dg1)
             row.alpha_star = result.alpha_star
             row.beta_star = result.beta_star
             row.iterations = result.iterations_at_threshold

@@ -91,7 +91,7 @@ def beta_from_alpha(params: EnsembleParams, alpha: float, *, asymptotic: bool = 
     With ``asymptotic=True`` the L -> infinity form
     dg/(1-eps) * (1 - dl/dr) * (1+alpha) is returned instead.
     """
-    if alpha < -1.0:
+    if not alpha >= -1.0:
         raise ValueError(f"alpha must be >= -1, got {alpha}")
     if asymptotic:
         per_section = design_rate_limit(params)
@@ -103,7 +103,7 @@ def beta_from_alpha(params: EnsembleParams, alpha: float, *, asymptotic: bool = 
 def alpha_from_beta(params: EnsembleParams, beta: float, *, asymptotic: bool = False) -> float:
     """Overhead alpha for a given mean channel-node degree beta (exact inverse
     of :func:`beta_from_alpha`)."""
-    if beta < 0.0:
+    if not beta >= 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     return beta / beta_from_alpha(params, 0.0, asymptotic=asymptotic) - 1.0
 

@@ -11,10 +11,10 @@ radius to stay below 1, which yields computable lower bounds on the overhead
 and degree thresholds.  This module builds the matrix, computes its dominant
 eigenvalue by power iteration, evaluates the closed-form Rayleigh/operator-norm
 sandwich, the finite-L and limiting threshold lower bounds, the capacity
-condition on dg, and the strong-connectivity irreducibility test.
+condition on dg, and the dg = 1 overhead bound.
 
-For dl > 2 the linearization vanishes identically, so only the trivial
-capacity bound survives; the report flags that case.
+For dl > 2 the linearization vanishes identically (scale 0), so only the
+trivial capacity bound survives; the report flags that case.
 """
 from __future__ import annotations
 
@@ -42,14 +42,13 @@ class BandMatrix:
     scale*(w-|i-j|)/w^2, w = half_width+1.
 
     The profile vanishes exactly at |i-j| = w, so the stored band width is
-    w-1 nonzero off-diagonals per side.  ``vanishes`` marks the identically
-    zero matrix produced when the bit degree exceeds 2.
+    w-1 nonzero off-diagonals per side.  Scale 0 is the identically zero
+    matrix produced when the bit degree exceeds 2.
     """
 
     size: int
     half_width: int
     scale: float
-    vanishes: bool = False
 
     def __post_init__(self):
         if self.size < 1:
@@ -62,15 +61,6 @@ class BandMatrix:
     @property
     def window(self) -> int:
         return self.half_width + 1
-
-    def entry(self, i: int, j: int) -> float:
-        if not (0 <= i < self.size and 0 <= j < self.size):
-            raise IndexError(f"({i}, {j}) outside a {self.size}x{self.size} matrix")
-        d = abs(i - j)
-        if d > self.half_width:
-            return 0.0
-        w = self.window
-        return self.scale * (w - d) / (w * w)
 
     def band_profile(self) -> np.ndarray:
         """The 2w-1 nonzero band values, centered on the diagonal."""
@@ -85,25 +75,9 @@ class BandMatrix:
         y = np.convolve(np.asarray(x, dtype=float), self.band_profile(), mode="full")
         return y[self.half_width:self.half_width + self.size]
 
-    def row_sums(self) -> np.ndarray:
-        return self.matvec(np.ones(self.size))
-
     def one_norm(self) -> float:
         """Exact max row sum, valid for any size (boundary rows truncated)."""
-        return float(self.row_sums().max(initial=0.0))
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.size, self.size))
-        profile = self.band_profile()
-        reach = min(self.half_width, self.size - 1)
-        for d in range(-reach, reach + 1):
-            diag = np.full(self.size - abs(d), profile[d + self.half_width])
-            out += np.diag(diag, k=d)
-        return out
-
-    def __array__(self, dtype=None, copy=None):
-        dense = self.dense()
-        return dense.astype(dtype) if dtype is not None else dense
+        return float(self.matvec(np.ones(self.size)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -134,10 +108,9 @@ def _scale(params: EnsembleParams, beta: float) -> float:
 
 def build_jacobian(params: EnsembleParams, beta: float) -> BandMatrix:
     """Band matrix of partial derivatives of the p-update at the decoded
-    state.  For dl > 2 every entry is zero; the returned matrix is flagged."""
-    if params.dl > 2:
-        return BandMatrix(size=params.L, half_width=params.w - 1, scale=0.0, vanishes=True)
-    return BandMatrix(size=params.L, half_width=params.w - 1, scale=_scale(params, beta))
+    state.  For dl > 2 every entry is zero, so the scale is 0."""
+    scale = 0.0 if params.dl > 2 else _scale(params, beta)
+    return BandMatrix(size=params.L, half_width=params.w - 1, scale=scale)
 
 
 def spectral_radius(m: BandMatrix, tol: float = 1e-10, max_iter: int = 100_000) -> float:
@@ -275,30 +248,3 @@ def threshold_lower_bounds(params: EnsembleParams) -> StabilityReport:
         stability_applies=applies,
     )
 
-
-def is_irreducible(matrix) -> bool:
-    """Strong-connectivity test of the directed graph with an edge i -> j
-    wherever entry (i, j) is nonzero.
-
-    Two reachability searches (forward from node 0 and forward in the
-    transpose graph) suffice: the matrix is irreducible iff every node is
-    reachable both ways.
-    """
-    adj = np.asarray(matrix) != 0
-    n = adj.shape[0]
-    if adj.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {adj.shape}")
-    if n == 1:
-        return True
-
-    def reaches_all(a: np.ndarray) -> bool:
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = np.array([0])
-        while frontier.size:
-            nxt = a[frontier].any(axis=0) & ~seen
-            seen |= nxt
-            frontier = np.flatnonzero(nxt)
-        return bool(seen.all())
-
-    return reaches_all(adj) and reaches_all(adj.T)

@@ -56,6 +56,18 @@ def precode_de_step_loops(dl, dr, w, L, channel, p):
     return p_next
 
 
+def band_matrix_loops(size, w, c):
+    """Dense size x size matrix with entries c*(w-|i-j|)/w^2 for |i-j| < w
+    and 0 elsewhere: the stability linearization at dl = 2."""
+    out = np.zeros((size, size))
+    for i in range(size):
+        for j in range(size):
+            d = abs(i - j)
+            if d < w:
+                out[i, j] = c * (w - d) / (w * w)
+    return out
+
+
 def masks_from_supports(supports):
     """Rows as python-int bitmasks; repeated columns cancel mod 2."""
     masks = []

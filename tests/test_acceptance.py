@@ -13,11 +13,10 @@ import random as pyrandom
 import numpy as np
 import pytest
 
-from reference import combined_factors, peel_sequential
+from reference import band_matrix_loops, combined_factors, peel_sequential
 from sc_rateless import (
     DEConfig,
     DegreeDistribution,
-    DEState,
     EnsembleParams,
     SizeTooSmall,
     beta_from_alpha,
@@ -159,7 +158,9 @@ def test_criterion_6_spectral_sandwich():
                     upper = m.one_norm()
                 sandwich_ok &= lower <= rho + 1e-10 and rho <= upper + 1e-10
                 if L <= 8:
-                    dense = float(np.max(np.abs(np.linalg.eigvalsh(m.dense()))))
+                    c = (p.dr - 1) * math.exp(-beta * (1 - p.epsilon))
+                    oracle = np.linalg.eigvalsh(band_matrix_loops(L, w, c))
+                    dense = float(np.max(np.abs(oracle)))
                     oracle_ok &= abs(rho - dense) <= 1e-8
     p = params(dg=2, L=1000, w=2)
     lower = rayleigh_lower_bound(p, 1.0)
@@ -241,11 +242,9 @@ def test_criterion_9_dg1_exclusion():
         bound = dg1_overhead_bound(dl, dr)
         p = params(dl=dl, dr=dr, dg=1, L=64)
         run = de_run(p, beta_from_alpha(p, bound - 0.05))
-        failures_ok &= (not run.converged_to_zero) and run.final_bit_error > 0.01
-        details.append(
-            f"({dl},{dr}): bound {bound:.4f}, residual P_b "
-            f"{run.final_bit_error:.3f}"
-        )
+        residual = run.state.p.mean()
+        failures_ok &= (not run.converged_to_zero) and residual > 0.01
+        details.append(f"({dl},{dr}): bound {bound:.4f}, residual P_b {residual:.3f}")
     # elementwise reduction to the precode recursion over BEC(gf(eps))
     from reference import precode_de_step_loops
 
@@ -254,11 +253,11 @@ def test_criterion_9_dg1_exclusion():
     for _ in range(20):
         p = params(dg=1, L=int(rng.integers(2, 20)), w=int(rng.integers(1, 4)))
         beta = float(rng.uniform(0.2, 3.0))
-        state = DEState(p=rng.uniform(0, 1, p.L), s=rng.uniform(0, 1, p.L))
+        p_in, s_in = rng.uniform(0, 1, p.L), rng.uniform(0, 1, p.L)
         channel = math.exp(-beta * (1.0 - p.epsilon))
-        want = precode_de_step_loops(p.dl, p.dr, p.w, p.L, channel, state.p)
-        got = de_step(p, beta, state)
-        reduction_ok &= bool(np.all(np.abs(got.p - want) <= 1e-14))
+        want = precode_de_step_loops(p.dl, p.dr, p.w, p.L, channel, p_in)
+        got_p, _ = de_step(p, beta, p_in, s_in)
+        reduction_ok &= bool(np.all(np.abs(got_p - want) <= 1e-14))
     ok = failures_ok and reduction_ok
     conclude(
         9, "dg=1 exclusion", ok,
@@ -280,24 +279,23 @@ def test_criterion_10_invariant_suites():
     for iters in (5, 50):
         prev = None
         for b in np.linspace(0.5, 3.0, 5):
-            state = DEState.all_ones(p.L)
+            pv, sv = np.ones(p.L), np.ones(p.L)
             for _ in range(iters):
-                state = de_step(p, float(b), state)
+                pv, sv = de_step(p, float(b), pv, sv)
             if prev is not None:
-                monotone_beta &= bool(np.all(state.p <= prev + 1e-12))
-            prev = state.p
+                monotone_beta &= bool(np.all(pv <= prev + 1e-12))
+            prev = pv
 
     # spatial symmetry
-    state = DEState.all_ones(p.L)
+    pv, sv = np.ones(p.L), np.ones(p.L)
     symmetric = True
     for _ in range(40):
-        state = de_step(p, beta, state)
-        symmetric &= bool(np.all(np.abs(state.p - state.p[::-1]) <= 1e-12))
+        pv, sv = de_step(p, beta, pv, sv)
+        symmetric &= bool(np.all(np.abs(pv - pv[::-1]) <= 1e-12))
 
     # absorbing zero
-    zero = DEState(p=np.zeros(p.L), s=np.zeros(p.L))
-    nxt = de_step(p, beta, zero)
-    absorbing = bool(np.all(nxt.p == 0.0) and np.all(nxt.s == 0.0))
+    nxt_p, nxt_s = de_step(p, beta, np.zeros(p.L), np.zeros(p.L))
+    absorbing = bool(np.all(nxt_p == 0.0) and np.all(nxt_s == 0.0))
 
     # peeling confluence on seeded toy instances
     confluent = True

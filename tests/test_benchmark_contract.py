@@ -1,0 +1,79 @@
+"""The package surface the benchmark's traced run reads.
+
+``perfbench/tracing.py`` wraps the functions named in its ``TRACED`` table
+and reads work counters off their return values.  It is loaded here by path,
+without ``install()``, so a refactor that renames a traced function or a
+field a counter reads fails in the unit suite instead of in the benchmark.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sc_rateless import (
+    DEConfig,
+    EnsembleParams,
+    channel_stream,
+    de_run,
+    gf2,
+    monte_carlo,
+    peel,
+    sample_precode,
+)
+
+TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACED = load_tracing().TRACED
+SMALL = EnsembleParams(dl=2, dr=3, dg=3, L=4, w=2, epsilon=0.5)
+
+
+@pytest.mark.parametrize("module_name, path", sorted(TRACED), ids=str)
+def test_traced_function_resolves(module_name, path):
+    owner = importlib.import_module(f"sc_rateless.{module_name}")
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_de_run_counters():
+    params = EnsembleParams(dl=2, dr=3, dg=3, L=8, w=2, epsilon=0.5)
+    run = de_run(params, 2.0, DEConfig(max_iterations=5))
+    counters = TRACED[("density", "de_run")]((params, 2.0), {}, run)
+    assert counters == {"steps": 5, "cap": 1}
+
+
+def test_peel_counters():
+    graph = sample_precode(SMALL, 6, seed=3)
+    codeword = np.zeros(graph.num_bits, dtype=np.uint8)
+    stream = channel_stream(graph, codeword, 40, 0.5, seed=4)
+    result = peel(graph, stream)
+    counters = TRACED[("codec", "peel")]((graph, stream), {}, result)
+    assert counters == {
+        "rounds": result.peeling_rounds,
+        "decoded": int(result.residual_bit_erasure == 0.0),
+    }
+    assert result.peeling_rounds > 0
+
+
+def test_monte_carlo_counters():
+    rows = monte_carlo(SMALL, 6, [0.3, 0.6], trials=2, seed=1, zero_codeword=True)
+    counters = TRACED[("codec", "monte_carlo")]((SMALL, 6, [0.3, 0.6], 2, 1), {}, rows)
+    assert counters == {"trials": 4, "errors": 0}
+
+
+def test_rref_counters():
+    packed = gf2.rows_from_support([[0, 2], [1, 2], [0, 1]], 3)
+    result = gf2.rref(packed, 3)
+    counters = TRACED[("gf2", "rref")]
+    assert counters((packed, 3), {}, result) == {"cols": 3, "rank": 2}
+    assert counters((packed,), {"ncols": 3}, result) == {"cols": 3, "rank": 2}

@@ -90,6 +90,16 @@ class TestValidation:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("alpha", ["-3", "nan"])
+    def test_bad_alpha_exits_2_with_message(self, tmp_path, capsys, alpha):
+        code, text = run(
+            tmp_path, "simulate", "--dg", "3", "--L", "4", "--M", "6",
+            "--trials", "2", "--alpha", alpha, "--zero-codeword",
+        )
+        assert code == 2
+        assert text == ""
+        assert "alpha must be finite and > -1" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         assert main(["threshold", "--bogus"]) == 2
 
@@ -105,14 +115,14 @@ class TestValidation:
         # Every DE run's second step jumps back to the all-ones state.
         import sc_rateless.density as density
 
-        real_step = density._step_arrays
+        real_step = density.de_step
 
         def faulty_step(params, beta, p, s):
             if np.all(p == 1.0):
                 return real_step(params, beta, p, s)
             return np.ones_like(p), np.ones_like(s)
 
-        monkeypatch.setattr(density, "_step_arrays", faulty_step)
+        monkeypatch.setattr(density, "de_step", faulty_step)
         code, _ = run(tmp_path, "threshold", "--dg", "3", "--L", "8")
         assert code == 3
         assert "P_b rose" in capsys.readouterr().err

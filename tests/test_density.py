@@ -15,7 +15,6 @@ from sc_rateless import (
     NonMonotoneRun,
     alpha_from_beta,
     beta_from_alpha,
-    bit_error,
     de_run,
     de_step,
     overhead_threshold,
@@ -28,6 +27,10 @@ def params(dl=2, dr=3, dg=3, L=16, w=2, eps=0.5):
 
 
 FIG2 = params(2, 3, 3, L=16, w=2, eps=0.5)
+
+
+def ones(L):
+    return np.ones(L), np.ones(L)
 
 
 class TestStep:
@@ -43,40 +46,40 @@ class TestStep:
                 eps=float(rng.uniform(0, 0.95)),
             )
             beta = float(rng.uniform(0, 4))
-            state = DEState(p=rng.uniform(0, 1, p.L), s=rng.uniform(0, 1, p.L))
-            got = de_step(p, beta, state)
+            p_in, s_in = rng.uniform(0, 1, p.L), rng.uniform(0, 1, p.L)
+            got_p, got_s = de_step(p, beta, p_in, s_in)
             want_p, want_s = de_step_loops(
-                p.dl, p.dr, p.dg, p.w, p.L, p.epsilon, beta, state.p, state.s
+                p.dl, p.dr, p.dg, p.w, p.L, p.epsilon, beta, p_in, s_in
             )
-            np.testing.assert_allclose(got.p, want_p, atol=1e-14)
-            np.testing.assert_allclose(got.s, want_s, atol=1e-14)
-            assert got.iteration == 1
+            np.testing.assert_allclose(got_p, want_p, atol=1e-14)
+            np.testing.assert_allclose(got_s, want_s, atol=1e-14)
 
     def test_interior_sections_stay_erased_after_one_step(self):
         # The decoding wave can only start at the boundary: with everything
         # erased, interior sections see no information.
         p = params(L=12, w=3)
-        nxt = de_step(p, 2.0, DEState.all_ones(p.L))
+        nxt_p, nxt_s = de_step(p, 2.0, *ones(p.L))
         interior = slice(p.w - 1, p.L - p.w + 1)
-        np.testing.assert_allclose(nxt.p[interior], 1.0, atol=0)
-        np.testing.assert_allclose(nxt.s[interior], 1.0, atol=0)
+        np.testing.assert_allclose(nxt_p[interior], 1.0, atol=0)
+        np.testing.assert_allclose(nxt_s[interior], 1.0, atol=0)
 
     def test_single_section_uncoupled_stays_erased(self):
         p = params(dl=2, dr=3, dg=2, L=1, w=1)
-        nxt = de_step(p, 2.0, DEState.all_ones(1))
-        assert nxt.p[0] == 1.0
+        nxt_p, _ = de_step(p, 2.0, *ones(1))
+        assert nxt_p[0] == 1.0
 
     def test_zero_state_is_absorbing(self):
         for w in (1, 2, 3):
             p = params(w=w, L=9)
-            zero = DEState(p=np.zeros(9), s=np.zeros(9))
-            nxt = de_step(p, 1.7, zero)
-            assert np.all(nxt.p == 0.0)
-            assert np.all(nxt.s == 0.0)
+            nxt_p, nxt_s = de_step(p, 1.7, np.zeros(9), np.zeros(9))
+            assert np.all(nxt_p == 0.0)
+            assert np.all(nxt_s == 0.0)
 
     def test_rejects_mismatched_state(self):
         with pytest.raises(ValueError):
-            de_step(params(L=4), 1.0, DEState.all_ones(5))
+            de_step(params(L=4), 1.0, *ones(5))
+        with pytest.raises(ValueError):
+            de_step(params(L=4), 1.0, np.ones(4), np.ones(5))
 
     def test_monotone_in_beta_elementwise(self):
         p = FIG2
@@ -84,20 +87,20 @@ class TestStep:
         for iters in (1, 10, 100):
             prev = None
             for beta in betas:
-                state = DEState.all_ones(p.L)
+                pv, sv = ones(p.L)
                 for _ in range(iters):
-                    state = de_step(p, float(beta), state)
+                    pv, sv = de_step(p, float(beta), pv, sv)
                 if prev is not None:
-                    assert np.all(state.p <= prev + 1e-12)
-                prev = state.p
+                    assert np.all(pv <= prev + 1e-12)
+                prev = pv
 
     def test_spatial_symmetry(self):
         p = params(L=17, w=3)
-        state = DEState.all_ones(p.L)
+        pv, sv = ones(p.L)
         for _ in range(60):
-            state = de_step(p, 2.2, state)
-            np.testing.assert_allclose(state.p, state.p[::-1], atol=1e-12)
-            np.testing.assert_allclose(state.s, state.s[::-1], atol=1e-12)
+            pv, sv = de_step(p, 2.2, pv, sv)
+            np.testing.assert_allclose(pv, pv[::-1], atol=1e-12)
+            np.testing.assert_allclose(sv, sv[::-1], atol=1e-12)
 
     def test_dg1_reduces_to_precode_de(self):
         # With dg = 1 the channel contributes the constant gf(eps), so the
@@ -114,39 +117,31 @@ class TestStep:
                 eps=float(rng.uniform(0.1, 0.9)),
             )
             beta = float(rng.uniform(0.2, 3.0))
-            state = DEState(p=rng.uniform(0, 1, p.L), s=rng.uniform(0, 1, p.L))
+            p_in, s_in = rng.uniform(0, 1, p.L), rng.uniform(0, 1, p.L)
             channel = math.exp(-beta * (1.0 - p.epsilon))
-            want = precode_de_step_loops(p.dl, p.dr, p.w, p.L, channel, state.p)
-            got = de_step(p, beta, state)
-            np.testing.assert_allclose(got.p, want, atol=1e-14)
-
-
-class TestBitError:
-    def test_extremes_and_mean(self):
-        assert bit_error(DEState.all_ones(5)) == 1.0
-        assert bit_error(DEState(p=np.zeros(5), s=np.zeros(5))) == 0.0
-        state = DEState(p=np.array([1.0, 0.0, 0.0, 1.0]), s=np.zeros(4))
-        assert bit_error(state) == pytest.approx(0.5, abs=0)
+            want = precode_de_step_loops(p.dl, p.dr, p.w, p.L, channel, p_in)
+            got_p, _ = de_step(p, beta, p_in, s_in)
+            np.testing.assert_allclose(got_p, want, atol=1e-14)
 
 
 class TestRun:
     def test_far_above_threshold_decodes(self):
         run = de_run(FIG2, beta_from_alpha(FIG2, 0.5))
         assert run.converged_to_zero
-        assert run.final_bit_error < 1e-10
+        assert run.state.p.mean() < 1e-10
         assert not run.hit_iteration_cap
 
     def test_below_capacity_fails(self):
         run = de_run(FIG2, beta_from_alpha(FIG2, -0.5))
         assert not run.converged_to_zero
-        assert run.final_bit_error > 0.1
+        assert run.state.p.mean() > 0.1
 
     def test_beta_zero_keeps_interior_fully_erased(self):
         # No channel information: only the shortened boundary leaks into the
         # precode, so the residual stays near (but not exactly at) 1.
         run = de_run(FIG2, 0.0)
         assert not run.converged_to_zero
-        assert 0.9 < run.final_bit_error < 1.0
+        assert 0.9 < run.state.p.mean() < 1.0
         interior = run.state.p[FIG2.w - 1:FIG2.L - FIG2.w + 1]
         assert np.all(interior > 0.9)
 
@@ -161,6 +156,12 @@ class TestRun:
         dense_prefix = [it for it in iters if it <= 1000]
         assert dense_prefix == list(range(min(1000, iters[-1]) + 1))
 
+    def test_rejects_nan_and_infinite_beta(self):
+        # NaN passes a plain "beta < 0" test and would run to the cap.
+        for beta in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError, match="beta"):
+                de_run(FIG2, beta)
+
     def test_iteration_cap_flagged(self):
         config = DEConfig(max_iterations=5)
         run = de_run(FIG2, beta_from_alpha(FIG2, 0.5), config)
@@ -172,7 +173,7 @@ class TestRun:
         # A faulty update that lets P_b rise must stop the run with a
         # declared error, also under ``python -O``: here the third step
         # jumps back to the all-ones state.
-        real_step = density._step_arrays
+        real_step = density.de_step
         calls = []
 
         def faulty_step(params, beta, p, s):
@@ -181,7 +182,7 @@ class TestRun:
                 return real_step(params, beta, p, s)
             return np.ones_like(p), np.ones_like(s)
 
-        monkeypatch.setattr(density, "_step_arrays", faulty_step)
+        monkeypatch.setattr(density, "de_step", faulty_step)
         with pytest.raises(NonMonotoneRun, match="at iteration 3"):
             de_run(FIG2, beta_from_alpha(FIG2, 0.5))
         assert len(calls) == 3
@@ -189,11 +190,11 @@ class TestRun:
     def test_boundary_wave_starts_at_the_edges(self):
         p = FIG2
         beta = beta_from_alpha(p, 0.3)
-        state = DEState.all_ones(p.L)
+        pv, sv = ones(p.L)
         first_cross = np.full(p.L, -1)
         for it in range(1, 2000):
-            state = de_step(p, beta, state)
-            newly = (state.p < 0.5) & (first_cross < 0)
+            pv, sv = de_step(p, beta, pv, sv)
+            newly = (pv < 0.5) & (first_cross < 0)
             first_cross[newly] = it
             if np.all(first_cross >= 0):
                 break
@@ -236,13 +237,16 @@ class TestThreshold:
             overhead_threshold(params(dg=1))
 
     def test_bad_bracket_rejected(self):
-        with pytest.raises(ValueError):
-            overhead_threshold(FIG2, search_bracket=(0.5, 0.5))
+        for upper in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="upper"):
+                overhead_threshold(FIG2, upper=upper)
 
-    def test_succeeding_lower_end_is_pushed_down(self):
-        # A bracket starting above the threshold still resolves it.
-        result = overhead_threshold(FIG2, search_bracket=(0.4, 0.8))
+    def test_upper_start_below_threshold_expands(self):
+        # An upper end that fails to decode is doubled until it decodes.
+        result = overhead_threshold(FIG2, upper=0.05)
         assert result.alpha_star == pytest.approx(0.17282, abs=5e-4)
+        lo, hi = result.bracket
+        assert hi - lo <= DEConfig.bisection_tol
 
     def test_nonmonotone_spot_check_raises(self, monkeypatch):
         # Rig the DE classifier with a success pocket below the bracket,

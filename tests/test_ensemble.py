@@ -119,12 +119,14 @@ class TestValidation:
         assert params(dg=1).dg == 1
 
     def test_beta_requires_alpha_at_least_minus_one(self):
-        with pytest.raises(ValueError):
-            beta_from_alpha(params(), -1.5)
+        for alpha in (-1.5, math.nan):
+            with pytest.raises(ValueError):
+                beta_from_alpha(params(), alpha)
 
     def test_alpha_requires_nonnegative_beta(self):
-        with pytest.raises(ValueError):
-            alpha_from_beta(params(), -0.5)
+        for beta in (-0.5, math.nan):
+            with pytest.raises(ValueError):
+                alpha_from_beta(params(), beta)
 
 
 class TestDegreeDistribution:

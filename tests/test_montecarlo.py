@@ -113,14 +113,22 @@ class TestMonteCarlo:
         assert rows[0].trial_errors == 1
         assert rows[0].trials == 3
 
+    @pytest.mark.parametrize("alpha", [-1.0, -3.0, math.nan, math.inf])
+    def test_bad_alpha_rejected_upfront(self, alpha):
+        # Without the up-front check these fail later, inside the trials,
+        # with other messages.
+        with pytest.raises(ValueError, match="alpha must be finite and > -1"):
+            monte_carlo(SMALL, 12, [0.3, alpha], trials=2, seed=0, zero_codeword=True)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_undeclared_trial_exception_propagates(self, workers):
-        # A fault inside a trial is not a trial error.  A NaN overhead makes
-        # round() of its trials' symbol count raise, in the caller's process
-        # or in a worker, under any process start method.
-        with pytest.raises(ValueError, match="NaN"):
+        # A fault inside a trial is not a trial error.  At alpha = -0.999 the
+        # symbol count (1 + alpha) * k / (1 - eps) rounds to 0, and
+        # channel_stream raises, in the caller's process or in a worker,
+        # under any process start method.
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             monte_carlo(
-                SMALL, 12, [0.3, float("nan")], trials=4, seed=11,
+                SMALL, 12, [0.3, -0.999], trials=4, seed=11,
                 zero_codeword=True, workers=workers,
             )
 
