@@ -70,9 +70,11 @@ class DEConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        # Written as "not > 0" so that a NaN is rejected too.
         for name in ("fixed_point_tol", "success_target", "bisection_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ class DegreeDistribution:
     beta: float
 
     def __post_init__(self):
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
 
     def gf(self, x):

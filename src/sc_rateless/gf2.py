@@ -1,9 +1,12 @@
 """Bit-packed GF(2) linear algebra.
 
 Rows are stored as little-endian uint64 words (bit ``c`` of the row lives in
-word ``c >> 6`` at position ``c & 63``), so row XOR is a vectorized word XOR
-and dot products are popcounts.  Enough for the systematic-form precode
-encoder and for rank/solvability oracles at simulation sizes.
+word ``c >> 6`` at position ``c & 63``), so dot products are popcounts.
+``rref`` reads each packed row as one Python int (bit ``c`` of the int is
+column ``c``) and eliminates on those, so its cost is the number of XORs of
+basis rows rather than a numpy pass per column.  Enough for the
+systematic-form precode encoder and for rank/solvability oracles at
+simulation sizes.
 """
 from __future__ import annotations
 
@@ -18,19 +21,19 @@ def rows_from_support(supports, ncols: int) -> np.ndarray:
     """Packed rows from per-row column-index lists.
 
     Repeated indices within a row cancel mod 2, matching GF(2) semantics.
+    All rows are packed by one XOR scatter into the flat word array.
     """
-    packed = np.zeros((len(supports), _num_words(ncols)), dtype=np.uint64)
-    for r, cols in enumerate(supports):
-        cols = np.asarray(cols, dtype=np.int64)
-        if cols.size == 0:
-            continue
-        if cols.min() < 0 or cols.max() >= ncols:
-            raise ValueError(f"row {r} has column indices outside [0, {ncols})")
-        np.bitwise_xor.at(
-            packed[r],
-            cols >> 6,
-            np.uint64(1) << (cols & 63).astype(np.uint64),
-        )
+    m, nwords = len(supports), _num_words(ncols)
+    packed = np.zeros((m, nwords), dtype=np.uint64)
+    cols = [np.asarray(c, dtype=np.int64) for c in supports]
+    lengths = np.fromiter(map(len, cols), dtype=np.int64, count=m)
+    cols = np.concatenate(cols) if m else np.zeros(0, dtype=np.int64)
+    outside = np.flatnonzero((cols < 0) | (cols >= ncols))
+    if outside.size:
+        r = int(np.searchsorted(np.cumsum(lengths), outside[0], side="right"))
+        raise ValueError(f"row {r} has column indices outside [0, {ncols})")
+    flat = np.repeat(np.arange(m, dtype=np.int64) * nwords, lengths) + (cols >> 6)
+    np.bitwise_xor.at(packed.ravel(), flat, np.uint64(1) << (cols & 63).astype(np.uint64))
     return packed
 
 
@@ -51,39 +54,49 @@ def unpack_rows(packed: np.ndarray, ncols: int) -> np.ndarray:
     return bits.reshape(packed.shape[0], -1)[:, :ncols].astype(np.uint8)
 
 
-def get_column(packed: np.ndarray, col: int) -> np.ndarray:
-    return ((packed[:, col >> 6] >> np.uint64(col & 63)) & np.uint64(1)).astype(bool)
-
-
 def rref(packed: np.ndarray, ncols: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(2).
 
-    Returns a copy in RREF together with the pivot column list (its length is
-    the rank).  Fully reduced: each pivot column has a single 1, so solving
-    for the pivot variables is a direct read-off.
+    Returns a new packed array of the input's shape, in RREF with the rank
+    rows in pivot order and zero rows below them, together with the pivot
+    column list (its length is the rank).  Fully reduced: each pivot column
+    has a single 1, so solving for the pivot variables is a direct read-off.
+    A set bit at or beyond ``ncols`` raises ``ValueError``.
+
+    Rows are eliminated as Python ints, keyed by their lowest set bit, so
+    the cost is the number of basis-row XORs (each over the row's words),
+    not a pass over every column of the whole matrix.
     """
-    a = packed.copy()
-    m = a.shape[0]
-    pivot_cols: list[int] = []
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row == m:
-            break
-        column = get_column(a, col)
-        column[:pivot_row] = False
-        hits = np.flatnonzero(column)
-        if hits.size == 0:
-            continue
-        first = hits[0]
-        if first != pivot_row:
-            a[[pivot_row, first]] = a[[first, pivot_row]]
-        # Eliminate everywhere else (above and below).
-        column = get_column(a, col)
-        column[pivot_row] = False
-        a[column] ^= a[pivot_row]
-        pivot_cols.append(col)
-        pivot_row += 1
-    return a, pivot_cols
+    a = np.ascontiguousarray(packed, dtype="<u8")
+    m, nwords = a.shape
+    basis: dict[int, int] = {}
+    for r in range(m):
+        v = int.from_bytes(a[r].data, "little")
+        if v >> ncols:
+            raise ValueError(f"row {r} has a set bit at or beyond column {ncols}")
+        while v:
+            low = (v & -v).bit_length() - 1
+            row = basis.get(low)
+            if row is None:
+                basis[low] = v
+                break
+            v ^= row
+    pivots = sorted(basis)
+    pivot_mask = sum(1 << p for p in pivots)
+    # Descending pivots: every row XORed in already holds no other pivot bit,
+    # so clearing the pivot bits a row holds takes one pass.
+    for p in reversed(pivots):
+        v = basis[p]
+        others = (v & pivot_mask) ^ (1 << p)
+        while others:
+            low = others & -others
+            v ^= basis[low.bit_length() - 1]
+            others ^= low
+        basis[p] = v
+    out = np.zeros((m, nwords), dtype=np.uint64)
+    for i, p in enumerate(pivots):
+        out[i] = np.frombuffer(basis.pop(p).to_bytes(8 * nwords, "little"), dtype="<u8")
+    return out, pivots
 
 
 def rank(packed: np.ndarray, ncols: int) -> int:

@@ -17,6 +17,7 @@ from sc_rateless import (
     EnsembleParams,
     channel_stream,
     de_run,
+    encode,
     gf2,
     monte_carlo,
     peel,
@@ -77,3 +78,24 @@ def test_rref_counters():
     counters = TRACED[("gf2", "rref")]
     assert counters((packed, 3), {}, result) == {"cols": 3, "rank": 2}
     assert counters((packed,), {"ncols": 3}, result) == {"cols": 3, "rank": 2}
+
+
+def test_encode_calls_rref_and_dot_rows_through_gf2(monkeypatch):
+    # The mc-encode workload fails unless both record spans; the tracer
+    # wraps them as attributes of the gf2 module, as the shims here do.
+    k = sample_precode(SMALL, 6, seed=5).realized_dimension()
+    calls = {"rref": 0, "dot_rows": 0}
+    for name in calls:
+        real = getattr(gf2, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(gf2, name, counting)
+    graph = sample_precode(SMALL, 6, seed=5)
+    info = np.ones(k, dtype=np.uint8)
+    first = encode(graph, info)
+    assert calls == {"rref": 1, "dot_rows": 1}
+    np.testing.assert_array_equal(encode(graph, info), first)
+    assert calls == {"rref": 1, "dot_rows": 2}

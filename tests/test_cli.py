@@ -100,6 +100,14 @@ class TestValidation:
         assert text == ""
         assert "alpha must be finite and > -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, field", [("--bisect-tol", "bisection_tol"),
+                                             ("--fp-tol", "fixed_point_tol")])
+    def test_nan_tolerance_exits_2_with_message(self, tmp_path, capsys, flag, field):
+        code, text = run(tmp_path, "threshold", "--dg", "3", "--L", "8", flag, "nan")
+        assert code == 2
+        assert text == ""
+        assert f"{field} must be > 0" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         assert main(["threshold", "--bogus"]) == 2
 

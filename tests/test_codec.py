@@ -20,6 +20,7 @@ from sc_rateless import (
     channel_stream,
     encode,
     factor_graph_lines,
+    gf2,
     peel,
     sample_precode,
 )
@@ -220,6 +221,23 @@ class TestEncode:
         k = g.realized_dimension()
         u, v = rng.integers(0, 2, (2, k), dtype=np.uint8)
         np.testing.assert_array_equal(encode(g, u) ^ encode(g, v), encode(g, u ^ v))
+
+    @pytest.mark.parametrize("p, M", [(params(L=10), 48), (params(L=8, w=3), 60),
+                                      (params(dl=3, dr=6, L=6, w=3), 80)], ids=str)
+    def test_precode_scale_matches_bitmask_oracle(self, p, M):
+        g = sample_precode(p, M, seed=11)
+        supports = [list(g.check_support(c)) for c in range(g.num_checks)]
+        got_rows, got_pivots = gf2.rref(gf2.rows_from_support(supports, g.num_bits), g.num_bits)
+        want_rows, want_pivots = rref_masks(masks_from_supports(supports), g.num_bits)
+        assert got_pivots == want_pivots
+        assert gf2.unpack_rows(got_rows, g.num_bits).tolist() == [
+            [(mask >> c) & 1 for c in range(g.num_bits)] for mask in want_rows
+        ]
+        free = sorted(set(range(g.num_bits)) - set(want_pivots))
+        info = np.random.default_rng(12).integers(0, 2, len(free), dtype=np.uint8)
+        codeword = encode(g, info)
+        assert g.syndrome_weight(codeword) == 0
+        np.testing.assert_array_equal(codeword[free], info)
 
     def test_wrong_length_rejected(self):
         g = sample_precode(TOY, 6, seed=3)

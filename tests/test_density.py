@@ -124,6 +124,14 @@ class TestStep:
             np.testing.assert_allclose(got_p, want, atol=1e-14)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("name", ["fixed_point_tol", "success_target", "bisection_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan])
+    def test_rejects_nonpositive_and_nan_tolerances(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            DEConfig(**{name: value})
+
+
 class TestRun:
     def test_far_above_threshold_decodes(self):
         run = de_run(FIG2, beta_from_alpha(FIG2, 0.5))

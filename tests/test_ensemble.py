@@ -130,6 +130,11 @@ class TestValidation:
 
 
 class TestDegreeDistribution:
+    def test_rejects_negative_and_nan_beta(self):
+        for beta in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="beta"):
+                DegreeDistribution(beta)
+
     def test_gf_degenerate_and_normalized(self):
         assert DegreeDistribution(0.0).gf(0.3) == pytest.approx(1.0, abs=1e-15)
         for beta in (0.5, 2.0, 7.0):
