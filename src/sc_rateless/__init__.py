@@ -16,7 +16,6 @@ from .codec import (
     TrialResult,
     channel_stream,
     encode,
-    factor_graph_lines,
     monte_carlo,
     peel,
     sample_precode,
@@ -36,7 +35,6 @@ from .density import (
     threshold_sweep,
 )
 from .ensemble import (
-    DegreeDistribution,
     EnsembleParams,
     NonPositiveRate,
     alpha_from_beta,
@@ -66,7 +64,6 @@ __all__ = [
     "DEConfig",
     "DERun",
     "DEState",
-    "DegreeDistribution",
     "EnsembleParams",
     "InvalidM",
     "MonteCarloRow",
@@ -92,7 +89,6 @@ __all__ = [
     "design_rate_limit",
     "dg1_overhead_bound",
     "encode",
-    "factor_graph_lines",
     "monte_carlo",
     "norm_upper_bound",
     "overhead_threshold",

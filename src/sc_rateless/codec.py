@@ -15,8 +15,10 @@ their stubs pre-fill boundary check sockets.  Each section's M*dl edge stubs
 are dealt to the w forward offsets in equal shares (plus/minus one when w
 does not divide M*dl), so every one of the L+w-1 check sections receives
 exactly M*dl stubs for its M*dl sockets and socket matching is a single
-permutation per section.  Conditioning leaves no check with a repeated bit,
-so a stored check support is its distinct in-chain bits.  A channel node may
+permutation per section.  Check section c holds checks
+[c*M*dl/dr, (c+1)*M*dl/dr), so the graph stores only the CSR of check
+supports.  Conditioning leaves no check with a repeated bit, so a stored
+support is its check's distinct in-chain bits.  A channel node may
 reference a bit twice; the decoder folds such references out mod 2.
 Shortened references carry known zeros and are dropped from both.
 """
@@ -47,14 +49,14 @@ CONDITIONING_ROUNDS = 200
 
 @dataclass(eq=False)
 class PrecodeGraph:
-    """A sampled coupled precode: the section of each check and the CSR of
-    check supports over the L*M in-chain bits.  A support holds the check's
-    distinct in-chain bits in increasing order; shortened references are not
-    stored, so its length is the check's count of in-chain stubs."""
+    """A sampled coupled precode: the CSR of check supports over the L*M
+    in-chain bits.  A support holds the check's distinct in-chain bits in
+    increasing order; shortened references are not stored, so its length is
+    the check's count of in-chain stubs.  Check q lies in check section
+    q // (M*dl/dr)."""
 
     params: EnsembleParams
     M: int
-    check_section: np.ndarray
     check_indptr: np.ndarray
     check_indices: np.ndarray
     _encoder: tuple | None = field(default=None, repr=False)
@@ -65,10 +67,7 @@ class PrecodeGraph:
 
     @property
     def num_checks(self) -> int:
-        return len(self.check_section)
-
-    def check_support(self, check_id: int) -> np.ndarray:
-        return self.check_indices[self.check_indptr[check_id]:self.check_indptr[check_id + 1]]
+        return len(self.check_indptr) - 1
 
     def design_dimension(self) -> int:
         """Nominal information size k = R(L) * L * M, rounded to an integer."""
@@ -76,8 +75,7 @@ class PrecodeGraph:
 
     def _systematic_form(self):
         if self._encoder is None:
-            supports = np.split(self.check_indices, self.check_indptr[1:-1])
-            packed = gf2.rows_from_support(supports, self.num_bits)
+            packed = gf2.rows_from_support(self.check_indptr, self.check_indices, self.num_bits)
             reduced, pivots = gf2.rref(packed, self.num_bits)
             pivots = np.asarray(pivots, dtype=np.int64)
             free = np.setdiff1d(np.arange(self.num_bits), pivots)
@@ -235,7 +233,6 @@ def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
     return PrecodeGraph(
         params=params,
         M=M,
-        check_section=np.repeat(np.arange(num_sections), cps),
         check_indptr=indptr,
         check_indices=keys % num_bits,
     )
@@ -291,6 +288,8 @@ def channel_stream(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     params, M = graph.params, graph.M
     L, w, dg = params.L, params.w, params.dg
     codeword = np.asarray(codeword, dtype=np.uint8)
@@ -529,20 +528,3 @@ def monte_carlo(
         rows.append(row)
     return rows
 
-
-def factor_graph_lines(graph: PrecodeGraph, stream: ChannelStream | None = None):
-    """Plain-text adjacency of the decoder factor graph, one line per factor
-    node: type, section, sorted bit coordinates (section:index), and for
-    channel nodes the received value.  Intended for reproducibility checks
-    and external inspection."""
-    M = graph.M
-    for c in range(graph.num_checks):
-        coords = [f"{b // M}:{b % M}" for b in graph.check_support(c)]
-        yield " ".join(["check", str(int(graph.check_section[c]))] + coords)
-    if stream is None:
-        return
-    for t in range(len(stream)):
-        bits = sorted(int(b) for b in stream.bit_ids[t] if b >= 0)
-        coords = [f"{b // M}:{b % M}" for b in bits]
-        value = "?" if stream.erased[t] else str(int(stream.values[t]))
-        yield " ".join(["chan", str(int(stream.sections[t]))] + coords + [f"y={value}"])

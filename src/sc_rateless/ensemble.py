@@ -11,12 +11,11 @@ values through the conversions in this module:
     alpha_from_beta  exact inverse of the above
 
 beta is the mean number of channel nodes attached to a bit node; the number
-of attached channel nodes is Poisson(beta) in the large-M limit, which
-``DegreeDistribution`` evaluates.
+of attached channel nodes is Poisson(beta) in the large-M limit, whose
+generating function exp(-beta*(1-x)) the density-evolution step evaluates.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,65 +84,17 @@ def design_rate_limit(params: EnsembleParams) -> float:
     return 1.0 - params.dl / params.dr
 
 
-def beta_from_alpha(params: EnsembleParams, alpha: float, *, asymptotic: bool = False) -> float:
-    """Mean channel-node degree beta for a given overhead alpha.
-
-    With ``asymptotic=True`` the L -> infinity form
-    dg/(1-eps) * (1 - dl/dr) * (1+alpha) is returned instead.
-    """
+def beta_from_alpha(params: EnsembleParams, alpha: float) -> float:
+    """Mean channel-node degree beta for a given overhead alpha."""
     if not alpha >= -1.0:
         raise ValueError(f"alpha must be >= -1, got {alpha}")
-    if asymptotic:
-        per_section = design_rate_limit(params)
-    else:
-        per_section = design_rate(params) * params.L / (params.L + params.w - 1)
+    per_section = design_rate(params) * params.L / (params.L + params.w - 1)
     return params.dg / (1.0 - params.epsilon) * per_section * (1.0 + alpha)
 
 
-def alpha_from_beta(params: EnsembleParams, beta: float, *, asymptotic: bool = False) -> float:
+def alpha_from_beta(params: EnsembleParams, beta: float) -> float:
     """Overhead alpha for a given mean channel-node degree beta (exact inverse
     of :func:`beta_from_alpha`)."""
     if not beta >= 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    return beta / beta_from_alpha(params, 0.0, asymptotic=asymptotic) - 1.0
-
-
-@dataclass(frozen=True)
-class DegreeDistribution:
-    """Poisson(beta) number of channel nodes attached to a bit node.
-
-    ``gf`` evaluates the generating function exp(-beta*(1-x)); the edge
-    perspective coincides with the node perspective for a Poisson law, so the
-    same evaluation serves both roles in the density-evolution update.
-    """
-
-    beta: float
-
-    def __post_init__(self):
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-
-    def gf(self, x):
-        """Generating function exp(-beta*(1-x)); accepts scalars or arrays."""
-        return np.exp(-self.beta * (1.0 - np.asarray(x, dtype=float)))
-
-    def pmf(self, d: int) -> float:
-        """Probability of exactly d attached channel nodes, beta^d e^-beta / d!."""
-        if d < 0:
-            raise ValueError(f"degree must be >= 0, got {d}")
-        if self.beta == 0.0:
-            return 1.0 if d == 0 else 0.0
-        return math.exp(d * math.log(self.beta) - self.beta - math.lgamma(d + 1))
-
-    def tail_cutoff(self, tol: float = 1e-12) -> int:
-        """Smallest D such that the pmf mass beyond D is below ``tol``.
-
-        Only used for reporting and histogram truncation.
-        """
-        total = 0.0
-        d = 0
-        while True:
-            total += self.pmf(d)
-            if 1.0 - total < tol:
-                return d
-            d += 1
+    return beta / beta_from_alpha(params, 0.0) - 1.0

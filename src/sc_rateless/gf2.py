@@ -4,9 +4,9 @@ Rows are stored as little-endian uint64 words (bit ``c`` of the row lives in
 word ``c >> 6`` at position ``c & 63``), so dot products are popcounts.
 ``rref`` reads each packed row as one Python int (bit ``c`` of the int is
 column ``c``) and eliminates on those, so its cost is the number of XORs of
-basis rows rather than a numpy pass per column.  Enough for the
-systematic-form precode encoder and for rank/solvability oracles at
-simulation sizes.
+basis rows rather than a numpy pass per column.  Rows are packed from a CSR
+of column indices, the layout in which the codec stores its checks.  Enough
+for the systematic-form precode encoder at simulation sizes.
 """
 from __future__ import annotations
 
@@ -17,41 +17,24 @@ def _num_words(ncols: int) -> int:
     return (ncols + 63) >> 6
 
 
-def rows_from_support(supports, ncols: int) -> np.ndarray:
-    """Packed rows from per-row column-index lists.
+def rows_from_support(indptr, indices, ncols: int) -> np.ndarray:
+    """Packed rows from a CSR of column indices: row ``r`` holds
+    ``indices[indptr[r]:indptr[r + 1]]``.
 
     Repeated indices within a row cancel mod 2, matching GF(2) semantics.
     All rows are packed by one XOR scatter into the flat word array.
     """
-    m, nwords = len(supports), _num_words(ncols)
-    packed = np.zeros((m, nwords), dtype=np.uint64)
-    cols = [np.asarray(c, dtype=np.int64) for c in supports]
-    lengths = np.fromiter(map(len, cols), dtype=np.int64, count=m)
-    cols = np.concatenate(cols) if m else np.zeros(0, dtype=np.int64)
+    indptr = np.asarray(indptr, dtype=np.int64)
+    cols = np.asarray(indices, dtype=np.int64)
+    m, nwords = len(indptr) - 1, _num_words(ncols)
     outside = np.flatnonzero((cols < 0) | (cols >= ncols))
     if outside.size:
-        r = int(np.searchsorted(np.cumsum(lengths), outside[0], side="right"))
+        r = int(np.searchsorted(indptr, outside[0], side="right")) - 1
         raise ValueError(f"row {r} has column indices outside [0, {ncols})")
-    flat = np.repeat(np.arange(m, dtype=np.int64) * nwords, lengths) + (cols >> 6)
+    packed = np.zeros((m, nwords), dtype=np.uint64)
+    flat = np.repeat(np.arange(m, dtype=np.int64) * nwords, np.diff(indptr)) + (cols >> 6)
     np.bitwise_xor.at(packed.ravel(), flat, np.uint64(1) << (cols & 63).astype(np.uint64))
     return packed
-
-
-def pack_rows(dense) -> np.ndarray:
-    """Packed rows from a dense 0/1 matrix."""
-    dense = np.asarray(dense, dtype=np.uint64) & np.uint64(1)
-    m, n = dense.shape
-    padded = np.zeros((m, _num_words(n) * 64), dtype=np.uint64)
-    padded[:, :n] = dense
-    weights = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    return (padded.reshape(m, -1, 64) * weights).sum(axis=2, dtype=np.uint64)
-
-
-def unpack_rows(packed: np.ndarray, ncols: int) -> np.ndarray:
-    """Dense uint8 0/1 matrix from packed rows."""
-    packed = np.atleast_2d(packed)
-    bits = (packed[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    return bits.reshape(packed.shape[0], -1)[:, :ncols].astype(np.uint8)
 
 
 def rref(packed: np.ndarray, ncols: int) -> tuple[np.ndarray, list[int]]:
@@ -99,10 +82,6 @@ def rref(packed: np.ndarray, ncols: int) -> tuple[np.ndarray, list[int]]:
     return out, pivots
 
 
-def rank(packed: np.ndarray, ncols: int) -> int:
-    return len(rref(packed, ncols)[1])
-
-
 def dot_rows(packed: np.ndarray, vector_packed: np.ndarray) -> np.ndarray:
     """GF(2) inner product of every packed row with one packed vector."""
     return (
@@ -111,4 +90,7 @@ def dot_rows(packed: np.ndarray, vector_packed: np.ndarray) -> np.ndarray:
 
 
 def pack_vector(bits) -> np.ndarray:
-    return pack_rows(np.asarray(bits, dtype=np.uint64)[None, :])[0]
+    """One packed row from a 0/1 vector."""
+    bits = np.asarray(bits, dtype=np.uint64)
+    ones = np.flatnonzero(bits & np.uint64(1))
+    return rows_from_support([0, ones.size], ones, bits.size)[0]

@@ -55,7 +55,7 @@ class BandMatrix:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if self.half_width < 0:
             raise ValueError(f"half_width must be >= 0, got {self.half_width}")
-        if self.scale < 0.0:
+        if not self.scale >= 0.0:
             raise ValueError(f"scale must be >= 0, got {self.scale}")
 
     @property
@@ -103,6 +103,8 @@ class StabilityReport:
 
 
 def _scale(params: EnsembleParams, beta: float) -> float:
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     return (params.dr - 1) * math.exp(-beta * (1.0 - params.epsilon))
 
 
@@ -122,6 +124,8 @@ def spectral_radius(m: BandMatrix, tol: float = 1e-10, max_iter: int = 100_000) 
     matrix of overlapping windows), so the Rayleigh quotient increases
     monotonically toward the true value.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     if m.scale == 0.0:
         return 0.0
     x = np.ones(m.size) / math.sqrt(m.size)

@@ -79,6 +79,12 @@ def masks_from_supports(supports):
     return masks
 
 
+def masks_from_packed(packed):
+    """Packed little-endian uint64 rows as python-int bitmasks: word k of a
+    row holds columns 64k..64k+63."""
+    return [sum(int(word) << (64 * k) for k, word in enumerate(row)) for row in packed]
+
+
 def rref_masks(masks, ncols):
     """Reduced row echelon form over GF(2) on python-int rows."""
     rows = list(masks)
@@ -185,8 +191,9 @@ def combined_factors(graph, stream):
     unerased channel nodes (in-chain references only, multiplicity kept;
     folding is the peelers' job)."""
     factors = []
-    for c in range(graph.num_checks):
-        factors.append((list(graph.check_support(c)), 0))
+    indptr, indices = graph.check_indptr, graph.check_indices
+    for c in range(len(indptr) - 1):
+        factors.append(([int(b) for b in indices[indptr[c]:indptr[c + 1]]], 0))
     for t in range(len(stream)):
         if stream.erased[t]:
             continue
@@ -297,3 +304,12 @@ def channel_stream_loops(codeword, L, w, M, dg, n, epsilon, seed):
         bit_ids.append(ids)
         values.append(value)
     return sections, shifts, bit_indices, bit_ids, values, erased
+
+
+def poisson_pmf(beta, dmax):
+    """Poisson(beta) probabilities of 0, 1, ..., dmax attached channel nodes,
+    by the ratio recursion P(0) = exp(-beta), P(d) = P(d-1) * beta / d."""
+    masses = [math.exp(-beta)]
+    for d in range(1, dmax + 1):
+        masses.append(masses[-1] * beta / d)
+    return masses

@@ -1,9 +1,11 @@
-"""The package surface the benchmark's traced run reads.
+"""The package surface the benchmark reads.
 
 ``perfbench/tracing.py`` wraps the functions named in its ``TRACED`` table
-and reads work counters off their return values.  It is loaded here by path,
-without ``install()``, so a refactor that renames a traced function or a
-field a counter reads fails in the unit suite instead of in the benchmark.
+and reads work counters off their return values; ``perfbench/check.py``
+rebuilds Monte Carlo trials through the public codec functions.  Both are
+loaded here by path (tracing without ``install()``), so a refactor that
+renames a traced function, a field a counter reads or a codec signature the
+checker calls fails in the unit suite instead of in the benchmark.
 """
 import importlib
 import importlib.util
@@ -24,17 +26,17 @@ from sc_rateless import (
     sample_precode,
 )
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACED = load_tracing().TRACED
+TRACED = load_perfbench("tracing").TRACED
 SMALL = EnsembleParams(dl=2, dr=3, dg=3, L=4, w=2, epsilon=0.5)
 
 
@@ -73,7 +75,7 @@ def test_monte_carlo_counters():
 
 
 def test_rref_counters():
-    packed = gf2.rows_from_support([[0, 2], [1, 2], [0, 1]], 3)
+    packed = gf2.rows_from_support([0, 2, 4, 6], [0, 2, 1, 2, 0, 1], 3)
     result = gf2.rref(packed, 3)
     counters = TRACED[("gf2", "rref")]
     assert counters((packed, 3), {}, result) == {"cols": 3, "rank": 2}
@@ -99,3 +101,13 @@ def test_encode_calls_rref_and_dot_rows_through_gf2(monkeypatch):
     assert calls == {"rref": 1, "dot_rows": 1}
     np.testing.assert_array_equal(encode(graph, info), first)
     assert calls == {"rref": 1, "dot_rows": 2}
+
+
+@pytest.mark.parametrize("zero_codeword", [False, True])
+def test_check_rebuilds_trials(zero_codeword):
+    check = load_perfbench("check")
+    for alpha_index, alpha in enumerate((0.3, 0.6)):
+        for trial in (0, 1):
+            graph, codeword, result, _, _ = check.rebuild_trial(
+                SMALL, 12, alpha, 1, alpha_index, trial, zero_codeword)
+            assert check.trial_failures(graph, codeword, result) == []

@@ -6,6 +6,7 @@ from reference import (
     combined_factors,
     determined_bits,
     double_edge_sockets_loops,
+    masks_from_packed,
     masks_from_supports,
     parallel_pair_sockets_loops,
     peel_rounds,
@@ -19,7 +20,6 @@ from sc_rateless import (
     InvalidM,
     channel_stream,
     encode,
-    factor_graph_lines,
     gf2,
     peel,
     sample_precode,
@@ -32,6 +32,11 @@ def params(dl=2, dr=3, dg=3, L=4, w=2, eps=0.5):
 
 
 TOY = params()  # (2,3,3,L=4,w=2)
+
+
+def check_supports(g):
+    """Each check's bit support, sliced from the graph's CSR."""
+    return [g.check_indices[a:b] for a, b in zip(g.check_indptr[:-1], g.check_indptr[1:])]
 
 
 # Toy ensembles for the oracle tests: w in {2, 3}, dl in {2, 3}; each has
@@ -93,7 +98,11 @@ class TestSamplePrecode:
             real_stubs = np.diff(g.check_indptr)
             # every in-chain bit emits exactly dl stubs, all of which land
             assert real_stubs.sum() == p.L * g.M * p.dl
-            interior = (g.check_section >= p.w - 1) & (g.check_section <= p.L - 1)
+            # Checks are numbered section by section, M*dl/dr to a section.
+            cps = g.M * p.dl // p.dr
+            assert g.num_checks == (p.L + p.w - 1) * cps
+            section = np.arange(g.num_checks) // cps
+            interior = (section >= p.w - 1) & (section <= p.L - 1)
             assert np.all(real_stubs[interior] == p.dr)
             assert np.all(real_stubs <= p.dr)
 
@@ -110,8 +119,8 @@ class TestSamplePrecode:
         g = sample_precode(params(L=8), 30, seed=4)
         pair_keys = set()
         per_bit = [[] for _ in range(g.num_bits)]
-        for c in range(g.num_checks):
-            for b in g.check_support(c):
+        for c, support in enumerate(check_supports(g)):
+            for b in support:
                 per_bit[b].append(c)
         for checks in per_bit:
             key = tuple(sorted(checks))
@@ -121,19 +130,17 @@ class TestSamplePrecode:
     def test_uncoupled_single_section(self):
         g = sample_precode(params(dg=2, L=1, w=1), 9, seed=1)
         assert g.num_checks == 6
-        assert np.all(g.check_section == 0)
         assert np.all(np.diff(g.check_indptr) == 3)
 
     def test_supports_sorted_within_check(self):
         g = sample_precode(TOY, 12, seed=2)
-        for c in range(g.num_checks):
-            support = g.check_support(c)
+        for support in check_supports(g):
             assert np.all(np.diff(support) > 0)
 
     def test_rank_against_bitmask_oracle(self):
         for seed in range(6):
             g = sample_precode(TOY, 6, seed=seed)
-            supports = [list(g.check_support(c)) for c in range(g.num_checks)]
+            supports = check_supports(g)
             _, pivots = rref_masks(masks_from_supports(supports), g.num_bits)
             assert g.realized_dimension() == g.num_bits - len(pivots)
             assert len(pivots) <= g.num_checks
@@ -226,13 +233,11 @@ class TestEncode:
                                       (params(dl=3, dr=6, L=6, w=3), 80)], ids=str)
     def test_precode_scale_matches_bitmask_oracle(self, p, M):
         g = sample_precode(p, M, seed=11)
-        supports = [list(g.check_support(c)) for c in range(g.num_checks)]
-        got_rows, got_pivots = gf2.rref(gf2.rows_from_support(supports, g.num_bits), g.num_bits)
-        want_rows, want_pivots = rref_masks(masks_from_supports(supports), g.num_bits)
+        packed = gf2.rows_from_support(g.check_indptr, g.check_indices, g.num_bits)
+        got_rows, got_pivots = gf2.rref(packed, g.num_bits)
+        want_rows, want_pivots = rref_masks(masks_from_supports(check_supports(g)), g.num_bits)
         assert got_pivots == want_pivots
-        assert gf2.unpack_rows(got_rows, g.num_bits).tolist() == [
-            [(mask >> c) & 1 for c in range(g.num_bits)] for mask in want_rows
-        ]
+        assert masks_from_packed(got_rows) == want_rows
         free = sorted(set(range(g.num_bits)) - set(want_pivots))
         info = np.random.default_rng(12).integers(0, 2, len(free), dtype=np.uint8)
         codeword = encode(g, info)
@@ -302,6 +307,12 @@ class TestChannelStream:
             channel_stream(g, codeword, 0, 0.5, seed=0)
         with pytest.raises(ValueError):
             channel_stream(g, codeword[:-1], 10, 0.5, seed=0)
+
+    @pytest.mark.parametrize("eps", [np.nan, 1.0, 1.5, -0.5, -np.inf])
+    def test_rejects_epsilon_outside_unit_interval(self, eps):
+        g, codeword, _ = toy_instance(4, M=12)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
+            channel_stream(g, codeword, 20, eps, seed=0)
 
 
 class TestPeel:
@@ -425,31 +436,12 @@ class TestPeel:
 
 
 class TestFactorGraphLines:
-    def test_shape_and_counts(self):
-        g, codeword, stream = toy_instance(8, M=6, alpha=0.2)
-        lines = list(factor_graph_lines(g, stream))
-        assert len(lines) == g.num_checks + len(stream)
-        checks = [ln for ln in lines if ln.startswith("check ")]
-        chans = [ln for ln in lines if ln.startswith("chan ")]
-        assert len(checks) == g.num_checks
-        assert len(chans) == len(stream)
-        for ln in chans:
-            assert ln.split()[-1] in {"y=0", "y=1", "y=?"}
-
-    def test_coordinates_sorted_and_in_range(self):
-        g, _, stream = toy_instance(9, M=6)
-        p = g.params
-        for ln in factor_graph_lines(g, stream):
-            fields = ln.split()
-            kind, section = fields[0], int(fields[1])
-            coords = [f for f in fields[2:] if ":" in f]
-            assert 0 <= section <= p.L + p.w - 2
-            parsed = [tuple(map(int, c.split(":"))) for c in coords]
-            assert parsed == sorted(parsed)
-            for sec, idx in parsed:
-                assert 0 <= sec < p.L and 0 <= idx < g.M
-
     def test_reproducible_for_same_seed(self):
-        a = list(factor_graph_lines(sample_precode(TOY, 6, seed=5)))
-        b = list(factor_graph_lines(sample_precode(TOY, 6, seed=5)))
-        assert a == b
+        # The graph's whole description is its check CSR: two draws with the
+        # same seed give the same arrays and so the same encoder.
+        a = sample_precode(TOY, 6, seed=5)
+        b = sample_precode(TOY, 6, seed=5)
+        np.testing.assert_array_equal(a.check_indptr, b.check_indptr)
+        np.testing.assert_array_equal(a.check_indices, b.check_indices)
+        info = np.ones(a.realized_dimension(), dtype=np.uint8)
+        np.testing.assert_array_equal(encode(a, info), encode(b, info))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import masks_from_supports, rref_masks
+from reference import masks_from_packed, masks_from_supports, rref_masks
 from sc_rateless import gf2
 
 
@@ -9,52 +9,81 @@ def random_dense(rng, m, n, density=0.3):
     return (rng.random((m, n)) < density).astype(np.uint8)
 
 
-def masks_to_dense(masks, ncols):
-    out = np.zeros((len(masks), ncols), dtype=np.uint8)
-    for r, mask in enumerate(masks):
-        for c in range(ncols):
-            out[r, c] = (mask >> c) & 1
-    return out
+def csr(supports):
+    """(indptr, indices) of a list of per-row column-index lists."""
+    indptr = np.concatenate(([0], np.cumsum([len(cols) for cols in supports], dtype=np.int64)))
+    indices = np.array([int(c) for cols in supports for c in cols], dtype=np.int64)
+    return indptr, indices
 
 
-def masks_from_packed(packed):
-    return [sum(int(word) << (64 * k) for k, word in enumerate(row)) for row in packed]
+def dense_supports(dense):
+    return [list(np.flatnonzero(row)) for row in dense]
+
+
+def pack_dense(dense):
+    return gf2.rows_from_support(*csr(dense_supports(dense)), np.shape(dense)[1])
 
 
 class TestPacking:
     @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130])
     def test_pack_unpack_roundtrip(self, n):
+        # The packed words, read back as python ints, give the dense bits.
         rng = np.random.default_rng(n)
         dense = random_dense(rng, 9, n)
-        packed = gf2.pack_rows(dense)
-        np.testing.assert_array_equal(gf2.unpack_rows(packed, n), dense)
+        packed = pack_dense(dense)
+        assert packed.shape == (9, (n + 63) // 64) and packed.dtype == np.uint64
+        want = [sum(int(b) << c for c, b in enumerate(row)) for row in dense]
+        assert masks_from_packed(packed) == want
 
     def test_rows_from_support_cancels_duplicates(self):
-        packed = gf2.rows_from_support([[3, 5, 3], [0, 0], [7]], ncols=10)
-        dense = gf2.unpack_rows(packed, 10)
-        np.testing.assert_array_equal(dense[0], np.eye(10, dtype=np.uint8)[5])
-        assert dense[1].sum() == 0
-        np.testing.assert_array_equal(dense[2], np.eye(10, dtype=np.uint8)[7])
+        packed = gf2.rows_from_support(*csr([[3, 5, 3], [0, 0], [7]]), ncols=10)
+        assert masks_from_packed(packed) == [1 << 5, 0, 1 << 7]
 
     def test_rows_from_support_bounds(self):
         with pytest.raises(ValueError):
-            gf2.rows_from_support([[10]], ncols=10)
+            gf2.rows_from_support(*csr([[10]]), ncols=10)
 
     def test_rows_from_support_error_names_first_bad_row(self):
-        for supports, row in (([[1], [], [2, 10], [-1]], 2), ([[0], [-3, 1], [11]], 1)):
+        cases = (
+            ([[1], [], [2, 10], [-1]], 2),
+            ([[0], [-3, 1], [11]], 1),
+            # Empty rows repeat indptr entries; two later rows are bad too.
+            ([[], [], [4], [], [12, 1], [], [13], [-2]], 4),
+            ([[], [10]], 1),
+        )
+        for supports, row in cases:
             with pytest.raises(ValueError, match=f"row {row} "):
-                gf2.rows_from_support(supports, ncols=10)
+                gf2.rows_from_support(*csr(supports), ncols=10)
 
     def test_rows_from_support_matches_reference_masks(self):
         rng = np.random.default_rng(8)
         for n in (1, 63, 64, 65, 200):
             supports = [list(rng.integers(0, n, rng.integers(0, 8))) for _ in range(15)]
-            packed = gf2.rows_from_support(supports, n)
+            packed = gf2.rows_from_support(*csr(supports), n)
             assert packed.shape == (15, (n + 63) // 64)
-            np.testing.assert_array_equal(
-                gf2.unpack_rows(packed, n),
-                masks_to_dense(masks_from_supports(supports), n),
-            )
+            assert masks_from_packed(packed) == masks_from_supports(supports)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_rows_from_support_edge_cases_match_reference_masks(self, n):
+        # Empty rows, columns on both sides of every word boundary, and
+        # duplicates that cancel (an even count) or survive (an odd count);
+        # then no rows at all.
+        edges = sorted({c for k in range(0, n + 64, 64) for c in (k - 1, k) if 0 <= c < n})
+        supports = [[], edges, [], [], edges + edges, edges + edges[:1] + edges, [n - 1] * 3, []]
+        packed = gf2.rows_from_support(*csr(supports), n)
+        assert packed.shape == (len(supports), (n + 63) // 64)
+        assert masks_from_packed(packed) == masks_from_supports(supports)
+        assert not packed[[0, 2, 3, 4, 7]].any()
+        none = gf2.rows_from_support([0], np.zeros(0, dtype=np.int64), n)
+        assert none.shape == (0, (n + 63) // 64) and none.dtype == np.uint64
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_pack_vector_matches_reference_masks(self, n):
+        rng = np.random.default_rng(n)
+        for bits in (rng.integers(0, 2, n), np.ones(n, dtype=np.uint8), np.zeros(n, dtype=int)):
+            words = gf2.pack_vector(bits)
+            assert words.shape == ((n + 63) // 64,) and words.dtype == np.uint64
+            assert masks_from_packed([words]) == masks_from_supports([np.flatnonzero(bits)])
 
 
 class TestRref:
@@ -64,14 +93,10 @@ class TestRref:
         m = int(rng.integers(1, 25))
         n = int(rng.integers(1, 90))
         dense = random_dense(rng, m, n)
-        packed = gf2.pack_rows(dense)
-        got_rows, got_pivots = gf2.rref(packed, n)
-        supports = [list(np.flatnonzero(row)) for row in dense]
-        want_rows, want_pivots = rref_masks(masks_from_supports(supports), n)
+        got_rows, got_pivots = gf2.rref(pack_dense(dense), n)
+        want_rows, want_pivots = rref_masks(masks_from_supports(dense_supports(dense)), n)
         assert got_pivots == want_pivots
-        np.testing.assert_array_equal(
-            gf2.unpack_rows(got_rows, n), masks_to_dense(want_rows, n)
-        )
+        assert masks_from_packed(got_rows) == want_rows
 
     @pytest.mark.parametrize(
         "case", ["ncols_65", "ncols_130", "tall", "zero_rows", "rank_deficient", "no_rows"]
@@ -86,8 +111,8 @@ class TestRref:
         if case == "rank_deficient":
             # Rows 8.. are sums of pairs of rows 0..7, so the rank is at most 8.
             dense[8:] = dense[:8] ^ np.roll(dense[:8], 1, axis=0)
-        supports = [list(np.flatnonzero(row)) for row in dense]
-        packed = gf2.rows_from_support(supports, n)
+        supports = dense_supports(dense)
+        packed = gf2.rows_from_support(*csr(supports), n)
         got_rows, got_pivots = gf2.rref(packed, n)
         want_rows, want_pivots = rref_masks(masks_from_supports(supports), n)
         assert got_pivots == want_pivots
@@ -99,34 +124,31 @@ class TestRref:
 
     def test_input_not_modified(self):
         rng = np.random.default_rng(9)
-        packed = gf2.pack_rows(random_dense(rng, 12, 90))
+        packed = pack_dense(random_dense(rng, 12, 90))
         before = packed.copy()
         gf2.rref(packed, 90)
         np.testing.assert_array_equal(packed, before)
 
     @pytest.mark.parametrize("n, bad", [(65, 65), (65, 127), (64, 64), (10, 63)])
     def test_bit_at_or_beyond_ncols_rejected(self, n, bad):
-        dense = np.zeros((3, 128), dtype=np.uint8)
-        dense[0, 0] = 1
-        dense[1, bad] = 1
+        packed = gf2.rows_from_support(*csr([[0], [bad], []]), 128)
         with pytest.raises(ValueError, match="row 1 "):
-            gf2.rref(gf2.pack_rows(dense), n)
+            gf2.rref(packed, n)
 
     def test_rank_identity_and_zero(self):
-        eye = gf2.pack_rows(np.eye(17, dtype=np.uint8))
-        assert gf2.rank(eye, 17) == 17
-        zero = gf2.pack_rows(np.zeros((4, 9), dtype=np.uint8))
-        assert gf2.rank(zero, 9) == 0
+        eye = pack_dense(np.eye(17, dtype=np.uint8))
+        assert gf2.rref(eye, 17)[1] == list(range(17))
+        zero = pack_dense(np.zeros((4, 9), dtype=np.uint8))
+        assert gf2.rref(zero, 9)[1] == []
 
     def test_rref_preserves_row_space(self):
         rng = np.random.default_rng(42)
-        dense = random_dense(rng, 10, 30)
-        packed = gf2.pack_rows(dense)
+        packed = pack_dense(random_dense(rng, 10, 30))
         reduced, pivots = gf2.rref(packed, 30)
         # Same rank both ways round implies equal row spaces here: each
         # original row must reduce to zero against the RREF rows.
         stacked = np.vstack([reduced[: len(pivots)], packed])
-        assert gf2.rank(stacked, 30) == len(pivots)
+        assert len(gf2.rref(stacked, 30)[1]) == len(pivots)
 
 
 class TestDotRows:
@@ -134,6 +156,6 @@ class TestDotRows:
         rng = np.random.default_rng(3)
         dense = random_dense(rng, 20, 75)
         vector = random_dense(rng, 1, 75)[0]
-        got = gf2.dot_rows(gf2.pack_rows(dense), gf2.pack_vector(vector))
+        got = gf2.dot_rows(pack_dense(dense), gf2.pack_vector(vector))
         want = (dense @ vector) % 2
         np.testing.assert_array_equal(got, want.astype(np.uint8))

@@ -5,6 +5,7 @@ import pytest
 
 from reference import band_matrix_loops
 from sc_rateless import (
+    BandMatrix,
     EnsembleParams,
     NonConvergence,
     SizeTooSmall,
@@ -84,6 +85,11 @@ class TestBandMatrix:
         assert np.all(as_dense(m) == 0.0)
         assert spectral_radius(m) == 0.0
 
+    def test_rejects_negative_and_nan_scale(self):
+        for scale_value in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="scale"):
+                BandMatrix(4, 1, scale_value)
+
 
 class TestSpectralRadius:
     def test_w2_L2_exact(self):
@@ -119,6 +125,12 @@ class TestSpectralRadius:
         m = build_jacobian(params(dg=2, w=2, L=40), beta=0.5)
         with pytest.raises(NonConvergence):
             spectral_radius(m, tol=1e-14, max_iter=2)
+
+    def test_rejects_nonpositive_and_nan_tol(self):
+        m = build_jacobian(params(dg=2, w=2, L=40), beta=0.5)
+        for tol in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                spectral_radius(m, tol=tol)
 
 
 class TestClosedFormBounds:
@@ -181,6 +193,13 @@ class TestClosedFormBounds:
         # fallback path: the explicit max row sum is still available
         m = build_jacobian(params(dg=2, w=3, L=4), 1.0)
         assert 0 < m.one_norm() < scale(3, 1.0, 0.5)
+
+    def test_rejects_nonfinite_beta(self):
+        p = params(dg=2)
+        for beta in (math.nan, math.inf, -math.inf):
+            for bound in (rayleigh_lower_bound, norm_upper_bound, build_jacobian):
+                with pytest.raises(ValueError, match="beta"):
+                    bound(p, beta)
 
     def test_dl_guard(self):
         with pytest.raises(ValueError):
