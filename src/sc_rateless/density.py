@@ -11,7 +11,16 @@ reads
 
 with gf the Poisson generating function (node and edge perspectives agree).
 Both sliding averages are plain convolutions with a ones(w)/w kernel, so one
-step is a handful of length-L numpy operations.
+step is four ``np.convolve`` calls plus elementwise updates written in place
+into the arrays those convolutions return.  At L <= 512 a step's cost is
+numpy call overhead, not arithmetic, so it allocates little beyond those
+arrays.  The convolutions fix the summation order, and with it every bit of
+the result.
+
+The update is clamped to [0, 1] from above only.  For states in [0, 1]
+every factor above is >= 0, so a lower clamp never binds; the upper one
+does: with w = 9 the kernel's nine rounded 1/9 terms sum to
+1.0000000000000002, so from the all-ones state A_i exceeds one.
 
 Decoding succeeds when the mean of p falls below a configured target; the
 overhead threshold is located by bisection on alpha.
@@ -19,6 +28,7 @@ overhead threshold is located by bisection on alpha.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,8 +78,11 @@ class DEConfig:
     bisection_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        value = self.max_iterations
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"max_iterations must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {value}")
         # Written as "not > 0" so that a NaN is rejected too.
         for name in ("fixed_point_tol", "success_target", "bisection_tol"):
             value = getattr(self, name)
@@ -112,25 +125,45 @@ class SweepRow:
     error: str | None = None
 
 
+@functools.lru_cache(maxsize=16)
+def _kernel(w: int) -> np.ndarray:
+    """The ones(w)/w averaging kernel, built once per width and read-only."""
+    kernel = np.full(w, 1.0 / w)
+    kernel.flags.writeable = False
+    return kernel
+
+
 def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
     """One synchronous density-evolution update of the per-section erasure
-    probabilities p and s; returns the next (p, s)."""
+    probabilities p and s; returns the next (p, s) as new arrays and leaves
+    its inputs unchanged."""
     if len(p) != params.L or len(s) != params.L:
         raise ValueError(f"p and s need {params.L} sections, got {len(p)} and {len(s)}")
-    w = params.w
-    kernel = np.full(w, 1.0 / w)
+    kernel = _kernel(params.w)
     # Inner average per check/channel section (length L+w-1, zero-extended),
-    # then the outer average back onto bit sections (length L).
-    pbar = np.convolve(p, kernel, mode="full")
-    check_factor = 1.0 - (1.0 - pbar) ** (params.dr - 1)
-    a = np.convolve(check_factor, kernel, mode="valid")
-    sbar = np.convolve(s, kernel, mode="full")
-    chan_factor = 1.0 - (1.0 - params.epsilon) * (1.0 - sbar) ** (params.dg - 1)
-    b = np.convolve(chan_factor, kernel, mode="valid")
-    gf = np.exp(-beta * (1.0 - b))
-    p_next = np.clip(a ** (params.dl - 1) * gf, 0.0, 1.0)
-    s_next = np.clip(a ** params.dl * gf, 0.0, 1.0)
-    return p_next, s_next
+    # then the outer average back onto bit sections (length L).  The
+    # elementwise updates write into the arrays the convolutions return.
+    x = np.convolve(p, kernel, mode="full")
+    np.subtract(1.0, x, out=x)
+    x **= params.dr - 1
+    np.subtract(1.0, x, out=x)
+    a = np.convolve(x, kernel, mode="valid")
+    y = np.convolve(s, kernel, mode="full")
+    np.subtract(1.0, y, out=y)
+    y **= params.dg - 1
+    y *= 1.0 - params.epsilon
+    np.subtract(1.0, y, out=y)
+    gf = np.convolve(y, kernel, mode="valid")
+    np.subtract(1.0, gf, out=gf)
+    gf *= -beta
+    np.exp(gf, out=gf)
+    # a ** 1 is a, so dl = 2 needs no power for p.
+    p_next = a * gf if params.dl == 2 else a ** (params.dl - 1) * gf
+    a **= params.dl
+    a *= gf
+    np.minimum(p_next, 1.0, out=p_next)
+    np.minimum(a, 1.0, out=a)
+    return p_next, a
 
 
 def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -> DERun:
@@ -142,20 +175,26 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    p = np.ones(params.L)
-    s = np.ones(params.L)
+    L = params.L
+    p = np.ones(L)
+    s = np.ones(L)
     pb = 1.0
     trace = [(0, pb)]
     next_record = 1
     for it in range(1, config.max_iterations + 1):
         p_next, s_next = de_step(params, beta, p, s)
-        pb_next = float(p_next.mean())
+        # Bit-equal to p_next.mean(): the same pairwise sum, then one division.
+        pb_next = float(np.add.reduce(p_next)) / L
         # From the all-ones start the map is monotone, so P_b cannot rise.
         if pb_next > pb + 1e-12:
             raise NonMonotoneRun(f"P_b rose from {pb} to {pb_next} at iteration {it}")
+        # The previous state is dead once stepped from, so |x_next - x| is
+        # taken in its buffers (de_step returns new arrays).
+        np.abs(np.subtract(p_next, p, out=p), out=p)
+        np.abs(np.subtract(s_next, s, out=s), out=s)
         change = max(
-            float(np.abs(p_next - p).max(initial=0.0)),
-            float(np.abs(s_next - s).max(initial=0.0)),
+            float(np.maximum.reduce(p, initial=0.0)),
+            float(np.maximum.reduce(s, initial=0.0)),
         )
         p, s, pb = p_next, s_next, pb_next
         if it >= next_record:

@@ -90,7 +90,9 @@ def dot_rows(packed: np.ndarray, vector_packed: np.ndarray) -> np.ndarray:
 
 
 def pack_vector(bits) -> np.ndarray:
-    """One packed row from a 0/1 vector."""
-    bits = np.asarray(bits, dtype=np.uint64)
-    ones = np.flatnonzero(bits & np.uint64(1))
-    return rows_from_support([0, ones.size], ones, bits.size)[0]
+    """One packed row from a 0/1 vector (each entry's lowest bit is read)."""
+    bits = np.asarray(bits, dtype=np.uint8) & 1
+    out = np.zeros(8 * _num_words(bits.size), dtype=np.uint8)
+    packed = np.packbits(bits, bitorder="little")
+    out[: packed.size] = packed
+    return out.view("<u8")

@@ -102,15 +102,21 @@ class StabilityReport:
     stability_applies: bool
 
 
-def _scale(params: EnsembleParams, beta: float) -> float:
+def _require_finite(beta: float) -> None:
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
+
+
+def _scale(params: EnsembleParams, beta: float) -> float:
+    _require_finite(beta)
     return (params.dr - 1) * math.exp(-beta * (1.0 - params.epsilon))
 
 
 def build_jacobian(params: EnsembleParams, beta: float) -> BandMatrix:
     """Band matrix of partial derivatives of the p-update at the decoded
-    state.  For dl > 2 every entry is zero, so the scale is 0."""
+    state.  For dl > 2 every entry is zero, so the scale is 0; beta must
+    still be finite."""
+    _require_finite(beta)
     scale = 0.0 if params.dl > 2 else _scale(params, beta)
     return BandMatrix(size=params.L, half_width=params.w - 1, scale=scale)
 

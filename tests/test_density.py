@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -123,6 +125,29 @@ class TestStep:
             got_p, _ = de_step(p, beta, p_in, s_in)
             np.testing.assert_allclose(got_p, want, atol=1e-14)
 
+    @pytest.mark.parametrize("dl, dr, w", [(2, 3, 2), (3, 6, 3), (2, 3, 9)])
+    def test_inputs_unchanged_and_outputs_new(self, dl, dr, w):
+        p = params(dl=dl, dr=dr, L=20, w=w)
+        rng = np.random.default_rng(w)
+        p_in, s_in = rng.uniform(0, 1, p.L), rng.uniform(0, 1, p.L)
+        p_copy, s_copy = p_in.copy(), s_in.copy()
+        out_p, out_s = de_step(p, 2.0, p_in, s_in)
+        assert p_in.tobytes() == p_copy.tobytes()
+        assert s_in.tobytes() == s_copy.tobytes()
+        for x, y in itertools.combinations((p_in, s_in, out_p, out_s), 2):
+            assert not np.shares_memory(x, y)
+
+    def test_upper_clamp_binds_at_width_nine(self):
+        # Nine ones averaged by the 1/9 kernel round up past one, so from the
+        # all-ones state a and both products exceed one before the clamp.
+        assert np.convolve(np.ones(9), np.full(9, 1.0 / 9), mode="valid")[0] > 1.0
+        p = params(L=20, w=9)
+        nxt_p, nxt_s = de_step(p, 0.0, *ones(p.L))
+        interior = slice(p.w - 1, p.L - p.w + 1)
+        assert np.all(nxt_p[interior] == 1.0)
+        assert np.all(nxt_s[interior] == 1.0)
+        assert nxt_p.max() == 1.0 and nxt_s.max() == 1.0
+
 
 class TestConfig:
     @pytest.mark.parametrize("name", ["fixed_point_tol", "success_target", "bisection_tol"])
@@ -130,6 +155,11 @@ class TestConfig:
     def test_rejects_nonpositive_and_nan_tolerances(self, name, value):
         with pytest.raises(ValueError, match=name):
             DEConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, 2.5, 0])
+    def test_rejects_bad_max_iterations(self, value):
+        with pytest.raises(ValueError, match="max_iterations"):
+            DEConfig(max_iterations=value)
 
 
 class TestRun:
@@ -210,6 +240,44 @@ class TestRun:
         earliest = np.flatnonzero(first_cross == first_cross.min())
         near_edge = (earliest < p.w) | (earliest >= p.L - p.w)
         assert np.all(near_edge)
+
+
+# de_run results recorded before the step and the run loop were rewritten
+# in place.  The rewrite keeps every float operation, so the iteration count,
+# the verdict and the final state must match to the bit.  The first two are
+# de-wave bisection probes (sweep --dg 3, L=8).
+WAVE = params(L=8, w=2)
+RECORDED_RUNS = [
+    pytest.param(WAVE, beta_from_alpha(WAVE, 0.3702392578125), 100_000, 4509, True, False,
+                 "b75a338b2a7d82fdf25a4973db3bb2c4e213079b621e394ed1004d3c59a6caba",
+                 id="wave-decodes"),
+    pytest.param(WAVE, beta_from_alpha(WAVE, 0.3701171875), 100_000, 9415, False, False,
+                 "d3c87506796290f0b6e3beb469e34e2f1c00fdb017cf864d3ec23e86e667d20d",
+                 id="wave-stalls"),
+    pytest.param(params(L=12, w=3), 2.5, 100_000, 61, True, False,
+                 "0f4d44ecc17128dfe879b2148e9ba5fa1b58848e3f7b35729021c03a8cf1fe0f",
+                 id="w3-dl2-decodes"),
+    pytest.param(params(dl=3, dr=6, L=16, w=3), 3.0, 300, 300, False, True,
+                 "d808a2399f2fe5f9740de0e9847162182653e90d24775cce9e60670423bc7da2",
+                 id="w3-dl3-capped"),
+    pytest.param(params(dl=3, dr=6, L=20, w=9), 1.0, 100_000, 37, False, False,
+                 "0c20f9f3b50899f645382e0ceffb3bf515f8cff598e396993a7c6b0af6adcca9",
+                 id="w9-dl3-stalls"),
+    pytest.param(params(L=20, w=9), 1.9, 100_000, 72, True, False,
+                 "4d3887374c3a80509d4f60a8b00181c2dacf6547afb1ace17d1a89e83447a3c9",
+                 id="w9-dl2-decodes"),
+]
+
+
+@pytest.mark.parametrize("p, beta, cap, iterations, decoded, capped, digest", RECORDED_RUNS)
+def test_run_matches_recorded_result(p, beta, cap, iterations, decoded, capped, digest):
+    run = de_run(p, beta, DEConfig(max_iterations=cap))
+    assert run.state.iteration == iterations
+    assert run.converged_to_zero is decoded
+    assert run.hit_iteration_cap is capped
+    assert run.trace[-1] == (iterations, float(run.state.p.mean()))
+    state = run.state.p.tobytes() + run.state.s.tobytes()
+    assert hashlib.sha256(state).hexdigest() == digest
 
 
 class TestThreshold:

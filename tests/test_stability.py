@@ -85,6 +85,13 @@ class TestBandMatrix:
         assert np.all(as_dense(m) == 0.0)
         assert spectral_radius(m) == 0.0
 
+    def test_dl_above_two_rejects_nonfinite_beta(self):
+        # The zero matrix must not hide a NaN or infinite beta.
+        p = params(dl=3, dr=4, dg=3, L=8)
+        for beta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="beta must be finite"):
+                build_jacobian(p, beta)
+
     def test_rejects_negative_and_nan_scale(self):
         for scale_value in (-0.1, math.nan):
             with pytest.raises(ValueError, match="scale"):
