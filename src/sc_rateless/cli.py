@@ -38,7 +38,14 @@ _Z95 = 1.959963984540054
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    """A comma-separated grid of distinct integers, at least one."""
+    values = [int(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"repeats {','.join(map(str, repeated))}")
+    return values
 
 
 def _float_list(text: str) -> list[float]:

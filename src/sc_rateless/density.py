@@ -17,10 +17,16 @@ numpy call overhead, not arithmetic, so it allocates little beyond those
 arrays.  The convolutions fix the summation order, and with it every bit of
 the result.
 
-The update is clamped to [0, 1] from above only.  For states in [0, 1]
-every factor above is >= 0, so a lower clamp never binds; the upper one
-does: with w = 9 the kernel's nine rounded 1/9 terms sum to
-1.0000000000000002, so from the all-ones state A_i exceeds one.
+The update is clamped to [0, 1] from above only, and only at the widths
+where that clamp can bind.  For states in [0, 1] every factor above is
+>= 0, so a lower clamp never binds.  The upper one binds where a sum of the
+kernel's rounded 1/w terms exceeds one: with w = 9 nine of them sum to
+1.0000000000000002, so from the all-ones state A_i exceeds one.  Rounding
+is monotone and ``np.convolve`` sums a given number of terms in one order,
+so for states in [0, 1] every convolution entry is at most the partial sum
+of as many kernel terms taken on ones, and every later factor stays in
+[0, 1].  A width whose partial sums on ones all stay <= 1 (every w in 1..12
+but 9 and 11 on x86-64) needs no clamp, and skipping it changes no bit.
 
 Decoding succeeds when the mean of p falls below a configured target; the
 overhead threshold is located by bisection on alpha.
@@ -126,20 +132,29 @@ class SweepRow:
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel(w: int) -> np.ndarray:
-    """The ones(w)/w averaging kernel, built once per width and read-only."""
+def _kernel(w: int) -> tuple[np.ndarray, bool]:
+    """The ones(w)/w averaging kernel, built once per width and read-only,
+    and whether a convolution with it can round past one on states in
+    [0, 1]: whether any entry of its full convolution with ones exceeds one."""
     kernel = np.full(w, 1.0 / w)
     kernel.flags.writeable = False
-    return kernel
+    return kernel, bool(np.any(np.convolve(np.ones(w), kernel, mode="full") > 1.0))
 
 
 def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
     """One synchronous density-evolution update of the per-section erasure
     probabilities p and s; returns the next (p, s) as new arrays and leaves
-    its inputs unchanged."""
+    its inputs unchanged.
+
+    The states must lie in [0, 1] and beta must be >= 0; the outputs then
+    lie in [0, 1] too, so iterating from the all-ones start (as ``de_run``
+    does) keeps the contract.  The upper clamp is applied only at widths
+    whose kernel sums can round past one, so outside the contract the
+    outputs may exceed one.
+    """
     if len(p) != params.L or len(s) != params.L:
         raise ValueError(f"p and s need {params.L} sections, got {len(p)} and {len(s)}")
-    kernel = _kernel(params.w)
+    kernel, clamp = _kernel(params.w)
     # Inner average per check/channel section (length L+w-1, zero-extended),
     # then the outer average back onto bit sections (length L).  The
     # elementwise updates write into the arrays the convolutions return.
@@ -161,14 +176,21 @@ def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
     p_next = a * gf if params.dl == 2 else a ** (params.dl - 1) * gf
     a **= params.dl
     a *= gf
-    np.minimum(p_next, 1.0, out=p_next)
-    np.minimum(a, 1.0, out=a)
+    if clamp:
+        np.minimum(p_next, 1.0, out=p_next)
+        np.minimum(a, 1.0, out=a)
     return p_next, a
 
 
 def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -> DERun:
     """Iterate from the all-ones start until the mean erasure probability
     drops below the success target, the state stalls, or the iteration cap.
+
+    The state stalls when no entry of p or s moves by ``fixed_point_tol`` in
+    one step.  That test takes passes over both states, so it runs only on
+    steps where P_b fell by no more than 2 * ``fixed_point_tol`` plus a
+    round-off margin; a larger fall proves that some entry of p moved by
+    more than the tolerance, and skipping the test changes no outcome.
 
     The trace records (iteration, P_b) every iteration up to 1000, then on a
     geometric grid, and always includes the final iteration.
@@ -181,6 +203,13 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     pb = 1.0
     trace = [(0, pb)]
     next_record = 1
+    # max_i |p_next_i - p_i| >= (sum p - sum p_next) / L.  The states stay in
+    # [0, 1], so each computed P_b is within (L + 1) u of sum p / L (u = 2^-53,
+    # a bound for any summation order), and the computed fall of P_b is within
+    # a factor (1 + u) of the true one.  A computed fall above this floor thus
+    # leaves a true fall above 2 tol (1 - u), and the computed |p_next - p|
+    # loses at most another factor (1 - u): the stall test cannot pass.
+    stall_floor = 2.0 * config.fixed_point_tol + 8.0 * (L + 1) * 2.0 ** -53
     for it in range(1, config.max_iterations + 1):
         p_next, s_next = de_step(params, beta, p, s)
         # Bit-equal to p_next.mean(): the same pairwise sum, then one division.
@@ -188,20 +217,23 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
         # From the all-ones start the map is monotone, so P_b cannot rise.
         if pb_next > pb + 1e-12:
             raise NonMonotoneRun(f"P_b rose from {pb} to {pb_next} at iteration {it}")
-        # The previous state is dead once stepped from, so |x_next - x| is
-        # taken in its buffers (de_step returns new arrays).
-        np.abs(np.subtract(p_next, p, out=p), out=p)
-        np.abs(np.subtract(s_next, s, out=s), out=s)
-        change = max(
-            float(np.maximum.reduce(p, initial=0.0)),
-            float(np.maximum.reduce(s, initial=0.0)),
-        )
+        if pb - pb_next > stall_floor:
+            stalled = False
+        else:
+            # The previous state is dead once stepped from, so |x_next - x|
+            # is taken in its buffers (de_step returns new arrays).
+            np.abs(np.subtract(p_next, p, out=p), out=p)
+            np.abs(np.subtract(s_next, s, out=s), out=s)
+            change = max(
+                float(np.maximum.reduce(p, initial=0.0)),
+                float(np.maximum.reduce(s, initial=0.0)),
+            )
+            stalled = change < config.fixed_point_tol
         p, s, pb = p_next, s_next, pb_next
         if it >= next_record:
             trace.append((it, pb))
             next_record = it + 1 if it < 1000 else math.ceil(next_record * 1.1)
         done_zero = pb < config.success_target
-        stalled = change < config.fixed_point_tol
         if done_zero or stalled or it == config.max_iterations:
             if trace[-1][0] != it:
                 trace.append((it, pb))
@@ -301,13 +333,18 @@ def threshold_sweep(
     Rows are ordered by L, and each bisection warm-starts from the previous
     row: the threshold shrinks with L in every regime of interest, so the
     previous estimate (plus margin) is the fresh bracket's upper end.  Per-row
-    failures land in the row's ``error`` field instead of aborting the sweep.
+    failures land in the row's ``error`` field instead of aborting the sweep;
+    an empty grid or a repeated L raises ``ValueError`` before any row runs.
     """
-    if not L_values:
+    L_sorted = sorted(L_values)
+    if not L_sorted:
         raise ValueError("L_values must be nonempty")
+    repeated = sorted({a for a, b in zip(L_sorted, L_sorted[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"L_values repeats L = {', '.join(map(str, repeated))}")
     rows: list[SweepRow] = []
     prev_alpha: float | None = None
-    for L in sorted(L_values):
+    for L in L_sorted:
         row = SweepRow(L=L)
         p_l = dataclasses.replace(params, L=L)
         try:

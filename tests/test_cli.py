@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import jsonschema
@@ -213,6 +214,19 @@ class TestSweep:
         assert [(int(r["dr"]), int(r["L"])) for r in rows] == [
             (3, 4), (3, 8), (4, 4), (4, 8),
         ]
+
+    @pytest.mark.parametrize("flag, grid, message", [
+        ("--L-grid", "8,8", "repeats 8"),
+        ("--L-grid", ",", "needs at least one value"),
+        ("--dr-grid", "3,4,3", "repeats 3"),
+        ("--dr-grid", "", "needs at least one value"),
+    ])
+    def test_repeated_or_empty_grid_exits_2(self, tmp_path, capsys, flag, grid, message):
+        argv = {"--L-grid": "8", flag: grid}
+        code, text = run(tmp_path, "sweep", "--dg", "3", *itertools.chain(*argv.items()))
+        assert code == 2
+        assert text == ""
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
 class TestSimulate:

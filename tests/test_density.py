@@ -148,6 +148,43 @@ class TestStep:
         assert np.all(nxt_s[interior] == 1.0)
         assert nxt_p.max() == 1.0 and nxt_s.max() == 1.0
 
+    @pytest.mark.parametrize("w", range(1, 13))
+    def test_clamp_flag_matches_kernel_sums_on_ones(self, w):
+        kernel, clamp = density._kernel(w)
+        assert kernel.tobytes() == np.full(w, 1.0 / w).tobytes()
+        assert clamp == bool(np.any(np.convolve(np.ones(w), kernel, "full") > 1.0))
+
+    @pytest.mark.parametrize("w", [w for w in range(1, 13) if not density._kernel(w)[1]])
+    def test_unclamped_widths_stay_at_most_one(self, w):
+        # Where the flag is clear de_step skips the upper clamp; for states in
+        # [0, 1] the clamp would not have changed a bit.
+        rng = np.random.default_rng(100 + w)
+        cases = [(params(L=2 * w + 3, w=w), 0.0, *ones(2 * w + 3))]
+        for _ in range(200):
+            dl = int(rng.integers(2, 5))
+            p = params(
+                dl=dl,
+                dr=dl + int(rng.integers(1, 6)),
+                dg=int(rng.integers(1, 5)),
+                L=int(rng.integers(1, 3 * w + 4)),
+                w=w,
+                eps=float(rng.choice([0.0, 0.5, 0.9])),
+            )
+            beta = float(rng.choice([0.0, rng.uniform(0, 4)]))
+            # Uniform states, states within a few ulps of one, and mixes of
+            # exact zeros and ones.
+            kind = int(rng.integers(3))
+            if kind == 0:
+                p_in, s_in = rng.uniform(0, 1, (2, p.L))
+            elif kind == 1:
+                p_in, s_in = 1.0 - rng.integers(0, 4, (2, p.L)) * 2.0 ** -53
+            else:
+                p_in, s_in = rng.integers(0, 2, (2, p.L)).astype(float)
+            cases.append((p, beta, p_in, s_in))
+        for p, beta, p_in, s_in in cases:
+            for out in de_step(p, beta, p_in, s_in):
+                assert out.tobytes() == np.minimum(out, 1.0).tobytes()
+
 
 class TestConfig:
     @pytest.mark.parametrize("name", ["fixed_point_tol", "success_target", "bisection_tol"])
@@ -280,6 +317,58 @@ def test_run_matches_recorded_result(p, beta, cap, iterations, decoded, capped, 
     assert hashlib.sha256(state).hexdigest() == digest
 
 
+def de_run_testing_change_every_step(p, beta, config):
+    """de_run's loop with the stall test |x_next - x| < fixed_point_tol
+    taken on every iteration, with no P_b shortcut."""
+    pv, sv = ones(p.L)
+    pb = 1.0
+    trace = [(0, pb)]
+    next_record = 1
+    for it in range(1, config.max_iterations + 1):
+        nxt_p, nxt_s = de_step(p, beta, pv, sv)
+        change = max(float(np.abs(nxt_p - pv).max()), float(np.abs(nxt_s - sv).max()))
+        pv, sv, pb = nxt_p, nxt_s, float(np.add.reduce(nxt_p)) / p.L
+        if it >= next_record:
+            trace.append((it, pb))
+            next_record = it + 1 if it < 1000 else math.ceil(next_record * 1.1)
+        done_zero = pb < config.success_target
+        stalled = change < config.fixed_point_tol
+        if done_zero or stalled or it == config.max_iterations:
+            if trace[-1][0] != it:
+                trace.append((it, pb))
+            return it, done_zero, not (done_zero or stalled), trace, pv, sv
+
+
+def test_stall_shortcut_matches_testing_every_step():
+    # de_run skips the stall test while P_b falls by more than its floor; the
+    # outcome must be the one of a loop that tests every step, to the bit.
+    rng = np.random.default_rng(8)
+    ensembles = [(2, 3, 3), (2, 3, 2), (3, 6, 3), (2, 4, 5), (4, 8, 2)]
+    outcomes = set()
+    for tol in (1e-3, 1e-6, 1e-12):
+        for L in range(1, 41):
+            dl, dr, dg = ensembles[L % len(ensembles)]
+            p = params(dl=dl, dr=dr, dg=dg, L=L, w=int(rng.integers(1, 10)))
+            # Overheads on both sides of the threshold, taken on the L -> inf
+            # rate (short chains with wide windows have none).
+            for alpha in (-0.2, 0.1, 0.4, 1.5):
+                beta = dg / (1.0 - p.epsilon) * (1.0 - dl / dr) * (1.0 + alpha)
+                config = DEConfig(max_iterations=int(rng.choice([30, 300, 1500])),
+                                  fixed_point_tol=tol)
+                run = de_run(p, beta, config)
+                it, decoded, capped, trace, pv, sv = de_run_testing_change_every_step(
+                    p, beta, config)
+                case = (tol, p, alpha)
+                assert run.state.iteration == it, case
+                assert run.converged_to_zero is decoded, case
+                assert run.hit_iteration_cap is capped, case
+                assert run.trace == trace, case
+                assert run.state.p.tobytes() == pv.tobytes(), case
+                assert run.state.s.tobytes() == sv.tobytes(), case
+                outcomes.add("decoded" if decoded else "capped" if capped else "stalled")
+    assert outcomes == {"decoded", "capped", "stalled"}
+
+
 class TestThreshold:
     def test_dg3_L16_regression(self):
         # Self-generated regression value (bisection tol 1e-4).
@@ -362,3 +451,12 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             threshold_sweep(FIG2, [])
+
+    def test_repeated_L_rejected_before_any_row(self, monkeypatch):
+        # A repeated L would run twice with different warm-start brackets.
+        def no_threshold(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(density, "overhead_threshold", no_threshold)
+        with pytest.raises(ValueError, match="repeats L = 8"):
+            threshold_sweep(FIG2, [8, 16, 8])
