@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 
 from . import __version__
-from .codec import InvalidM, monte_carlo, pool_map
+from .codec import monte_carlo, pool_map
 from .density import (
     DEConfig,
     NoSuccessInBracket,
@@ -37,19 +38,18 @@ from .stability import NonConvergence, threshold_lower_bounds
 _Z95 = 1.959963984540054
 
 
-def _int_list(text: str) -> list[int]:
-    """A comma-separated grid of distinct integers, at least one."""
-    values = [int(part) for part in text.split(",") if part]
-    if not values:
-        raise argparse.ArgumentTypeError("needs at least one value")
-    repeated = sorted({v for v in values if values.count(v) > 1})
-    if repeated:
-        raise argparse.ArgumentTypeError(f"repeats {','.join(map(str, repeated))}")
-    return values
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+def _grid(convert):
+    """A parser for a comma-separated grid of distinct values, at least one;
+    argparse reports a value ``convert`` rejects as an "invalid grid value"."""
+    def grid(text: str) -> list:
+        values = [convert(part) for part in text.split(",") if part]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise argparse.ArgumentTypeError(f"repeats {','.join(map(str, repeated))}")
+        return values
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common, deconf],
                        help="threshold sweep over chain lengths")
-    p.add_argument("--L-grid", type=_int_list, required=True,
+    p.add_argument("--L-grid", type=_grid(int), required=True,
                    help="comma-separated chain lengths")
-    p.add_argument("--dr-grid", type=_int_list, default=None,
+    p.add_argument("--dr-grid", type=_grid(int), default=None,
                    help="comma-separated check degrees (one sweep per entry)")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel workers across dr-grid entries")
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     grid = p.add_mutually_exclusive_group(required=True)
     grid.add_argument("--alpha", type=float, default=None, help="single overhead point")
-    grid.add_argument("--alpha-grid", type=_float_list, default=None,
+    grid.add_argument("--alpha-grid", type=_grid(float), default=None,
                       help="comma-separated overhead points")
     p.add_argument("--zero-codeword", action="store_true",
                    help="skip the encoder and transmit the all-zero codeword "
@@ -113,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ensemble(args, L: int) -> EnsembleParams:
-    return EnsembleParams(dl=args.dl, dr=args.dr, dg=args.dg, L=L, w=args.w,
-                          epsilon=args.eps)
+def _ensemble(args, L: int, dr: int | None = None) -> EnsembleParams:
+    return EnsembleParams(dl=args.dl, dr=args.dr if dr is None else dr, dg=args.dg, L=L,
+                          w=args.w, epsilon=args.eps)
 
 
 def _deconfig(args) -> DEConfig:
@@ -142,13 +142,6 @@ def _spec_header(args, extra: dict) -> dict:
     return spec
 
 
-def _bound_fields(report) -> dict:
-    return {
-        "lower_bound_alpha": report.lower_bound_alpha,
-        "lower_bound_beta": report.lower_bound_beta,
-    }
-
-
 def cmd_threshold(args):
     params = _ensemble(args, args.L)
     config = _deconfig(args)
@@ -158,7 +151,8 @@ def cmd_threshold(args):
         "L": args.L,
         "alpha_star": result.alpha_star,
         "beta_star": result.beta_star,
-        **_bound_fields(report),
+        "lower_bound_alpha": report.lower_bound_alpha,
+        "lower_bound_beta": report.lower_bound_beta,
         "iterations": result.iterations_at_threshold,
     }
     spec = _spec_header(args, {"L": args.L, **dataclasses.asdict(config)})
@@ -173,37 +167,20 @@ def cmd_bounds(args):
     return spec, [row]
 
 
-def _sweep_curve(job):
-    params, L_grid, config, allow_dg1 = job
-    return threshold_sweep(params, L_grid, config, allow_dg1=allow_dg1)
-
-
 def cmd_sweep(args):
     config = _deconfig(args)
-    dr_grid = args.dr_grid if args.dr_grid else [args.dr]
-    jobs = []
-    for dr in sorted(dr_grid):
-        base = argparse.Namespace(**vars(args))
-        base.dr = dr
-        jobs.append((_ensemble(base, max(args.L_grid)), args.L_grid, config,
-                     args.allow_dg1))
-    curves = pool_map(_sweep_curve, jobs, args.workers)
-    rows = []
-    for (params, _, _, _), curve in zip(jobs, curves):
-        for entry in curve:
-            rows.append({
-                "dr": params.dr,
-                "L": entry.L,
-                "alpha_star": entry.alpha_star,
-                "beta_star": entry.beta_star,
-                "lower_bound_alpha": entry.lower_bound_alpha,
-                "lower_bound_beta": entry.lower_bound_beta,
-                "iterations": entry.iterations,
-                "error": entry.error,
-            })
+    dr_grid = sorted(args.dr_grid or [args.dr])
+    # threshold_sweep is looked up here, at call time, so a wrapper installed
+    # on this module's name is the one the pool runs.
+    sweep = functools.partial(threshold_sweep, L_values=args.L_grid, config=config,
+                              allow_dg1=args.allow_dg1)
+    curves = pool_map(sweep, [_ensemble(args, max(args.L_grid), dr) for dr in dr_grid],
+                      args.workers)
+    rows = [{"dr": dr, **dataclasses.asdict(entry)}
+            for dr, curve in zip(dr_grid, curves) for entry in curve]
     spec = _spec_header(args, {
         "L_grid": ",".join(map(str, sorted(args.L_grid))),
-        "dr_grid": ",".join(map(str, sorted(dr_grid))),
+        "dr_grid": ",".join(map(str, dr_grid)),
         **dataclasses.asdict(config),
     })
     return spec, rows
@@ -225,7 +202,7 @@ def _wilson(phat: float, n: int) -> tuple[float, float]:
 
 def cmd_simulate(args):
     params = _ensemble(args, args.L)
-    alphas = args.alpha_grid if args.alpha_grid is not None else [args.alpha]
+    alphas = args.alpha_grid or [args.alpha]
     results = monte_carlo(
         params, args.M, alphas, args.trials, args.seed,
         zero_codeword=args.zero_codeword,
@@ -315,7 +292,7 @@ def main(argv=None) -> int:
 
     try:
         spec, rows = _DISPATCH[args.command](args)
-    except (InvalidM, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NoSuccessInBracket, NonMonotoneBracket, NonMonotoneRun, NonConvergence) as exc:

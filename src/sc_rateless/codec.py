@@ -24,9 +24,10 @@ Shortened references carry known zeros and are dropped from both.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +60,6 @@ class PrecodeGraph:
     M: int
     check_indptr: np.ndarray
     check_indices: np.ndarray
-    _encoder: tuple | None = field(default=None, repr=False)
 
     @property
     def num_bits(self) -> int:
@@ -73,19 +73,18 @@ class PrecodeGraph:
         """Nominal information size k = R(L) * L * M, rounded to an integer."""
         return round(design_rate(self.params) * self.num_bits)
 
+    @functools.cached_property
     def _systematic_form(self):
-        if self._encoder is None:
-            packed = gf2.rows_from_support(self.check_indptr, self.check_indices, self.num_bits)
-            reduced, pivots = gf2.rref(packed, self.num_bits)
-            pivots = np.asarray(pivots, dtype=np.int64)
-            free = np.setdiff1d(np.arange(self.num_bits), pivots)
-            self._encoder = (reduced[: len(pivots)], pivots, free)
-        return self._encoder
+        packed = gf2.rows_from_support(self.check_indptr, self.check_indices, self.num_bits)
+        reduced, pivots = gf2.rref(packed, self.num_bits)
+        pivots = np.asarray(pivots, dtype=np.int64)
+        free = np.setdiff1d(np.arange(self.num_bits), pivots)
+        return reduced[: len(pivots)], pivots, free
 
     def realized_dimension(self) -> int:
         """Actual code dimension L*M - rank; exceeds the design k by the
         rank deficiency of the sampled graph."""
-        return self.num_bits - len(self._systematic_form()[1])
+        return self.num_bits - len(self._systematic_form[1])
 
     def syndrome_weight(self, bits: np.ndarray) -> int:
         """Number of violated precode checks for a full bit assignment."""
@@ -197,28 +196,24 @@ def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
     shares[: stubs % w] += 1
     bounds = np.concatenate(([0], np.cumsum(shares)))
 
-    # Offset-j chunk of each in-chain section's permuted stub list.
-    chunks = {}
+    # Row w-1+s holds section s's stubs in a random order; the w-1 rows at
+    # either end are shortened filler (-1: occupies sockets, carries a known zero).
+    padded = np.full((L + 2 * (w - 1), stubs), -1, dtype=np.int64)
     for s in range(L):
-        perm = rng.permutation(np.repeat(np.arange(s * M, (s + 1) * M, dtype=np.int64), dl))
-        for j in range(w):
-            chunks[(s, j)] = perm[bounds[j]:bounds[j + 1]]
+        padded[w - 1 + s] = rng.permutation(np.repeat(np.arange(s * M, (s + 1) * M), dl))
 
-    # Flat socket layout: check section c owns sockets [c*stubs, (c+1)*stubs),
-    # dr consecutive sockets per check node, so check q owns [q*dr, (q+1)*dr).
+    # Check section c takes columns [bounds[j], bounds[j+1]) of section c-j's
+    # row for each offset j and permutes them.  It owns sockets
+    # [c*stubs, (c+1)*stubs), dr per check node, so check q owns [q*dr, (q+1)*dr).
     num_sections = L + w - 1
     num_checks = num_sections * cps
-    sock_bit = np.empty(num_sections * stubs, dtype=np.int64)
-    for c in range(num_sections):
-        arrivals = []
-        for j in range(w):
-            s = c - j
-            if 0 <= s < L:
-                arrivals.append(chunks[(s, j)])
-            else:
-                # Shortened filler: occupies sockets, carries a known zero.
-                arrivals.append(np.full(shares[j], -1, dtype=np.int64))
-        sock_bit[c * stubs:(c + 1) * stubs] = rng.permutation(np.concatenate(arrivals))
+    layout = np.empty((num_sections, stubs), dtype=np.int64)
+    for j in range(w):
+        cols = slice(bounds[j], bounds[j + 1])
+        layout[:, cols] = padded[w - 1 - j:w - 1 - j + num_sections, cols]
+    for row in layout:
+        rng.shuffle(row)
+    sock_bit = layout.reshape(-1)
 
     _condition_matching(sock_bit, stubs, num_bits, dl, dr, rng)
 
@@ -245,7 +240,7 @@ def encode(graph: PrecodeGraph, info_bits) -> np.ndarray:
     free positions of the systematic form carry them and the pivot positions
     are filled by back-substitution.
     """
-    reduced, pivots, free = graph._systematic_form()
+    reduced, pivots, free = graph._systematic_form
     info_bits = np.asarray(info_bits, dtype=np.uint8)
     if info_bits.shape != (len(free),):
         raise ValueError(
@@ -486,7 +481,8 @@ def monte_carlo(
     for the ensemble) is counted in the row's ``trial_errors`` and left out
     of its statistics.  Any other exception, including InvalidM for an M
     that fails the sampler preconditions, propagates; so does the
-    ValueError of an overhead too close to -1 to send one symbol.
+    ValueError of an overhead too close to -1 to send one symbol.  An empty
+    or repeated alpha grid raises ValueError before any trial runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -496,9 +492,14 @@ def monte_carlo(
             "by default; pass allow_dg1=True to simulate it anyway"
         )
     alphas = sorted(float(a) for a in alpha_grid)
+    if not alphas:
+        raise ValueError("alpha_grid must be nonempty")
     for alpha in alphas:
         if not -1.0 < alpha < math.inf:
             raise ValueError(f"every alpha must be finite and > -1, got {alpha}")
+    repeated = sorted({a for a, b in zip(alphas, alphas[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"alpha_grid repeats alpha = {', '.join(map(repr, repeated))}")
 
     jobs = [
         (params, M, alpha, seed, ai, t, zero_codeword)

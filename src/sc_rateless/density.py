@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stability
-from .ensemble import EnsembleParams, NonPositiveRate, beta_from_alpha
+from .ensemble import EnsembleParams, beta_from_alpha
 
 
 class NoSuccessInBracket(RuntimeError):
@@ -357,7 +357,7 @@ def threshold_sweep(
             row.beta_star = result.beta_star
             row.iterations = result.iterations_at_threshold
             prev_alpha = result.alpha_star
-        except (NonPositiveRate, NoSuccessInBracket, NonMonotoneBracket, ValueError) as exc:
+        except (NoSuccessInBracket, NonMonotoneBracket, ValueError) as exc:
             row.error = str(exc)
         rows.append(row)
     return rows

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -5,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sc_rateless import __version__
+from sc_rateless import SweepRow, __version__
 from sc_rateless.cli import _wilson, main
 
 
@@ -228,6 +229,31 @@ class TestSweep:
         assert text == ""
         assert f"argument {flag}: {message}" in capsys.readouterr().err
 
+    def test_columns_are_sweep_row_fields(self, tmp_path):
+        # SweepRow alone lists a row's columns: a field added to it reaches
+        # both formats with no edit to the CLI.
+        columns = ["dr"] + [f.name for f in dataclasses.fields(SweepRow)]
+        argv = ["sweep", "--dg", "3", "--w", "5", "--L-grid", "8,1", "--bisect-tol", "0.01"]
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        assert parse_csv(text)[1] == columns
+        code, text = run(tmp_path, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        assert len(rows) == 2
+        assert all(sorted(row) == sorted(columns) for row in rows)
+
+    def test_dr_grid_ignores_invalid_dr(self, tmp_path):
+        # --dr is replaced by the grid, so its default 3 may not pair with --dl 3.
+        code, text = run(
+            tmp_path, "sweep", "--dg", "3", "--dl", "3", "--dr-grid", "6",
+            "--L-grid", "4", "--bisect-tol", "0.01",
+        )
+        assert code == 0
+        header, _, rows = parse_csv(text)
+        assert (header["dr"], header["dr_grid"]) == ("3", "6")
+        assert [(r["dr"], r["L"], r["error"]) for r in rows] == [("6", "4", "")]
+
 
 class TestSimulate:
     ARGS = [
@@ -289,6 +315,19 @@ class TestSimulate:
         code, _ = run(tmp_path, *self.ARGS)
         assert code == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0.5,0.5", "repeats 0.5"),
+        (",", "needs at least one value"),
+    ])
+    def test_repeated_or_empty_alpha_grid_exits_2(self, tmp_path, capsys, grid, message):
+        code, text = run(
+            tmp_path, "simulate", "--dg", "3", "--L", "8", "--M", "12", "--trials", "3",
+            "--alpha-grid", grid, "--zero-codeword",
+        )
+        assert code == 2
+        assert text == ""
+        assert f"argument --alpha-grid: {message}" in capsys.readouterr().err
 
     def test_stdout_when_no_out(self, capsys):
         code = main(["bounds", "--dg", "3", "--L", "8"])

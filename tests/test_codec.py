@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,45 @@ def toy_instance(seed, M=6, alpha=0.3, p=TOY, zero=False):
     n = max(1, round((1 + alpha) * graph.design_dimension() / (1 - p.epsilon)))
     stream = channel_stream(graph, codeword, n, p.epsilon, seed=rng.integers(2 ** 32))
     return graph, codeword, stream
+
+
+# SHA-256 of check_indptr.tobytes() + check_indices.tobytes() for
+# sample_precode(params(dl, dr, L=3, w), M, seed), keyed by (dl, dr, M, w,
+# seed).  They pin the sampler's RNG stream and socket layout at every width
+# 1..5, so shares that split evenly and unevenly, and boundary filler on both
+# ends of the chain, all stay byte-identical.
+SAMPLER_DIGESTS = {
+    (2, 3, 6, 1, 0): "ee02636641edbf348cf6003e33db7c7489e7ce9544d4fd98b42766df56d372cd",
+    (2, 3, 6, 1, 1): "6c5d46f63c686838da891594a538fb7fcec47719e1408ba3c9b454919437112b",
+    (2, 3, 6, 2, 0): "d8152dfcb0f3bc73e8481857277407288e7e0656e1b3178bf3ac7a896867e917",
+    (2, 3, 6, 2, 1): "aad32dc000bc90cfa98b4a55e48a365c6e26ec5d206711301bdf9ec2635fbbbc",
+    (2, 3, 6, 3, 0): "b591934432c0cf278a3a1a77dc5e77d1c0ece9d27d56cb6d518f520f94173ee7",
+    (2, 3, 6, 3, 1): "866a8c8366e93571ad72dc8f04b4c2f2ffe10819762d0d3dfc56ea6b58f17750",
+    (2, 3, 6, 4, 0): "3feb8e9cf4f3e38ab7a95f54f5df7cfeb9193d70656a9b98c3820625b57742b0",
+    (2, 3, 6, 4, 1): "97dc9b694b61bec10e9bf8ce5cda10aded712b162a1914865d5fe445440140a9",
+    (2, 3, 6, 5, 0): "77322d25c5bb10acd99f632b6fa2c4de072a4be0af80199faaa925351dd458eb",
+    (2, 3, 6, 5, 1): "cd2f1516b152dc74a38762ea084b98778d82d24e27db8236c1c5f651f1474294",
+    (2, 4, 12, 1, 0): "1783a09bdf9003e15cea5ea85077e060d8ee0a167f1286dfad1bdd9187ef68e2",
+    (2, 4, 12, 1, 1): "90c4788fac6840c53b07f2608383068708a02282c9bcb94933a34c0b3adc6de5",
+    (2, 4, 12, 2, 0): "7f7754f14592256a819bbd1201b49a6b6c2120d25e14159ba20b417f34f751fc",
+    (2, 4, 12, 2, 1): "d638177e9f82afc7acd8d7f89dc10602a614ad8b8c5e73614536d4db90f251db",
+    (2, 4, 12, 3, 0): "da8a0807d0756fc30986b54391f5acdf231f8aaf3217205704cafa9cd7c41f66",
+    (2, 4, 12, 3, 1): "6cfe76121a81982af708b4fd7549de75574c5a0a2e1e57d06dfcc17408416b7e",
+    (2, 4, 12, 4, 0): "6e4ea13605db54845ef68be266c76a159d2442f20ba2406ed72b5282ead47549",
+    (2, 4, 12, 4, 1): "1dfc1a19965902e8f060439c9d469a8deffa4717faed9f812adf512ca1c117a3",
+    (2, 4, 12, 5, 0): "db6afc2e96ceab71764d3466b8e9154b61654e527e33b01faf91748dda189565",
+    (2, 4, 12, 5, 1): "0a1d10ecf3733db1d1a0221a73c1094083c58988a8cccda47fb1e6304e551d7d",
+    (3, 6, 12, 1, 0): "9de2af1a8d9353c1d11c8ae87f0d4b750621a0bda0dca9a2160696b8451dedf1",
+    (3, 6, 12, 1, 1): "04fe5827bb8447584b8d4c4261957e2e14ae450175ec195ce581a9e86f288458",
+    (3, 6, 12, 2, 0): "b5c3585ceecae6e5368d872601e79c337fa18d6de7ecbc2e6c0fc06e82c6c8e0",
+    (3, 6, 12, 2, 1): "557bdc933789504a2314b9e0ca2f8153f02656d392f0ae928d9870775a310a23",
+    (3, 6, 12, 3, 0): "2421a4952aa9b27741294e7f2dadddb90687e73e2bd07705b5afc9038ac5e8d8",
+    (3, 6, 12, 3, 1): "d9aa8187a9e27340858cdad5e445d1393bc0ee88c1d1049e8d17765f6915f1b0",
+    (3, 6, 12, 4, 0): "9f36a9d0b8619ea06381b7ec2016a5dc21f5fae70d5b1e65e3874edc563220f9",
+    (3, 6, 12, 4, 1): "4a9d203fbd9377d248d7b232e84347e1091f6154381bb672ad209c4706176a8c",
+    (3, 6, 12, 5, 0): "8920f71bf3d4fca879090a25b74f5e630e8223af2b5cad0456b355e62cb782ae",
+    (3, 6, 12, 5, 1): "070c4ecbe2417035e611ae441c35e3da7aa075a3029fa592a3d649affdab9497",
+}
 
 
 class TestSamplePrecode:
@@ -206,6 +247,20 @@ class TestSamplePrecode:
         np.testing.assert_array_equal(a.check_indptr, b.check_indptr)
         c = sample_precode(TOY, 12, seed=100)
         assert not np.array_equal(a.check_indices, c.check_indices)
+
+    @pytest.mark.parametrize("dl, dr, M, w, seed", list(SAMPLER_DIGESTS))
+    def test_graph_digest_recorded(self, dl, dr, M, w, seed):
+        g = sample_precode(params(dl=dl, dr=dr, L=3, w=w), M, seed)
+        digest = hashlib.sha256(g.check_indptr.tobytes() + g.check_indices.tobytes())
+        assert digest.hexdigest() == SAMPLER_DIGESTS[dl, dr, M, w, seed]
+
+    def test_conditioning_failure_recorded(self):
+        with pytest.raises(ConditioningFailed) as info:
+            sample_precode(params(dr=4), 4, seed=0)
+        assert str(info.value) == (
+            "3 sockets still repeat a bit or a check pair after 200 swap rounds; "
+            "M = 4 is too small for this ensemble"
+        )
 
 
 class TestEncode:

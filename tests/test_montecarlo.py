@@ -120,6 +120,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="alpha must be finite and > -1"):
             monte_carlo(SMALL, 12, [0.3, alpha], trials=2, seed=0, zero_codeword=True)
 
+    @pytest.mark.parametrize("grid, message", [
+        ([0.3, 0.6, 0.3], "alpha_grid repeats alpha = 0.3"),
+        ([], "alpha_grid must be nonempty"),
+    ])
+    def test_repeated_or_empty_alpha_grid_rejected_before_any_trial(
+        self, monkeypatch, grid, message
+    ):
+        ran = []
+        monkeypatch.setattr(codec, "_run_trial", ran.append)
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(SMALL, 12, grid, trials=2, seed=0, zero_codeword=True)
+        assert ran == []
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_undeclared_trial_exception_propagates(self, workers):
         # A fault inside a trial is not a trial error.  At alpha = -0.999 the
