@@ -45,7 +45,6 @@ from .ensemble import (
 from .stability import (
     BandMatrix,
     NonConvergence,
-    SizeTooSmall,
     StabilityReport,
     build_jacobian,
     capacity_condition,
@@ -73,7 +72,6 @@ __all__ = [
     "NonMonotoneRun",
     "NonPositiveRate",
     "PrecodeGraph",
-    "SizeTooSmall",
     "StabilityReport",
     "SweepRow",
     "ThresholdResult",

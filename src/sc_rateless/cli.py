@@ -35,8 +35,6 @@ from .density import (
 from .ensemble import EnsembleParams
 from .stability import NonConvergence, threshold_lower_bounds
 
-_Z95 = 1.959963984540054
-
 
 def _grid(convert):
     """A parser for a comma-separated grid of distinct values, at least one;
@@ -186,20 +184,6 @@ def cmd_sweep(args):
     return spec, rows
 
 
-def _wilson(phat: float, n: int) -> tuple[float, float]:
-    """Wilson 95% interval for a success rate phat over n trials.  The low
-    end is exactly 0 at phat = 0 and the high end exactly 1 at phat = 1,
-    where the formula's round-off would leave them off by an ulp."""
-    if n == 0:
-        return math.nan, math.nan
-    denom = 1.0 + _Z95 ** 2 / n
-    center = (phat + _Z95 ** 2 / (2 * n)) / denom
-    half = _Z95 * math.sqrt(phat * (1 - phat) / n + _Z95 ** 2 / (4 * n * n)) / denom
-    low = 0.0 if phat == 0.0 else center - half
-    high = 1.0 if phat == 1.0 else center + half
-    return low, high
-
-
 def cmd_simulate(args):
     params = _ensemble(args, args.L)
     alphas = args.alpha_grid or [args.alpha]
@@ -218,20 +202,7 @@ def cmd_simulate(args):
             "only its other trials",
             file=sys.stderr,
         )
-    rows = []
-    for row in results:
-        lo, hi = _wilson(row.success_rate, row.trials)
-        rows.append({
-            "alpha": row.alpha,
-            "n_symbols": row.n_symbols,
-            "dimension": row.dimension,
-            "success_rate": row.success_rate,
-            "wilson_low": lo,
-            "wilson_high": hi,
-            "mean_residual": row.mean_residual,
-            "trials": row.trials,
-            "trial_errors": row.trial_errors,
-        })
+    rows = [dataclasses.asdict(row) for row in results]
     spec = _spec_header(args, {
         "L": args.L,
         "M": args.M,

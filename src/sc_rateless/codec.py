@@ -412,33 +412,57 @@ def peel(graph: PrecodeGraph, stream: ChannelStream) -> TrialResult:
 
 @dataclass
 class MonteCarloRow:
-    """Aggregated decoding trials at one overhead point.  ``trial_errors``
-    counts the trials whose graph could not be conditioned
-    (ConditioningFailed); the statistics cover the other ``trials``."""
+    """Aggregated decoding trials at one overhead point, with the Wilson 95%
+    interval of its success rate.  ``trial_errors`` counts the trials whose
+    graph could not be conditioned (ConditioningFailed); the statistics
+    cover the other ``trials`` and are NaN when there are none."""
 
     alpha: float
     n_symbols: float
     dimension: float
     success_rate: float
+    wilson_low: float
+    wilson_high: float
     mean_residual: float
     trials: int
     trial_errors: int
 
 
+_Z95 = 1.959963984540054
+
+
+def _wilson(phat: float, n: int) -> tuple[float, float]:
+    """Wilson 95% interval for a success rate phat over n trials.  The low
+    end is exactly 0 at phat = 0 and the high end exactly 1 at phat = 1,
+    where the formula's round-off would leave them off by an ulp."""
+    if n == 0:
+        return math.nan, math.nan
+    denom = 1.0 + _Z95 ** 2 / n
+    center = (phat + _Z95 ** 2 / (2 * n)) / denom
+    half = _Z95 * math.sqrt(phat * (1 - phat) / n + _Z95 ** 2 / (4 * n * n)) / denom
+    low = 0.0 if phat == 0.0 else center - half
+    high = 1.0 if phat == 1.0 else center + half
+    return low, high
+
+
 def pool_map(func, jobs: list, workers: int) -> list:
     """``[func(job) for job in jobs]``, in order, over up to ``workers``
-    processes; serial when ``workers <= 1`` or there is at most one job.
-    Exceptions raised by ``func`` reach the caller either way.  This is the
-    package's one process pool: ``monte_carlo`` and the CLI sweep use it."""
-    if workers <= 1 or len(jobs) <= 1:
+    processes; serial when ``workers == 1`` or there is at most one job.
+    Raises ValueError for ``workers < 1`` before any job runs.  Exceptions
+    raised by ``func`` reach the caller either way.  This is the package's
+    one process pool: ``monte_carlo`` and the CLI sweep use it."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or len(jobs) <= 1:
         return [func(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(func, jobs))
 
 
-def _run_trial(args) -> tuple[float, float, float] | None:
-    """One decoding trial; None when its graph cannot be conditioned."""
-    params, M, alpha, seed, alpha_index, trial_index, zero_codeword = args
+def _run_trial(params, M, seed, zero_codeword, job) -> tuple[float, float, float] | None:
+    """One decoding trial, ``job = (alpha_index, alpha, trial_index)``; None
+    when its graph cannot be conditioned."""
+    alpha_index, alpha, trial_index = job
     root = np.random.SeedSequence([seed, alpha_index, trial_index])
     graph_seed, info_seed, stream_seed = root.spawn(3)
     try:
@@ -482,7 +506,8 @@ def monte_carlo(
     of its statistics.  Any other exception, including InvalidM for an M
     that fails the sampler preconditions, propagates; so does the
     ValueError of an overhead too close to -1 to send one symbol.  An empty
-    or repeated alpha grid raises ValueError before any trial runs.
+    or repeated alpha grid, an alpha whose symbol count could overflow, and
+    ``workers < 1`` raise ValueError before any trial runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -497,35 +522,34 @@ def monte_carlo(
     for alpha in alphas:
         if not -1.0 < alpha < math.inf:
             raise ValueError(f"every alpha must be finite and > -1, got {alpha}")
+        # No graph has more than L*M dimensions, so this bounds every trial's
+        # symbol count, computed as _run_trial does.
+        if not math.isfinite((1.0 + alpha) * (params.L * M) / (1.0 - params.epsilon)):
+            raise ValueError(
+                f"alpha = {alpha!r} overflows the symbol count (1 + alpha)*L*M/(1 - eps)"
+            )
     repeated = sorted({a for a, b in zip(alphas, alphas[1:]) if a == b})
     if repeated:
         raise ValueError(f"alpha_grid repeats alpha = {', '.join(map(repr, repeated))}")
 
-    jobs = [
-        (params, M, alpha, seed, ai, t, zero_codeword)
-        for ai, alpha in enumerate(alphas)
-        for t in range(trials)
-    ]
-    outcomes = pool_map(_run_trial, jobs, workers)
+    jobs = [(ai, alpha, t) for ai, alpha in enumerate(alphas) for t in range(trials)]
+    outcomes = pool_map(functools.partial(_run_trial, params, M, seed, zero_codeword),
+                        jobs, workers)
 
     rows = []
     for ai, alpha in enumerate(alphas):
         chunk = outcomes[ai * trials:(ai + 1) * trials]
         good = [c for c in chunk if c is not None]
-        errors = len(chunk) - len(good)
         if good:
             residuals = np.array([g[0] for g in good])
-            row = MonteCarloRow(
-                alpha=alpha,
-                n_symbols=float(np.mean([g[1] for g in good])),
-                dimension=float(np.mean([g[2] for g in good])),
-                success_rate=float((residuals == 0.0).mean()),
-                mean_residual=float(residuals.mean()),
-                trials=len(good),
-                trial_errors=errors,
-            )
+            n_symbols = float(np.mean([g[1] for g in good]))
+            dimension = float(np.mean([g[2] for g in good]))
+            rate = float((residuals == 0.0).mean())
+            residual = float(residuals.mean())
         else:
-            row = MonteCarloRow(alpha, math.nan, math.nan, math.nan, math.nan, 0, errors)
-        rows.append(row)
+            n_symbols = dimension = rate = residual = math.nan
+        rows.append(MonteCarloRow(
+            alpha, n_symbols, dimension, rate, *_wilson(rate, len(good)), residual,
+            trials=len(good), trial_errors=len(chunk) - len(good),
+        ))
     return rows
-

@@ -31,11 +31,6 @@ class NonConvergence(RuntimeError):
     iteration cap.  Raise the cap for near-degenerate spectra (large L)."""
 
 
-class SizeTooSmall(ValueError):
-    """The closed-form operator norm needs L >= 2w-1 (an interior row must
-    exist); use BandMatrix.one_norm() as the explicit fallback."""
-
-
 @dataclass(frozen=True)
 class BandMatrix:
     """Symmetric nonnegative band matrix with the triangular entry profile
@@ -58,13 +53,9 @@ class BandMatrix:
         if not self.scale >= 0.0:
             raise ValueError(f"scale must be >= 0, got {self.scale}")
 
-    @property
-    def window(self) -> int:
-        return self.half_width + 1
-
     def band_profile(self) -> np.ndarray:
         """The 2w-1 nonzero band values, centered on the diagonal."""
-        w = self.window
+        w = self.half_width + 1
         d = np.abs(np.arange(-self.half_width, self.half_width + 1))
         return self.scale * (w - d) / (w * w)
 
@@ -168,15 +159,13 @@ def rayleigh_lower_bound(params: EnsembleParams, beta: float) -> float:
 
 
 def norm_upper_bound(params: EnsembleParams, beta: float) -> float:
-    """Max row sum (d_r-1)e^{-beta(1-eps)}, an upper bound on the spectral
-    radius.  Needs L >= 2w-1 so an interior row exists."""
+    """Max row sum of the linearization, an upper bound on its spectral
+    radius: (d_r-1)e^{-beta(1-eps)} in closed form when an interior row
+    exists (L >= 2w-1), else the truncated matrix's exact max row sum."""
     if params.dl != 2:
         raise ValueError("the stability linearization requires bit degree dl = 2")
     if params.L < 2 * params.w - 1:
-        raise SizeTooSmall(
-            f"closed-form norm needs L >= 2w-1 (got L={params.L}, w={params.w}); "
-            "use BandMatrix.one_norm() instead"
-        )
+        return build_jacobian(params, beta).one_norm()
     return _scale(params, beta)
 
 
@@ -235,14 +224,11 @@ def threshold_lower_bounds(params: EnsembleParams) -> StabilityReport:
         applies = False
     lower_alpha = max(lower_beta / capacity_beta - 1.0, 0.0)
 
-    jac = build_jacobian(params, lower_beta)
     if applies:
         rayleigh = rayleigh_lower_bound(params, lower_beta)
-        try:
-            norm = norm_upper_bound(params, lower_beta)
-        except SizeTooSmall:
-            norm = jac.one_norm()
-        rho = spectral_radius(jac, tol=1e-10, max_iter=max(100_000, 100 * L * L))
+        norm = norm_upper_bound(params, lower_beta)
+        rho = spectral_radius(build_jacobian(params, lower_beta), tol=1e-10,
+                              max_iter=max(100_000, 100 * L * L))
     else:
         rayleigh = norm = rho = 0.0
 

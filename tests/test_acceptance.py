@@ -17,7 +17,6 @@ from reference import band_matrix_loops, combined_factors, peel_sequential, pois
 from sc_rateless import (
     DEConfig,
     EnsembleParams,
-    SizeTooSmall,
     beta_from_alpha,
     build_jacobian,
     capacity_condition,
@@ -151,10 +150,7 @@ def test_criterion_6_spectral_sandwich():
                 m = build_jacobian(p, beta)
                 rho = spectral_radius(m, tol=1e-12, max_iter=1_000_000)
                 lower = rayleigh_lower_bound(p, beta)
-                try:
-                    upper = norm_upper_bound(p, beta)
-                except SizeTooSmall:
-                    upper = m.one_norm()
+                upper = norm_upper_bound(p, beta)
                 sandwich_ok &= lower <= rho + 1e-10 and rho <= upper + 1e-10
                 if L <= 8:
                     c = (p.dr - 1) * math.exp(-beta * (1 - p.epsilon))

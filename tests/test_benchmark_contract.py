@@ -2,13 +2,16 @@
 
 ``perfbench/tracing.py`` wraps the functions named in its ``TRACED`` table
 and reads work counters off their return values; ``perfbench/check.py``
-rebuilds Monte Carlo trials through the public codec functions.  Both are
-loaded here by path (tracing without ``install()``), so a refactor that
-renames a traced function, a field a counter reads or a codec signature the
-checker calls fails in the unit suite instead of in the benchmark.
+rebuilds Monte Carlo trials through the public codec functions and compares
+output rows with ``perfbench/reference.json``.  All are loaded here by path
+(tracing without ``install()``), so a refactor that renames a traced
+function, a field a counter reads, a codec signature the checker calls or a
+recorded column fails in the unit suite instead of in the benchmark.
 """
+import dataclasses
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,8 @@ import pytest
 from sc_rateless import (
     DEConfig,
     EnsembleParams,
+    MonteCarloRow,
+    SweepRow,
     channel_stream,
     de_run,
     encode,
@@ -111,3 +116,20 @@ def test_check_rebuilds_trials(zero_codeword):
             graph, codeword, result, _, _ = check.rebuild_trial(
                 SMALL, 12, alpha, 1, alpha_index, trial, zero_codeword)
             assert check.trial_failures(graph, codeword, result) == []
+
+
+def test_recorded_columns_are_row_fields():
+    # perfbench/check.py compares each output row with the recorded one,
+    # column by column, so a renamed field would fail only in the benchmark.
+    # Only a subset is required: fields added later still pass.
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    sweep_columns = {"dr"} | {f.name for f in dataclasses.fields(SweepRow)}
+    assert reference["de-wave"]["rows"]
+    for row in reference["de-wave"]["rows"]:
+        assert set(row) <= sweep_columns
+    mc_columns = {f.name for f in dataclasses.fields(MonteCarloRow)}
+    for workload in ("mc-peel", "mc-encode"):
+        rows = [row for seed_rows in reference[workload]["seeds"].values() for row in seed_rows]
+        assert rows
+        for row in rows:
+            assert set(row) <= mc_columns, workload

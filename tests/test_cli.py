@@ -6,8 +6,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sc_rateless import SweepRow, __version__
-from sc_rateless.cli import _wilson, main
+from sc_rateless import MonteCarloRow, SweepRow, __version__
+from sc_rateless.cli import main
+from sc_rateless.codec import _wilson
 
 
 def run(tmp_path, *argv):
@@ -254,6 +255,15 @@ class TestSweep:
         assert (header["dr"], header["dr_grid"]) == ("3", "6")
         assert [(r["dr"], r["L"], r["error"]) for r in rows] == [("6", "4", "")]
 
+    def test_workers_below_one_exits_2(self, tmp_path, capsys):
+        code, text = run(
+            tmp_path, "sweep", "--dg", "3", "--L-grid", "4", "--workers", "-3",
+            "--bisect-tol", "0.01",
+        )
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: workers must be >= 1, got -3\n"
+
 
 class TestSimulate:
     ARGS = [
@@ -333,3 +343,58 @@ class TestSimulate:
         code = main(["bounds", "--dg", "3", "--L", "8"])
         assert code == 0
         assert "lower_bound_beta" in capsys.readouterr().out
+
+    def test_columns_are_monte_carlo_row_fields(self, tmp_path):
+        # MonteCarloRow alone lists a row's columns: a field added to it
+        # reaches both formats with no edit to the CLI.
+        columns = [f.name for f in dataclasses.fields(MonteCarloRow)]
+        code, text = run(tmp_path, *self.ARGS)
+        assert code == 0
+        assert parse_csv(text)[1] == columns
+        code, text = run(tmp_path, *self.ARGS, "--format", "json")
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        assert len(rows) == 2
+        assert all(sorted(row) == sorted(columns) for row in rows)
+
+    # Every trial fails to condition at M = 3, seed 7 (values recorded
+    # before MonteCarloRow carried the Wilson interval).
+    ALL_FAILED = [
+        "simulate", "--dg", "3", "--L", "4", "--M", "3", "--trials", "2",
+        "--alpha", "0.4", "--seed", "7", "--zero-codeword",
+    ]
+
+    def test_all_failed_row_csv(self, tmp_path, capsys):
+        code, text = run(tmp_path, *self.ALL_FAILED)
+        assert code == 0
+        assert text.splitlines()[-2:] == [
+            "alpha,n_symbols,dimension,success_rate,wilson_low,wilson_high,"
+            "mean_residual,trials,trial_errors",
+            "0.4,nan,nan,nan,nan,nan,nan,0,2",
+        ]
+        assert "2 of 2 trials failed" in capsys.readouterr().err
+
+    def test_all_failed_row_json(self, tmp_path):
+        code, text = run(tmp_path, *self.ALL_FAILED, "--format", "json")
+        assert code == 0
+        assert json.loads(text)["rows"] == [{
+            "alpha": 0.4, "n_symbols": None, "dimension": None, "success_rate": None,
+            "wilson_low": None, "wilson_high": None, "mean_residual": None,
+            "trials": 0, "trial_errors": 2,
+        }]
+
+    def test_overflowing_alpha_exits_2(self, tmp_path, capsys):
+        code, text = run(
+            tmp_path, "simulate", "--dg", "3", "--L", "4", "--M", "6", "--trials", "1",
+            "--alpha", "1e308", "--zero-codeword",
+        )
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha = 1e+308 overflows the symbol count")
+
+    def test_workers_below_one_exits_2(self, tmp_path, capsys):
+        code, text = run(tmp_path, *self.ARGS, "--workers", "0")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,54 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=message):
             monte_carlo(SMALL, 12, grid, trials=2, seed=0, zero_codeword=True)
         assert ran == []
+
+    def test_all_failed_row(self):
+        # At M = 3 and seed 7 neither trial's matching can be conditioned.
+        rows = monte_carlo(
+            params(L=4), 3, [0.4], trials=2, seed=7, zero_codeword=True
+        )
+        assert len(rows) == 1
+        row = rows[0]
+        assert (row.alpha, row.trials, row.trial_errors) == (0.4, 0, 2)
+        stats = (row.n_symbols, row.dimension, row.success_rate, row.wilson_low,
+                 row.wilson_high, row.mean_residual)
+        assert all(math.isnan(v) for v in stats)
+
+    def test_row_carries_wilson_interval(self):
+        for row in monte_carlo(SMALL, 12, [0.1, 0.6], trials=6, seed=2, zero_codeword=True):
+            assert (row.wilson_low, row.wilson_high) == codec._wilson(
+                row.success_rate, row.trials)
+            assert row.wilson_low <= row.success_rate <= row.wilson_high
+
+    @pytest.mark.parametrize("alpha", [1e308, 1e307])
+    def test_overflowing_symbol_count_rejected_before_any_trial(self, monkeypatch, alpha):
+        # (1 + alpha) * L * M / (1 - eps) is infinite for both, so no trial
+        # could round its symbol count to an integer.
+        ran = []
+        monkeypatch.setattr(codec, "_run_trial", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha!r} overflows")):
+            monte_carlo(SMALL, 12, [0.3, alpha], trials=2, seed=0, zero_codeword=True)
+        assert ran == []
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected_before_any_trial(self, monkeypatch, workers):
+        ran = []
+        monkeypatch.setattr(codec, "_run_trial", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            monte_carlo(SMALL, 12, [0.3], trials=2, seed=0, workers=workers)
+        assert ran == []
+
+    def test_trial_jobs_carry_only_their_own_index(self, monkeypatch):
+        # The run's settings are bound once; each job is (alpha index, alpha,
+        # trial) and keeps the seed SeedSequence([seed, alpha index, trial]).
+        calls = []
+        monkeypatch.setattr(
+            codec, "_run_trial", lambda *args: calls.append(args) or (0.0, 1.0, 1.0))
+        monte_carlo(SMALL, 12, [0.6, 0.3], trials=2, seed=5, zero_codeword=True)
+        assert calls == [
+            (SMALL, 12, 5, True, (ai, alpha, t))
+            for ai, alpha in enumerate([0.3, 0.6]) for t in range(2)
+        ]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_undeclared_trial_exception_propagates(self, workers):

@@ -8,7 +8,6 @@ from sc_rateless import (
     BandMatrix,
     EnsembleParams,
     NonConvergence,
-    SizeTooSmall,
     build_jacobian,
     capacity_condition,
     de_step,
@@ -194,12 +193,14 @@ class TestClosedFormBounds:
     def test_norm_vanishes_at_large_beta(self):
         assert norm_upper_bound(params(dg=2), 800.0) == pytest.approx(0.0, abs=1e-100)
 
-    def test_norm_requires_interior_row(self):
-        with pytest.raises(SizeTooSmall):
-            norm_upper_bound(params(dg=2, w=3, L=4), 1.0)
-        # fallback path: the explicit max row sum is still available
-        m = build_jacobian(params(dg=2, w=3, L=4), 1.0)
-        assert 0 < m.one_norm() < scale(3, 1.0, 0.5)
+    def test_norm_without_interior_row_is_truncated_row_sum(self):
+        # L < 2w-1: no row holds the whole band, so the bound is the exact
+        # max row sum of the truncated matrix, below the closed form.
+        for L, w in [(4, 3), (1, 2), (2, 2), (8, 5)]:
+            p = params(dg=2, w=w, L=L)
+            upper = norm_upper_bound(p, 1.0)
+            assert upper == build_jacobian(p, 1.0).one_norm()
+            assert 0 < upper < scale(3, 1.0, 0.5)
 
     def test_rejects_nonfinite_beta(self):
         p = params(dg=2)
@@ -224,10 +225,7 @@ class TestSandwich:
                     m = build_jacobian(p, beta)
                     rho = spectral_radius(m, tol=1e-12, max_iter=500_000)
                     lower = rayleigh_lower_bound(p, beta)
-                    try:
-                        upper = norm_upper_bound(p, beta)
-                    except SizeTooSmall:
-                        upper = m.one_norm()
+                    upper = norm_upper_bound(p, beta)
                     assert lower <= rho + 1e-10
                     assert rho <= upper + 1e-10
 
