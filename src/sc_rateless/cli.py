@@ -29,7 +29,8 @@ from .density import (
     NoSuccessInBracket,
     NonMonotoneBracket,
     NonMonotoneRun,
-    overhead_threshold,
+    SweepRow,
+    fill_sweep_row,
     threshold_sweep,
 )
 from .ensemble import EnsembleParams
@@ -65,11 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dg", type=int, required=True, help="channel-node degree")
     common.add_argument("--w", type=int, default=2, help="coupling width (default 2)")
     common.add_argument("--eps", type=float, default=0.5, help="BEC erasure rate (default 0.5)")
-    common.add_argument("--allow-dg1", action="store_true",
-                        help="let the threshold search / simulator run with dg = 1")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--seed", type=int, default=0)
+
+    dg1 = argparse.ArgumentParser(add_help=False)
+    dg1.add_argument("--allow-dg1", action="store_true",
+                     help="let the threshold search / simulator run with dg = 1")
 
     deconf = argparse.ArgumentParser(add_help=False)
     deconf.add_argument("--max-iter", type=int, default=DEConfig.max_iterations)
@@ -77,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     deconf.add_argument("--success-target", type=float, default=DEConfig.success_target)
     deconf.add_argument("--bisect-tol", type=float, default=DEConfig.bisection_tol)
 
-    p = sub.add_parser("threshold", parents=[common, deconf],
+    p = sub.add_parser("threshold", parents=[common, dg1, deconf],
                        help="DE overhead threshold at one chain length")
     p.add_argument("--L", type=int, required=True)
 
@@ -85,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stability lower bounds at one chain length")
     p.add_argument("--L", type=int, required=True)
 
-    p = sub.add_parser("sweep", parents=[common, deconf],
+    p = sub.add_parser("sweep", parents=[common, dg1, deconf],
                        help="threshold sweep over chain lengths")
     p.add_argument("--L-grid", type=_grid(int), required=True,
                    help="comma-separated chain lengths")
@@ -94,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="parallel workers across dr-grid entries")
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common, dg1],
                        help="finite-length Monte Carlo decoding trials")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--M", type=int, required=True, help="bits per section")
@@ -143,18 +146,12 @@ def _spec_header(args, extra: dict) -> dict:
 def cmd_threshold(args):
     params = _ensemble(args, args.L)
     config = _deconfig(args)
-    report = threshold_lower_bounds(params)
-    result = overhead_threshold(params, config, allow_dg1=args.allow_dg1)
-    row = {
-        "L": args.L,
-        "alpha_star": result.alpha_star,
-        "beta_star": result.beta_star,
-        "lower_bound_alpha": report.lower_bound_alpha,
-        "lower_bound_beta": report.lower_bound_beta,
-        "iterations": result.iterations_at_threshold,
-    }
+    row = SweepRow(L=args.L)
+    fill_sweep_row(row, params, config, allow_dg1=args.allow_dg1)
+    # A failed threshold raises, so no row reaches here with an error to drop.
+    columns = {k: v for k, v in dataclasses.asdict(row).items() if k != "error"}
     spec = _spec_header(args, {"L": args.L, **dataclasses.asdict(config)})
-    return spec, [row]
+    return spec, [columns]
 
 
 def cmd_bounds(args):

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -485,6 +487,17 @@ def _run_trial(params, M, seed, zero_codeword, job) -> tuple[float, float, float
     return result.residual_bit_erasure, float(n), float(k)
 
 
+def _max_symbols(dg: int) -> int:
+    """The most received symbols one trial can hold: its stream's (n, dg)
+    int64 bit references alone must fit in the physical memory the machine
+    reports (in the address space where it reports none)."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        memory = sys.maxsize
+    return memory // (8 * dg)
+
+
 def monte_carlo(
     params: EnsembleParams,
     M: int,
@@ -506,8 +519,9 @@ def monte_carlo(
     of its statistics.  Any other exception, including InvalidM for an M
     that fails the sampler preconditions, propagates; so does the
     ValueError of an overhead too close to -1 to send one symbol.  An empty
-    or repeated alpha grid, an alpha whose symbol count could overflow, and
-    ``workers < 1`` raise ValueError before any trial runs.
+    or repeated alpha grid, an alpha whose largest symbol count n would not
+    fit in memory (``_max_symbols``), and ``workers < 1`` raise ValueError
+    before any trial runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -519,14 +533,18 @@ def monte_carlo(
     alphas = sorted(float(a) for a in alpha_grid)
     if not alphas:
         raise ValueError("alpha_grid must be nonempty")
+    max_symbols = _max_symbols(params.dg)
     for alpha in alphas:
         if not -1.0 < alpha < math.inf:
             raise ValueError(f"every alpha must be finite and > -1, got {alpha}")
         # No graph has more than L*M dimensions, so this bounds every trial's
-        # symbol count, computed as _run_trial does.
-        if not math.isfinite((1.0 + alpha) * (params.L * M) / (1.0 - params.epsilon)):
+        # symbol count, computed as _run_trial does; an infinite n fails it too.
+        n = (1.0 + alpha) * (params.L * M) / (1.0 - params.epsilon)
+        if not n <= max_symbols:
             raise ValueError(
-                f"alpha = {alpha!r} overflows the symbol count (1 + alpha)*L*M/(1 - eps)"
+                f"alpha = {alpha!r} overflows the symbol count: n = (1 + alpha)*L*M/(1 - eps)"
+                f" = {n:.4g} exceeds {max_symbols}, the most symbols whose (n, dg = "
+                f"{params.dg}) int64 bit references fit in physical memory"
             )
     repeated = sorted({a for a, b in zip(alphas, alphas[1:]) if a == b})
     if repeated:

@@ -73,9 +73,18 @@ class DEState:
 class DEConfig:
     """Discretization knobs for "P_b converges to 0".
 
-    Defaults resolve thresholds to the 1e-4 bisection tolerance across the
-    usual parameter ranges; near capacity at large L the iteration cap is the
-    binding knob and may need raising.
+    A run decodes once P_b < ``success_target``, fails once no entry moves by
+    ``fixed_point_tol`` in one step (a stall), and stops undecided at
+    ``max_iterations``.  The defaults do not resolve every threshold to
+    ``bisection_tol``.  Where the decoding wave sets the threshold (dg >= 3)
+    probes near it are slow, and at large L the iteration cap binds.  Where
+    stability binds (dg = 2) the stall test binds instead: the decoded state
+    contracts at a rate near one, so a run below the threshold moves by less
+    than ``fixed_point_tol`` per step while still heading to zero.  At dg = 2,
+    L = 64, alpha = 0.085 (below the printed alpha* = 0.090424) the run stalls
+    at iteration 6,285 with P_b = 2.18e-10; with ``fixed_point_tol = 1e-16`` it
+    decodes at 6,550.  ROADMAP.md item 1(a) tabulates the resulting dg = 2
+    thresholds, 0.004-0.010 above the exact stability point.
     """
 
     max_iterations: int = 100_000
@@ -256,10 +265,10 @@ def overhead_threshold(
     """Bisection on alpha for the smallest decoding overhead.
 
     The bracket starts as [0, upper].  Zero overhead is probed first: at
-    capacity it cannot decode, and if it does anyway there is nothing to
-    bisect.  The upper end is doubled (capped at alpha = 10) until it
-    decodes.  After bisection one spot probe below the bracket re-checks the
-    monotonicity assumption.
+    capacity it cannot decode, and if it does anyway the bracket is [0, 0]
+    and there is nothing to bisect.  The upper end is doubled (capped at
+    alpha = 10) until it decodes.  After bisection one spot probe below the
+    bracket re-checks the monotonicity assumption.
     """
     if params.dg == 1 and not allow_dg1:
         raise ValueError(
@@ -273,24 +282,17 @@ def overhead_threshold(
         run = de_run(params, beta_from_alpha(params, alpha), config)
         return run.converged_to_zero, run.state.iteration
 
-    lo, hi = 0.0, upper
-    ok_lo, iters = decodes(lo)
-    if ok_lo:
-        return ThresholdResult(
-            alpha_star=lo,
-            beta_star=beta_from_alpha(params, lo),
-            iterations_at_threshold=iters,
-            bracket=(lo, lo),
-        )
-    while True:
+    lo = 0.0
+    ok, success_iters = decodes(lo)
+    hi = lo if ok else upper
+    while not ok:
         ok, success_iters = decodes(hi)
-        if ok:
-            break
-        if hi >= 10.0:
-            raise NoSuccessInBracket(
-                f"density evolution fails up to alpha = {hi:g} for {params}"
-            )
-        hi = min(2.0 * hi, 10.0)
+        if not ok:
+            if hi >= 10.0:
+                raise NoSuccessInBracket(
+                    f"density evolution fails up to alpha = {hi:g} for {params}"
+                )
+            hi = min(2.0 * hi, 10.0)
 
     while hi - lo > config.bisection_tol:
         mid = 0.5 * (lo + hi)
@@ -320,6 +322,21 @@ def overhead_threshold(
     )
 
 
+def fill_sweep_row(row: SweepRow, params: EnsembleParams, config: DEConfig,
+                   upper: float = 1.0, *, allow_dg1: bool) -> None:
+    """Fill ``row`` with the stability lower bounds, then the overhead
+    threshold (bisection from [0, upper]) of ``params`` at L = ``row.L``.
+    A failure propagates and leaves the fields already filled, so a row
+    whose bisection raises keeps its lower bounds."""
+    report = stability.threshold_lower_bounds(params)
+    row.lower_bound_alpha = report.lower_bound_alpha
+    row.lower_bound_beta = report.lower_bound_beta
+    result = overhead_threshold(params, config, upper, allow_dg1=allow_dg1)
+    row.alpha_star = result.alpha_star
+    row.beta_star = result.beta_star
+    row.iterations = result.iterations_at_threshold
+
+
 def threshold_sweep(
     params: EnsembleParams,
     L_values,
@@ -347,16 +364,10 @@ def threshold_sweep(
     for L in L_sorted:
         row = SweepRow(L=L)
         p_l = dataclasses.replace(params, L=L)
+        upper = prev_alpha + 0.02 if prev_alpha is not None else 1.0
         try:
-            report = stability.threshold_lower_bounds(p_l)
-            row.lower_bound_alpha = report.lower_bound_alpha
-            row.lower_bound_beta = report.lower_bound_beta
-            upper = prev_alpha + 0.02 if prev_alpha is not None else 1.0
-            result = overhead_threshold(p_l, config, upper, allow_dg1=allow_dg1)
-            row.alpha_star = result.alpha_star
-            row.beta_star = result.beta_star
-            row.iterations = result.iterations_at_threshold
-            prev_alpha = result.alpha_star
+            fill_sweep_row(row, p_l, config, upper, allow_dg1=allow_dg1)
+            prev_alpha = row.alpha_star
         except (NoSuccessInBracket, NonMonotoneBracket, ValueError) as exc:
             row.error = str(exc)
         rows.append(row)

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sc_rateless.density as density
+import sc_rateless.stability as stability
 from sc_rateless import (
     DEConfig,
     EnsembleParams,
@@ -29,7 +31,9 @@ from sc_rateless import (
     monte_carlo,
     peel,
     sample_precode,
+    threshold_sweep,
 )
+from sc_rateless.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -106,6 +110,32 @@ def test_encode_calls_rref_and_dot_rows_through_gf2(monkeypatch):
     assert calls == {"rref": 1, "dot_rows": 1}
     np.testing.assert_array_equal(encode(graph, info), first)
     assert calls == {"rref": 1, "dot_rows": 2}
+
+
+@pytest.mark.parametrize("command", ["sweep", "threshold"])
+def test_threshold_rows_call_bounds_and_bisection_through_modules(monkeypatch, tmp_path,
+                                                                 command):
+    # The de-wave workload fails unless both record spans; the tracer wraps
+    # them as attributes of their modules, as the shims here do.
+    calls = []
+    for module, name in ((stability, "threshold_lower_bounds"),
+                         (density, "overhead_threshold")):
+        real = getattr(module, name)
+
+        def counting(params, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, params.L))
+            return _real(params, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    if command == "sweep":
+        threshold_sweep(SMALL, [8, 4], DEConfig(bisection_tol=0.01))
+        grid = [4, 8]
+    else:
+        argv = ["threshold", "--dg", "3", "--L", "4", "--bisect-tol", "0.01"]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        grid = [4]
+    assert calls == [(name, L) for L in grid
+                     for name in ("threshold_lower_bounds", "overhead_threshold")]
 
 
 @pytest.mark.parametrize("zero_codeword", [False, True])

@@ -6,8 +6,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+import sc_rateless.codec as codec
 from sc_rateless import MonteCarloRow, SweepRow, __version__
-from sc_rateless.cli import main
+from sc_rateless.cli import build_parser, main
 from sc_rateless.codec import _wilson
 
 
@@ -114,6 +115,22 @@ class TestValidation:
     def test_unknown_flag_exits_2(self):
         assert main(["threshold", "--bogus"]) == 2
 
+    def test_allow_dg1_is_not_a_bounds_flag(self, tmp_path, capsys):
+        # The stability report has no dg = 1 guard, so the flag has no use there.
+        code, text = run(tmp_path, "bounds", "--dg", "3", "--L", "8", "--allow-dg1")
+        assert code == 2
+        assert text == ""
+        assert "unrecognized arguments: --allow-dg1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--L", "8"],
+        ["sweep", "--L-grid", "8"],
+        ["simulate", "--L", "4", "--M", "6", "--trials", "1", "--alpha", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_allow_dg1_reaches_the_commands_that_read_it(self, argv):
+        args = build_parser().parse_args(argv + ["--dg", "1", "--allow-dg1"])
+        assert args.allow_dg1 is True
+
     def test_computation_error_exits_3(self, tmp_path):
         # w = 1 never decodes from full erasure: bracket expansion exhausts.
         code, _ = run(
@@ -189,6 +206,31 @@ class TestThreshold:
         assert int(row["iterations"]) > 0
         assert header["bisection_tol"] == "0.002"
 
+    def test_threshold_csv_is_recorded_output(self, tmp_path):
+        code, text = run(
+            tmp_path, "threshold", "--dg", "3", "--L", "8", "--bisect-tol", "0.002"
+        )
+        assert code == 0
+        assert [line for line in text.splitlines() if not line.startswith("# version=")] == [
+            "# command=threshold", "# dl=2", "# dr=3", "# dg=3", "# w=2", "# eps=0.5",
+            "# seed=0", "# L=8", "# max_iterations=100000", "# fixed_point_tol=1e-12",
+            "# success_target=1e-10", "# bisection_tol=0.002",
+            "L,alpha_star,beta_star,lower_bound_alpha,lower_bound_beta,iterations",
+            "8,0.3701171875,1.9790581597222225,0.0,1.4444444444444446,984",
+        ]
+
+    def test_columns_are_sweep_row_fields_without_error(self, tmp_path):
+        # threshold prints one sweep row; a failed threshold exits instead of
+        # filling ``error``.
+        columns = [f.name for f in dataclasses.fields(SweepRow) if f.name != "error"]
+        argv = ["threshold", "--dg", "3", "--L", "8", "--bisect-tol", "0.01"]
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        assert parse_csv(text)[1] == columns
+        code, text = run(tmp_path, *argv, "--format", "json")
+        assert code == 0
+        assert [sorted(row) for row in json.loads(text)["rows"]] == [sorted(columns)]
+
 
 class TestSweep:
     def test_sweep_rows_and_error_column(self, tmp_path):
@@ -201,6 +243,24 @@ class TestSweep:
         assert [int(r["L"]) for r in rows] == [1, 8]
         assert "rate" in rows[0]["error"]
         assert rows[1]["error"] == ""
+
+    @pytest.mark.parametrize("argv, row", [
+        (["--dg", "2", "--w", "1", "--L-grid", "4", "--max-iter", "200"],
+         "3,4,nan,nan,0.039720770839917874,1.3862943611198906,0,density evolution fails "
+         "up to alpha = 10 for EnsembleParams(dl=2, dr=3, dg=2, L=4, w=1, epsilon=0.5)"),
+        (["--dg", "1", "--L-grid", "8"],
+         "3,8,nan,nan,1.6111436622160151,1.2572173188447482,0,dg = 1 cannot reach capacity "
+         "and is excluded from the threshold search by default; pass allow_dg1=True to "
+         "analyze it anyway"),
+    ], ids=["no-success-in-bracket", "dg1-guard"])
+    def test_error_row_keeps_its_lower_bounds(self, tmp_path, argv, row):
+        # Recorded output: the bounds are computed before the bisection fails.
+        code, text = run(tmp_path, "sweep", *argv)
+        assert code == 0
+        assert text.splitlines()[-2:] == [
+            "dr,L,alpha_star,beta_star,lower_bound_alpha,lower_bound_beta,iterations,error",
+            row,
+        ]
 
     def test_dr_grid_parallel_matches_serial(self, tmp_path):
         argv = [
@@ -392,6 +452,23 @@ class TestSimulate:
         assert text == ""
         err = capsys.readouterr().err
         assert err.startswith("error: alpha = 1e+308 overflows the symbol count")
+
+    @pytest.mark.parametrize("alpha", ["1e12", "1e20"])
+    def test_alpha_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch, alpha):
+        # n = (1 + alpha)*L*M/(1 - eps) symbols cannot fit in any machine's
+        # memory; the trial is patched out, so nothing is allocated either way.
+        ran = []
+        monkeypatch.setattr(codec, "_run_trial", lambda *args: ran.append(args))
+        code, text = run(
+            tmp_path, "simulate", "--dg", "3", "--L", "4", "--M", "6", "--trials", "1",
+            "--alpha", alpha, "--zero-codeword",
+        )
+        assert code == 2
+        assert text == ""
+        assert ran == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: alpha = {float(alpha)!r} overflows the symbol count: "
+                              f"n = (1 + alpha)*L*M/(1 - eps) = {(1 + float(alpha)) * 48:.4g} ")
 
     def test_workers_below_one_exits_2(self, tmp_path, capsys):
         code, text = run(tmp_path, *self.ARGS, "--workers", "0")

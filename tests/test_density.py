@@ -15,6 +15,7 @@ from sc_rateless import (
     NoSuccessInBracket,
     NonMonotoneBracket,
     NonMonotoneRun,
+    ThresholdResult,
     alpha_from_beta,
     beta_from_alpha,
     de_run,
@@ -427,6 +428,23 @@ class TestThreshold:
         monkeypatch.setattr(density, "de_run", fake_de_run)
         with pytest.raises(NonMonotoneBracket):
             overhead_threshold(FIG2)
+
+    def test_decoding_zero_overhead_is_the_threshold(self, monkeypatch):
+        # A DE that decodes everywhere: the probe at alpha = 0 closes the
+        # bracket at [0, 0], and neither bisection nor spot probe runs.
+        betas = []
+
+        def fake_de_run(p, beta, config=DEConfig()):
+            betas.append(beta)
+            state = DEState(p=np.zeros(p.L), s=np.zeros(p.L), iteration=7)
+            return DERun(state=state, converged_to_zero=True, trace=[(0, 1.0)])
+
+        monkeypatch.setattr(density, "de_run", fake_de_run)
+        assert overhead_threshold(FIG2) == ThresholdResult(
+            alpha_star=0.0, beta_star=beta_from_alpha(FIG2, 0.0),
+            iterations_at_threshold=7, bracket=(0.0, 0.0),
+        )
+        assert betas == [beta_from_alpha(FIG2, 0.0)]
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -161,6 +162,29 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha!r} overflows")):
             monte_carlo(SMALL, 12, [0.3, alpha], trials=2, seed=0, zero_codeword=True)
         assert ran == []
+
+    def test_symbol_count_beyond_memory_rejected_before_any_trial(self, monkeypatch):
+        # With room for 960 symbols, n = (1 + alpha)*L*M/(1 - eps) = 192 (1 + alpha)
+        # reaches the bound exactly at alpha = 4, which still runs.
+        monkeypatch.setattr(codec, "_max_symbols", lambda dg: 960)
+        ran = []
+        monkeypatch.setattr(
+            codec, "_run_trial", lambda *args: ran.append(args) or (0.0, 1.0, 1.0))
+        monte_carlo(SMALL, 12, [0.3, 4.0], trials=1, seed=0, zero_codeword=True)
+        assert len(ran) == 2
+        ran.clear()
+        message = ("alpha = 4.5 overflows the symbol count: n = (1 + alpha)*L*M/(1 - eps)"
+                   " = 1056 exceeds 960")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            monte_carlo(SMALL, 12, [0.3, 4.5], trials=1, seed=0, zero_codeword=True)
+        assert ran == []
+
+    @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory not reported")
+    def test_max_symbols_fit_stream_references_in_physical_memory(self):
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        for dg in (1, 3, 8):
+            bound = codec._max_symbols(dg)
+            assert 0 < bound * 8 * dg <= memory < (bound + 1) * 8 * dg
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected_before_any_trial(self, monkeypatch, workers):
