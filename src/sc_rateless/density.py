@@ -10,20 +10,20 @@ reads
     p_i <- A_i^(dl-1) * gf(B_i),     s_i <- A_i^dl * gf(B_i)
 
 with gf the Poisson generating function (node and edge perspectives agree).
-Both sliding averages are plain convolutions with a ones(w)/w kernel, so one
-step is four ``np.convolve`` calls plus elementwise updates written in place
-into the arrays those convolutions return.  At L <= 512 a step's cost is
-numpy call overhead, not arithmetic, so it allocates little beyond those
-arrays.  The convolutions fix the summation order, and with it every bit of
-the result.
+Both sliding averages are plain correlations with the symmetric ones(w)/w
+kernel, so one step is four ``np.correlate`` calls plus elementwise updates
+written in place into the arrays those correlations return.  At L <= 512 a
+step's cost is numpy call overhead, not arithmetic, so it allocates little
+beyond those arrays.  The correlations fix the summation order, and with it
+every bit of the result.
 
 The update is clamped to [0, 1] from above only, and only at the widths
 where that clamp can bind.  For states in [0, 1] every factor above is
 >= 0, so a lower clamp never binds.  The upper one binds where a sum of the
 kernel's rounded 1/w terms exceeds one: with w = 9 nine of them sum to
 1.0000000000000002, so from the all-ones state A_i exceeds one.  Rounding
-is monotone and ``np.convolve`` sums a given number of terms in one order,
-so for states in [0, 1] every convolution entry is at most the partial sum
+is monotone and ``np.correlate`` sums a given number of terms in one order,
+so for states in [0, 1] every correlation entry is at most the partial sum
 of as many kernel terms taken on ones, and every later factor stays in
 [0, 1].  A width whose partial sums on ones all stay <= 1 (every w in 1..12
 but 9 and 11 on x86-64) needs no clamp, and skipping it changes no bit.
@@ -74,7 +74,8 @@ class DEConfig:
     """Discretization knobs for "P_b converges to 0".
 
     A run decodes once P_b < ``success_target``, fails once no entry moves by
-    ``fixed_point_tol`` in one step (a stall), and stops undecided at
+    ``fixed_point_tol`` in one step (a stall) or once a failure certificate
+    proves that it never decodes (see ``de_run``), and stops undecided at
     ``max_iterations``.  The defaults do not resolve every threshold to
     ``bisection_tol``.  Where the decoding wave sets the threshold (dg >= 3)
     probes near it are slow, and at large L the iteration cap binds.  Where
@@ -143,11 +144,20 @@ class SweepRow:
 @functools.lru_cache(maxsize=16)
 def _kernel(w: int) -> tuple[np.ndarray, bool]:
     """The ones(w)/w averaging kernel, built once per width and read-only,
-    and whether a convolution with it can round past one on states in
-    [0, 1]: whether any entry of its full convolution with ones exceeds one."""
+    and whether a correlation with it can round past one on states in
+    [0, 1]: whether any entry of its full correlation with ones exceeds one."""
     kernel = np.full(w, 1.0 / w)
     kernel.flags.writeable = False
-    return kernel, bool(np.any(np.convolve(np.ones(w), kernel, mode="full") > 1.0))
+    return kernel, bool(np.any(np.correlate(np.ones(w), kernel, "full") > 1.0))
+
+
+def _full_average(v: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The full correlation of v with the symmetric kernel.  A v shorter than
+    the kernel goes second and reversed, the operand order ``np.convolve``
+    takes there, so every sum runs in the order it did with ``np.convolve``."""
+    if len(v) < len(kernel):
+        return np.correlate(kernel, v[::-1], "full")
+    return np.correlate(v, kernel, "full")
 
 
 def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
@@ -166,18 +176,18 @@ def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
     kernel, clamp = _kernel(params.w)
     # Inner average per check/channel section (length L+w-1, zero-extended),
     # then the outer average back onto bit sections (length L).  The
-    # elementwise updates write into the arrays the convolutions return.
-    x = np.convolve(p, kernel, mode="full")
+    # elementwise updates write into the arrays the correlations return.
+    x = _full_average(p, kernel)
     np.subtract(1.0, x, out=x)
     x **= params.dr - 1
     np.subtract(1.0, x, out=x)
-    a = np.convolve(x, kernel, mode="valid")
-    y = np.convolve(s, kernel, mode="full")
+    a = np.correlate(x, kernel, "valid")
+    y = _full_average(s, kernel)
     np.subtract(1.0, y, out=y)
     y **= params.dg - 1
     y *= 1.0 - params.epsilon
     np.subtract(1.0, y, out=y)
-    gf = np.convolve(y, kernel, mode="valid")
+    gf = np.correlate(y, kernel, "valid")
     np.subtract(1.0, gf, out=gf)
     gf *= -beta
     np.exp(gf, out=gf)
@@ -191,15 +201,96 @@ def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
     return p_next, a
 
 
+# The failure certificate (see de_run): tried first at step 64, then each
+# time the step count has grown by 25%, on candidates extrapolated back along
+# the last step with these slopes and shrunk by this factor.
+_CERTIFY_FIRST = 64
+_CERTIFY_GROWTH = 1.25
+_CERTIFY_SLOPES = (10.0, 100.0, 1000.0, 10000.0)
+_CERTIFY_SHRINK = 1e-9
+_U = 2.0 ** -53
+
+
+def _failure_certificate(params: EnsembleParams, beta: float, success_target: float,
+                         prev: tuple[np.ndarray, np.ndarray],
+                         cur: tuple[np.ndarray, np.ndarray]):
+    """A state (p_y, s_y) that proves a run never decodes, or None.
+
+    ``prev`` and ``cur`` are the run's last two states.  Each candidate is
+    y = (1 - eta) clip(x_t - k (x_{t-1} - x_t), 0, 1), and the first one that
+    passes is returned.  It passes when its computed P_b is at least
+    ``success_target`` + 2 (L + 1) u and de_step(y) >= y + margin
+    componentwise, where margin = 2e + 2u (e from the derivation in
+    ``de_run``; 2u covers the rounding of y + margin).
+    """
+    dl, dr, dg, w, L = params.dl, params.dr, params.dg, params.w, params.L
+    error_a = (dr - 1) * (w + 2) + w + 10
+    error_b = (dg - 1) * (w + 2) + w + 12
+    error_gf = beta * (error_b + 2) + 8
+    e = 2.0 * (dl * error_a + error_gf + 9) * _U
+    margin = 2.0 * e + 2.0 * _U
+    pb_floor = success_target + 2.0 * (L + 1) * _U
+    for k in _CERTIFY_SLOPES:
+        y = tuple(np.clip(x + k * (x - x_prev), 0.0, 1.0) * (1.0 - _CERTIFY_SHRINK)
+                  for x_prev, x in zip(prev, cur))
+        if float(np.add.reduce(y[0])) / L < pb_floor:
+            continue
+        if all(np.all(fy >= v + margin) for fy, v in zip(de_step(params, beta, *y), y)):
+            return y
+    return None
+
+
 def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -> DERun:
     """Iterate from the all-ones start until the mean erasure probability
-    drops below the success target, the state stalls, or the iteration cap.
+    drops below the success target, the run fails, or the iteration cap.
 
-    The state stalls when no entry of p or s moves by ``fixed_point_tol`` in
-    one step.  That test takes passes over both states, so it runs only on
-    steps where P_b fell by no more than 2 * ``fixed_point_tol`` plus a
-    round-off margin; a larger fall proves that some entry of p moved by
-    more than the tolerance, and skipping the test changes no outcome.
+    A run fails on a stall or on a failure certificate.  It stalls when no
+    entry of p or s moves by ``fixed_point_tol`` in one step.  That test
+    takes passes over both states, so it runs only on steps where P_b fell by
+    no more than 2 * ``fixed_point_tol`` plus a round-off margin; a larger
+    fall proves that some entry of p moved by more than the tolerance, and
+    skipping the test changes no outcome.
+
+    The failure certificate proves that the run never decodes.  The exact
+    map f on x = (p, s) is monotone on [0, 1]^(2L) and the run starts at
+    x_0 = 1.  Let |f~(x) - f(x)| <= e bound one computed step's error (f~ is
+    ``de_step``).  A state y in [0, 1]^(2L) with f~(y) >= y + 2e keeps every
+    computed iterate at or above y, since by induction from x~_0 = 1 >= y
+
+        x~_{t+1} >= f(x~_t) - e >= f(y) - e >= f~(y) - 2e >= y.
+
+    Each computed P_b is within (L + 1) u of the exact mean (u = 2^-53; see
+    the stall floor below), so a computed P_b(y) at least
+    ``success_target`` + 2 (L + 1) u keeps every computed P_b at or above
+    the target: the run never decodes.  Iterated on, it would stall or hit
+    the cap, so returning "failed" at once changes no verdict.  Candidates
+    are tried at step 64 and then each time the step count has grown by 25%:
+    y = (1 - eta) clip(x_t - k (x_{t-1} - x_t), 0, 1) with k = 10 .. 10^4
+    and eta = 1e-9, one ``de_step`` each.  The shrink is needed because
+    interior sections sit at exactly one, where f~(y) >= y + 2e fails.
+
+    The bound e, to first order in u.  Each count below is in units of u; e
+    is twice the total, which covers the higher-order terms while every
+    count is far below 1/u.  On states in [0, 1]:
+    - an average of at most w entries with fl(1/w) for 1/w adds w + 1 (the
+      w-term sum and the rounded kernel) to the error of its entries;
+    - 1 - z adds 1, and so does a product of two factors in [0, 1] (their
+      errors add); a product by fl(1 - eps) adds 2;
+    - z^n for z in [0, 1] multiplies the error of z by n and adds 8, since
+      ``pow`` and ``exp`` are taken to be within four ulps (the bound numpy
+      states for its SIMD math routines; glibc's are within one);
+    - exp is 1-Lipschitz on (-inf, 0], so gf = exp(-beta (1 - B)) carries
+      beta times the error of 1 - B, plus beta for rounding that product
+      and 8 for exp.
+    Hence, with A and B the outer averages of the update:
+
+        E_A  = (dr - 1)(w + 2) + w + 10
+        E_B  = (dg - 1)(w + 2) + w + 12
+        E_gf = beta (E_B + 2) + 8
+        E_s  = dl E_A + E_gf + 9    (s = A^dl gf; p = A^(dl-1) gf has less)
+
+    The clamp min(., 1) is 1-Lipschitz and f <= 1, so it adds nothing.  At
+    dr = 30, w = 12, dg = 3 and beta ~ 6 this gives E_s ~ 1,200 and e ~ 2,400u.
 
     The trace records (iteration, P_b) every iteration up to 1000, then on a
     geometric grid, and always includes the final iteration.
@@ -212,13 +303,14 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     pb = 1.0
     trace = [(0, pb)]
     next_record = 1
+    next_certify = _CERTIFY_FIRST
     # max_i |p_next_i - p_i| >= (sum p - sum p_next) / L.  The states stay in
     # [0, 1], so each computed P_b is within (L + 1) u of sum p / L (u = 2^-53,
     # a bound for any summation order), and the computed fall of P_b is within
     # a factor (1 + u) of the true one.  A computed fall above this floor thus
     # leaves a true fall above 2 tol (1 - u), and the computed |p_next - p|
     # loses at most another factor (1 - u): the stall test cannot pass.
-    stall_floor = 2.0 * config.fixed_point_tol + 8.0 * (L + 1) * 2.0 ** -53
+    stall_floor = 2.0 * config.fixed_point_tol + 8.0 * (L + 1) * _U
     for it in range(1, config.max_iterations + 1):
         p_next, s_next = de_step(params, beta, p, s)
         # Bit-equal to p_next.mean(): the same pairwise sum, then one division.
@@ -226,9 +318,12 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
         # From the all-ones start the map is monotone, so P_b cannot rise.
         if pb_next > pb + 1e-12:
             raise NonMonotoneRun(f"P_b rose from {pb} to {pb_next} at iteration {it}")
-        if pb - pb_next > stall_floor:
-            stalled = False
-        else:
+        failed = False
+        if it == next_certify:
+            next_certify = math.ceil(it * _CERTIFY_GROWTH)
+            failed = _failure_certificate(
+                params, beta, config.success_target, (p, s), (p_next, s_next)) is not None
+        if not failed and pb - pb_next <= stall_floor:
             # The previous state is dead once stepped from, so |x_next - x|
             # is taken in its buffers (de_step returns new arrays).
             np.abs(np.subtract(p_next, p, out=p), out=p)
@@ -237,20 +332,20 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
                 float(np.maximum.reduce(p, initial=0.0)),
                 float(np.maximum.reduce(s, initial=0.0)),
             )
-            stalled = change < config.fixed_point_tol
+            failed = change < config.fixed_point_tol
         p, s, pb = p_next, s_next, pb_next
         if it >= next_record:
             trace.append((it, pb))
             next_record = it + 1 if it < 1000 else math.ceil(next_record * 1.1)
         done_zero = pb < config.success_target
-        if done_zero or stalled or it == config.max_iterations:
+        if done_zero or failed or it == config.max_iterations:
             if trace[-1][0] != it:
                 trace.append((it, pb))
             return DERun(
                 state=DEState(p=p, s=s, iteration=it),
                 converged_to_zero=done_zero,
                 trace=trace,
-                hit_iteration_cap=not (done_zero or stalled),
+                hit_iteration_cap=not (done_zero or failed),
             )
     raise AssertionError("unreachable")  # loop always returns
 

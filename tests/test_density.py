@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -149,6 +150,30 @@ class TestStep:
         assert np.all(nxt_s[interior] == 1.0)
         assert nxt_p.max() == 1.0 and nxt_s.max() == 1.0
 
+    def test_bit_equal_to_convolve_formulation(self):
+        # de_step averages with np.correlate; the step written with
+        # np.convolve (which swaps its operands where L < w in "full" mode)
+        # must give the same bits, clamp included.
+        rng = np.random.default_rng(12)
+        for w, L in itertools.product(range(1, 13), range(1, 40)):
+            dl = int(rng.integers(2, 4))
+            p = params(dl=dl, dr=dl + int(rng.integers(1, 5)), dg=int(rng.integers(1, 5)),
+                       L=L, w=w, eps=float(rng.uniform(0, 0.9)))
+            beta = float(rng.uniform(0, 4))
+            p_in, s_in = rng.uniform(0, 1, (2, L))
+            kernel, clamp = density._kernel(w)
+            inner = 1.0 - (1.0 - np.convolve(p_in, kernel, "full")) ** (p.dr - 1)
+            a = np.convolve(inner, kernel, "valid")
+            inner = 1.0 - ((1.0 - np.convolve(s_in, kernel, "full")) ** (p.dg - 1)
+                           * (1.0 - p.epsilon))
+            gf = np.exp((1.0 - np.convolve(inner, kernel, "valid")) * -beta)
+            want = (a ** (p.dl - 1) * gf, a ** p.dl * gf)
+            if clamp:
+                want = tuple(np.minimum(x, 1.0) for x in want)
+            got = de_step(p, beta, p_in, s_in)
+            for g, x in zip(got, want):
+                assert g.tobytes() == x.tobytes(), (w, L, p)
+
     @pytest.mark.parametrize("w", range(1, 13))
     def test_clamp_flag_matches_kernel_sums_on_ones(self, w):
         kernel, clamp = density._kernel(w)
@@ -283,14 +308,17 @@ class TestRun:
 # de_run results recorded before the step and the run loop were rewritten
 # in place.  The rewrite keeps every float operation, so the iteration count,
 # the verdict and the final state must match to the bit.  The first two are
-# de-wave bisection probes (sweep --dg 3, L=8).
+# de-wave bisection probes (sweep --dg 3, L=8).  "wave-stalls" is recorded
+# where the failure certificate stops it; the stall that ended it before the
+# certificate is pinned by test_stall_only_loop_keeps_the_recorded_stall.
 WAVE = params(L=8, w=2)
+WAVE_STALL_BETA = beta_from_alpha(WAVE, 0.3701171875)
 RECORDED_RUNS = [
     pytest.param(WAVE, beta_from_alpha(WAVE, 0.3702392578125), 100_000, 4509, True, False,
                  "b75a338b2a7d82fdf25a4973db3bb2c4e213079b621e394ed1004d3c59a6caba",
                  id="wave-decodes"),
-    pytest.param(WAVE, beta_from_alpha(WAVE, 0.3701171875), 100_000, 9415, False, False,
-                 "d3c87506796290f0b6e3beb469e34e2f1c00fdb017cf864d3ec23e86e667d20d",
+    pytest.param(WAVE, WAVE_STALL_BETA, 100_000, 2892, False, False,
+                 "e0887b39b560eb4a9c205f1942fead0b804405df7edd488e92f607f87212eb85",
                  id="wave-stalls"),
     pytest.param(params(L=12, w=3), 2.5, 100_000, 61, True, False,
                  "0f4d44ecc17128dfe879b2148e9ba5fa1b58848e3f7b35729021c03a8cf1fe0f",
@@ -307,6 +335,10 @@ RECORDED_RUNS = [
 ]
 
 
+def state_digest(pv, sv):
+    return hashlib.sha256(pv.tobytes() + sv.tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("p, beta, cap, iterations, decoded, capped, digest", RECORDED_RUNS)
 def test_run_matches_recorded_result(p, beta, cap, iterations, decoded, capped, digest):
     run = de_run(p, beta, DEConfig(max_iterations=cap))
@@ -314,60 +346,135 @@ def test_run_matches_recorded_result(p, beta, cap, iterations, decoded, capped, 
     assert run.converged_to_zero is decoded
     assert run.hit_iteration_cap is capped
     assert run.trace[-1] == (iterations, float(run.state.p.mean()))
-    state = run.state.p.tobytes() + run.state.s.tobytes()
-    assert hashlib.sha256(state).hexdigest() == digest
+    assert state_digest(run.state.p, run.state.s) == digest
 
 
-def de_run_testing_change_every_step(p, beta, config):
+class LoopOutcome(NamedTuple):
+    iteration: int
+    decoded: bool
+    capped: bool
+    trace: list
+    p: np.ndarray
+    s: np.ndarray
+    certificate: tuple | None
+    iterates: list
+
+
+def de_run_testing_change_every_step(p, beta, config, certify=True):
     """de_run's loop with the stall test |x_next - x| < fixed_point_tol
-    taken on every iteration, with no P_b shortcut."""
+    taken on every iteration, with no P_b shortcut.  With ``certify`` it also
+    tries de_run's failure certificate on de_run's schedule; without it, it
+    is the stall-only loop.  Keeps every iterate and the certificate's y."""
     pv, sv = ones(p.L)
     pb = 1.0
     trace = [(0, pb)]
+    iterates = []
     next_record = 1
+    next_certify = density._CERTIFY_FIRST
     for it in range(1, config.max_iterations + 1):
         nxt_p, nxt_s = de_step(p, beta, pv, sv)
+        certificate = None
+        if certify and it == next_certify:
+            next_certify = math.ceil(it * density._CERTIFY_GROWTH)
+            certificate = density._failure_certificate(
+                p, beta, config.success_target, (pv, sv), (nxt_p, nxt_s))
         change = max(float(np.abs(nxt_p - pv).max()), float(np.abs(nxt_s - sv).max()))
         pv, sv, pb = nxt_p, nxt_s, float(np.add.reduce(nxt_p)) / p.L
+        iterates.append((pv, sv))
         if it >= next_record:
             trace.append((it, pb))
             next_record = it + 1 if it < 1000 else math.ceil(next_record * 1.1)
         done_zero = pb < config.success_target
-        stalled = change < config.fixed_point_tol
-        if done_zero or stalled or it == config.max_iterations:
+        failed = change < config.fixed_point_tol or certificate is not None
+        if done_zero or failed or it == config.max_iterations:
             if trace[-1][0] != it:
                 trace.append((it, pb))
-            return it, done_zero, not (done_zero or stalled), trace, pv, sv
+            return LoopOutcome(it, done_zero, not (done_zero or failed), trace, pv, sv,
+                               certificate, iterates)
+
+
+def random_runs():
+    """The runs both stopping-rule tests cover: five ensembles, three stall
+    tolerances, L = 1..40 with random widths, and overheads on both sides
+    of the threshold, taken on the L -> inf rate (short chains with wide
+    windows have none)."""
+    rng = np.random.default_rng(8)
+    ensembles = [(2, 3, 3), (2, 3, 2), (3, 6, 3), (2, 4, 5), (4, 8, 2)]
+    for tol in (1e-3, 1e-6, 1e-12):
+        for L in range(1, 41):
+            dl, dr, dg = ensembles[L % len(ensembles)]
+            p = params(dl=dl, dr=dr, dg=dg, L=L, w=int(rng.integers(1, 10)))
+            for alpha in (-0.2, 0.1, 0.4, 1.5):
+                beta = dg / (1.0 - p.epsilon) * (1.0 - dl / dr) * (1.0 + alpha)
+                config = DEConfig(max_iterations=int(rng.choice([30, 300, 1500])),
+                                  fixed_point_tol=tol)
+                yield (tol, p, alpha), p, beta, config
 
 
 def test_stall_shortcut_matches_testing_every_step():
     # de_run skips the stall test while P_b falls by more than its floor; the
     # outcome must be the one of a loop that tests every step, to the bit.
-    rng = np.random.default_rng(8)
-    ensembles = [(2, 3, 3), (2, 3, 2), (3, 6, 3), (2, 4, 5), (4, 8, 2)]
     outcomes = set()
-    for tol in (1e-3, 1e-6, 1e-12):
-        for L in range(1, 41):
-            dl, dr, dg = ensembles[L % len(ensembles)]
-            p = params(dl=dl, dr=dr, dg=dg, L=L, w=int(rng.integers(1, 10)))
-            # Overheads on both sides of the threshold, taken on the L -> inf
-            # rate (short chains with wide windows have none).
-            for alpha in (-0.2, 0.1, 0.4, 1.5):
-                beta = dg / (1.0 - p.epsilon) * (1.0 - dl / dr) * (1.0 + alpha)
-                config = DEConfig(max_iterations=int(rng.choice([30, 300, 1500])),
-                                  fixed_point_tol=tol)
-                run = de_run(p, beta, config)
-                it, decoded, capped, trace, pv, sv = de_run_testing_change_every_step(
-                    p, beta, config)
-                case = (tol, p, alpha)
-                assert run.state.iteration == it, case
-                assert run.converged_to_zero is decoded, case
-                assert run.hit_iteration_cap is capped, case
-                assert run.trace == trace, case
-                assert run.state.p.tobytes() == pv.tobytes(), case
-                assert run.state.s.tobytes() == sv.tobytes(), case
-                outcomes.add("decoded" if decoded else "capped" if capped else "stalled")
-    assert outcomes == {"decoded", "capped", "stalled"}
+    for case, p, beta, config in random_runs():
+        run = de_run(p, beta, config)
+        ref = de_run_testing_change_every_step(p, beta, config)
+        assert run.state.iteration == ref.iteration, case
+        assert run.converged_to_zero is ref.decoded, case
+        assert run.hit_iteration_cap is ref.capped, case
+        assert run.trace == ref.trace, case
+        assert run.state.p.tobytes() == ref.p.tobytes(), case
+        assert run.state.s.tobytes() == ref.s.tobytes(), case
+        outcomes.add("decoded" if ref.decoded else "capped" if ref.capped
+                     else "certified" if ref.certificate is not None else "stalled")
+    assert outcomes == {"decoded", "capped", "stalled", "certified"}
+
+
+def test_failure_certificate_is_sound():
+    # A certified run would, iterated on without the certificate, never
+    # decode: every later iterate stays at or above the certificate's y.  So
+    # the stall-only loop reaches the same verdict, no earlier.
+    certified = 0
+    for case, p, beta, config in random_runs():
+        run = de_run_testing_change_every_step(p, beta, config)
+        if run.certificate is None:
+            continue
+        certified += 1
+        y_p, y_s = run.certificate
+        assert np.all(y_p <= 1.0) and np.all(y_s <= 1.0), case
+        stall_only = de_run_testing_change_every_step(p, beta, config, certify=False)
+        assert not stall_only.decoded, case
+        assert run.iteration <= stall_only.iteration, case
+        for pv, sv in stall_only.iterates:
+            assert np.all(pv >= y_p) and np.all(sv >= y_s), case
+    assert certified > 0
+
+
+def test_certificate_passes_while_interior_sections_sit_at_one():
+    # Far from the boundary the state stays at exactly one until the wave
+    # arrives, where f(y) >= y + margin needs the candidate's uniform shrink.
+    # This failing probe is certified with 50 of its 64 sections still at one,
+    # long before the stall-only loop stops.
+    p = params(L=64)
+    beta = beta_from_alpha(p, 0.03)
+    run = de_run(p, beta)
+    assert not run.converged_to_zero and not run.hit_iteration_cap
+    assert np.sum(run.state.p == 1.0) == 50
+    stall_only = de_run_testing_change_every_step(p, beta, DEConfig(), certify=False)
+    assert not stall_only.decoded
+    assert run.state.iteration < stall_only.iteration
+
+
+def test_stall_only_loop_keeps_the_recorded_stall():
+    # Before the failure certificate, de_run stopped the "wave-stalls" probe
+    # on a stall at iteration 9,415 in this state; the stall-only loop still
+    # does, and the certified run stops earlier on the same verdict.
+    ref = de_run_testing_change_every_step(WAVE, WAVE_STALL_BETA, DEConfig(), certify=False)
+    assert (ref.iteration, ref.decoded, ref.capped) == (9415, False, False)
+    assert state_digest(ref.p, ref.s) == (
+        "d3c87506796290f0b6e3beb469e34e2f1c00fdb017cf864d3ec23e86e667d20d")
+    run = de_run(WAVE, WAVE_STALL_BETA)
+    assert run.state.iteration < ref.iteration
+    assert not run.converged_to_zero and not run.hit_iteration_cap
 
 
 class TestThreshold:
