@@ -11,16 +11,19 @@ Output is CSV with '#'-prefixed header lines carrying the full experiment
 spec (parameters, seed, tool version), or a single JSON document with the
 same content.  Identical inputs produce byte-identical output files.
 
-Exit codes: 0 success, 2 validation error, 3 computation error.
+Exit codes: 0 success, 2 validation error (an unusable ``--out`` too), 3 computation error.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import sys
+from pathlib import Path
 
 from . import __version__
 from .codec import monte_carlo, pool_map
@@ -221,13 +224,13 @@ def _format_cell(value) -> str:
 
 
 def render_csv(spec: dict, rows: list[dict]) -> str:
-    lines = [f"# {key}={_format_cell(value)}" for key, value in spec.items()]
+    buffer = io.StringIO()
+    buffer.writelines(f"# {key}={_format_cell(value)}\n" for key, value in spec.items())
     if rows:
-        columns = list(rows[0])
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_format_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+        writer = csv.DictWriter(buffer, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({key: _format_cell(value) for key, value in row.items()} for row in rows)
+    return buffer.getvalue()
 
 
 def render_json(spec: dict, rows: list[dict]) -> str:
@@ -257,6 +260,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    out = Path(args.out) if args.out else None
+    if out and (out.is_dir() or not out.parent.is_dir()):
+        problem = "is a directory" if out.is_dir() else f"no directory {out.parent}"
+        print(f"error: --out {args.out}: {problem}", file=sys.stderr)
+        return 2
 
     try:
         spec, rows = _DISPATCH[args.command](args)
@@ -268,9 +276,13 @@ def main(argv=None) -> int:
         return 3
 
     text = render_csv(spec, rows) if args.format == "csv" else render_json(spec, rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -119,11 +119,10 @@ class ThresholdResult:
 
 @dataclass
 class DERun:
-    """Outcome of iterating density evolution from the all-ones start."""
+    """The last state and the verdict of a run from the all-ones start."""
 
     state: DEState
     converged_to_zero: bool
-    trace: list[tuple[int, float]]
     hit_iteration_cap: bool = False
 
 
@@ -243,6 +242,7 @@ def _failure_certificate(params: EnsembleParams, beta: float, success_target: fl
 def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -> DERun:
     """Iterate from the all-ones start until the mean erasure probability
     drops below the success target, the run fails, or the iteration cap.
+    P_b is checked at every step: a rise by over 1e-12 raises ``NonMonotoneRun``.
 
     A run fails on a stall or on a failure certificate.  It stalls when no
     entry of p or s moves by ``fixed_point_tol`` in one step.  That test
@@ -291,9 +291,6 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
 
     The clamp min(., 1) is 1-Lipschitz and f <= 1, so it adds nothing.  At
     dr = 30, w = 12, dg = 3 and beta ~ 6 this gives E_s ~ 1,200 and e ~ 2,400u.
-
-    The trace records (iteration, P_b) every iteration up to 1000, then on a
-    geometric grid, and always includes the final iteration.
     """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
@@ -301,8 +298,6 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     p = np.ones(L)
     s = np.ones(L)
     pb = 1.0
-    trace = [(0, pb)]
-    next_record = 1
     next_certify = _CERTIFY_FIRST
     # max_i |p_next_i - p_i| >= (sum p - sum p_next) / L.  The states stay in
     # [0, 1], so each computed P_b is within (L + 1) u of sum p / L (u = 2^-53,
@@ -315,7 +310,6 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
         p_next, s_next = de_step(params, beta, p, s)
         # Bit-equal to p_next.mean(): the same pairwise sum, then one division.
         pb_next = float(np.add.reduce(p_next)) / L
-        # From the all-ones start the map is monotone, so P_b cannot rise.
         if pb_next > pb + 1e-12:
             raise NonMonotoneRun(f"P_b rose from {pb} to {pb_next} at iteration {it}")
         failed = False
@@ -334,17 +328,11 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
             )
             failed = change < config.fixed_point_tol
         p, s, pb = p_next, s_next, pb_next
-        if it >= next_record:
-            trace.append((it, pb))
-            next_record = it + 1 if it < 1000 else math.ceil(next_record * 1.1)
         done_zero = pb < config.success_target
         if done_zero or failed or it == config.max_iterations:
-            if trace[-1][0] != it:
-                trace.append((it, pb))
             return DERun(
                 state=DEState(p=p, s=s, iteration=it),
                 converged_to_zero=done_zero,
-                trace=trace,
                 hit_iteration_cap=not (done_zero or failed),
             )
     raise AssertionError("unreachable")  # loop always returns

@@ -263,10 +263,17 @@ def test_criterion_10_invariant_suites():
     p = params(dg=3, L=16)
     beta = beta_from_alpha(p, 0.25)
 
-    # monotone in iteration count along the trace
+    # monotone in iteration count at every step of the run, replayed with
+    # de_step up to the run's final state
     run = de_run(p, beta)
-    values = [pb for _, pb in run.trace]
-    monotone_iters = all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+    pv, sv, pb = np.ones(p.L), np.ones(p.L), 1.0
+    monotone_iters = True
+    for _ in range(run.state.iteration):
+        pv, sv = de_step(p, beta, pv, sv)
+        pb_next = float(pv.mean())
+        monotone_iters &= pb_next <= pb + 1e-12
+        pb = pb_next
+    replayed = (pv.tobytes(), sv.tobytes()) == (run.state.p.tobytes(), run.state.s.tobytes())
 
     # monotone in beta, elementwise
     monotone_beta = True
@@ -319,6 +326,7 @@ def test_criterion_10_invariant_suites():
 
     checks = {
         "P_b monotone in iteration": monotone_iters,
+        "replay reaches de_run's state": replayed,
         "p monotone in beta": monotone_beta,
         "spatially symmetric": symmetric,
         "zero state absorbing": absorbing,

@@ -8,6 +8,7 @@ output rows with ``perfbench/reference.json``.  All are loaded here by path
 function, a field a counter reads, a codec signature the checker calls or a
 recorded column fails in the unit suite instead of in the benchmark.
 """
+import csv
 import dataclasses
 import importlib
 import importlib.util
@@ -33,7 +34,7 @@ from sc_rateless import (
     sample_precode,
     threshold_sweep,
 )
-from sc_rateless.cli import main
+from sc_rateless.cli import main, render_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -163,3 +164,23 @@ def test_recorded_columns_are_row_fields():
         assert rows
         for row in rows:
             assert set(row) <= mc_columns, workload
+
+
+def test_check_parses_rendered_rows_as_the_csv_module_does():
+    # perfbench/check.py splits rows on bare commas; a cell the CLI has to
+    # quote would split there and fail only in the benchmark.
+    check = load_perfbench("check")
+    sweep_row = {"dr": 3, **dataclasses.asdict(SweepRow(
+        L=8, alpha_star=0.370208740234375, beta_star=1.979190402560764,
+        lower_bound_alpha=0.0, lower_bound_beta=1.4444444444444446, iterations=4509))}
+    nan = float("nan")
+    mc_row = dataclasses.asdict(MonteCarloRow(
+        alpha=0.4, n_symbols=nan, dimension=nan, success_rate=nan, wilson_low=nan,
+        wilson_high=nan, mean_residual=nan, trials=0, trial_errors=2))
+    for row in (sweep_row, mc_row):
+        text = render_csv({"command": "test", "seed": 1}, [row])
+        spec, rows = check.parse_csv(text)
+        assert spec == {"command": "test", "seed": "1"}
+        lines = [line for line in text.splitlines() if not line.startswith("# ")]
+        assert rows == list(csv.DictReader(lines))
+        assert list(rows[0]) == list(row)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import json
@@ -6,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import sc_rateless.cli as cli
 import sc_rateless.codec as codec
 from sc_rateless import MonteCarloRow, SweepRow, __version__
 from sc_rateless.cli import build_parser, main
@@ -18,19 +20,16 @@ def run(tmp_path, *argv):
     return code, out.read_text(encoding="utf-8") if out.exists() else ""
 
 
+def csv_records(text):
+    """The column row and the data rows of a CLI CSV document, as lists."""
+    return list(csv.reader(line for line in text.splitlines() if not line.startswith("# ")))
+
+
 def parse_csv(text):
-    header = {}
-    rows = []
-    columns = None
-    for line in text.splitlines():
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            header[key] = value
-        elif columns is None:
-            columns = line.split(",")
-        else:
-            rows.append(dict(zip(columns, line.split(","))))
-    return header, columns, rows
+    header = dict(line[2:].split("=", 1) for line in text.splitlines() if line.startswith("# "))
+    records = csv_records(text)
+    columns = records[0] if records else None
+    return header, columns, [dict(zip(columns, record)) for record in records[1:]]
 
 
 ROW_SCHEMA = {
@@ -156,6 +155,43 @@ class TestValidation:
         assert "P_b rose" in capsys.readouterr().err
 
 
+class TestOut:
+    @pytest.mark.parametrize("target, problem", [
+        ("missing/x.csv", "no directory {tmp}/missing"),
+        ("file/x.csv", "no directory {tmp}/file"),
+        (".", "is a directory"),
+    ], ids=["missing-directory", "file-as-directory", "directory"])
+    def test_unusable_out_exits_2_before_any_computation(self, tmp_path, capsys, monkeypatch,
+                                                         target, problem):
+        (tmp_path / "file").write_text("kept", encoding="utf-8")
+        calls = []
+        monkeypatch.setitem(cli._DISPATCH, "threshold", calls.append)
+        out = tmp_path / target
+        code = main(["threshold", "--dg", "3", "--L", "8", "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        problem = problem.format(tmp=tmp_path)
+        assert capsys.readouterr().err == f"error: --out {out}: {problem}\n"
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept"
+
+    def test_write_failure_exits_2_naming_the_path(self, tmp_path, capsys, monkeypatch):
+        # The directory goes away while the command runs: the open fails
+        # after the computation and is reported, not raised.
+        out = tmp_path / "gone" / "x.csv"
+        out.parent.mkdir()
+
+        def command(args):
+            out.parent.rmdir()
+            return {"command": args.command}, [{"L": args.L}]
+
+        monkeypatch.setitem(cli._DISPATCH, "threshold", command)
+        code = main(["threshold", "--dg", "3", "--L", "8", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ")
+        assert err.count("\n") == 1
+
+
 class TestBounds:
     def test_row_content(self, tmp_path):
         code, text = run(tmp_path, "bounds", "--dg", "2", "--L", "64")
@@ -246,8 +282,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("argv, row", [
         (["--dg", "2", "--w", "1", "--L-grid", "4", "--max-iter", "200"],
-         "3,4,nan,nan,0.039720770839917874,1.3862943611198906,0,density evolution fails "
-         "up to alpha = 10 for EnsembleParams(dl=2, dr=3, dg=2, L=4, w=1, epsilon=0.5)"),
+         '3,4,nan,nan,0.039720770839917874,1.3862943611198906,0,"density evolution fails '
+         'up to alpha = 10 for EnsembleParams(dl=2, dr=3, dg=2, L=4, w=1, epsilon=0.5)"'),
         (["--dg", "1", "--L-grid", "8"],
          "3,8,nan,nan,1.6111436622160151,1.2572173188447482,0,dg = 1 cannot reach capacity "
          "and is excluded from the threshold search by default; pass allow_dg1=True to "
@@ -261,6 +297,21 @@ class TestSweep:
             "dr,L,alpha_star,beta_star,lower_bound_alpha,lower_bound_beta,iterations,error",
             row,
         ]
+
+    @pytest.mark.parametrize("argv, L, error", [
+        (["--dg", "2", "--w", "1", "--L-grid", "4", "--max-iter", "200"], "4",
+         "density evolution fails up to alpha = 10 for "
+         "EnsembleParams(dl=2, dr=3, dg=2, L=4, w=1, epsilon=0.5)"),
+        (["--dg", "3", "--w", "5", "--L-grid", "8,1", "--bisect-tol", "0.01"], "1",
+         "design rate -1.26667 <= 0 for dl=2, dr=3, w=5, L=1"),
+    ], ids=["no-success-in-bracket", "rate-not-positive"])
+    def test_error_with_commas_stays_one_cell(self, tmp_path, argv, L, error):
+        code, text = run(tmp_path, "sweep", *argv)
+        assert code == 0
+        records = csv_records(text)
+        assert [len(record) for record in records] == [8] * len(records)
+        _, _, rows = parse_csv(text)
+        assert [row["error"] for row in rows if row["L"] == L] == [error]
 
     def test_dr_grid_parallel_matches_serial(self, tmp_path):
         argv = [
