@@ -260,9 +260,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    out = Path(args.out) if args.out else None
-    if out and (out.is_dir() or not out.parent.is_dir()):
-        problem = "is a directory" if out.is_dir() else f"no directory {out.parent}"
+    out = None if args.out is None else Path(args.out)
+    if out is not None and (not args.out or out.is_dir() or not out.parent.is_dir()):
+        problem = ("the path is empty" if not args.out else
+                   "is a directory" if out.is_dir() else f"no directory {out.parent}")
         print(f"error: --out {args.out}: {problem}", file=sys.stderr)
         return 2
 
@@ -276,7 +277,7 @@ def main(argv=None) -> int:
         return 3
 
     text = render_csv(spec, rows) if args.format == "csv" else render_json(spec, rows)
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)

@@ -77,11 +77,11 @@ class PrecodeGraph:
 
     @functools.cached_property
     def _systematic_form(self):
-        packed = gf2.rows_from_support(self.check_indptr, self.check_indices, self.num_bits)
-        reduced, pivots = gf2.rref(packed, self.num_bits)
+        rows = gf2.rows_from_support(self.check_indptr, self.check_indices, self.num_bits)
+        reduced, pivots = gf2.rref(rows, self.num_bits)
         pivots = np.asarray(pivots, dtype=np.int64)
         free = np.setdiff1d(np.arange(self.num_bits), pivots)
-        return reduced[: len(pivots)], pivots, free
+        return reduced, pivots, free
 
     def realized_dimension(self) -> int:
         """Actual code dimension L*M - rank; exceeds the design k by the

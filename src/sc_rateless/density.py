@@ -43,6 +43,12 @@ import numpy as np
 from . import stability
 from .ensemble import EnsembleParams, beta_from_alpha
 
+# The bisection's bracket never reaches past this alpha.  While the bracket
+# is wider than two float steps at the cap, its rounded midpoint lies strictly
+# inside, so a smaller ``bisection_tol`` could stall the bisection for good.
+_ALPHA_CAP = 10.0
+_MIN_BISECTION_TOL = 2 * math.ulp(_ALPHA_CAP)
+
 
 class NoSuccessInBracket(RuntimeError):
     """Bisection could not find a decoding alpha even after expanding the
@@ -104,6 +110,11 @@ class DEConfig:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be > 0, got {value}")
+        if self.bisection_tol < _MIN_BISECTION_TOL:
+            raise ValueError(
+                f"bisection_tol must be >= {_MIN_BISECTION_TOL:g} (two float steps at "
+                f"alpha = {_ALPHA_CAP:g}), got {self.bisection_tol}"
+            )
 
 
 @dataclass(frozen=True)
@@ -349,9 +360,9 @@ def overhead_threshold(
 
     The bracket starts as [0, upper].  Zero overhead is probed first: at
     capacity it cannot decode, and if it does anyway the bracket is [0, 0]
-    and there is nothing to bisect.  The upper end is doubled (capped at
-    alpha = 10) until it decodes.  After bisection one spot probe below the
-    bracket re-checks the monotonicity assumption.
+    and there is nothing to bisect.  The upper end, capped at alpha = 10, is
+    doubled (capped again) until it decodes.  After bisection one spot probe
+    below the bracket re-checks the monotonicity assumption.
     """
     if params.dg == 1 and not allow_dg1:
         raise ValueError(
@@ -367,15 +378,15 @@ def overhead_threshold(
 
     lo = 0.0
     ok, success_iters = decodes(lo)
-    hi = lo if ok else upper
+    hi = lo if ok else min(upper, _ALPHA_CAP)
     while not ok:
         ok, success_iters = decodes(hi)
         if not ok:
-            if hi >= 10.0:
+            if hi >= _ALPHA_CAP:
                 raise NoSuccessInBracket(
                     f"density evolution fails up to alpha = {hi:g} for {params}"
                 )
-            hi = min(2.0 * hi, 10.0)
+            hi = min(2.0 * hi, _ALPHA_CAP)
 
     while hi - lo > config.bisection_tol:
         mid = 0.5 * (lo + hi)

@@ -79,12 +79,6 @@ def masks_from_supports(supports):
     return masks
 
 
-def masks_from_packed(packed):
-    """Packed little-endian uint64 rows as python-int bitmasks: word k of a
-    row holds columns 64k..64k+63."""
-    return [sum(int(word) << (64 * k) for k, word in enumerate(row)) for row in packed]
-
-
 def rref_masks(masks, ncols):
     """Reduced row echelon form over GF(2) on python-int rows."""
     rows = list(masks)

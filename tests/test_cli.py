@@ -111,6 +111,21 @@ class TestValidation:
         assert text == ""
         assert f"{field} must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["threshold", "sweep"])
+    def test_bisect_tol_below_float_resolution_exits_2_before_any_probe(
+            self, tmp_path, capsys, monkeypatch, command):
+        import sc_rateless.density as density
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a DE probe ran")
+
+        monkeypatch.setattr(density, "de_run", no_probe)
+        L = ["--L", "8"] if command == "threshold" else ["--L-grid", "8"]
+        code, text = run(tmp_path, command, "--dg", "3", *L, "--bisect-tol", "1e-18")
+        assert code == 2
+        assert text == ""
+        assert "bisection_tol must be >= " in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         assert main(["threshold", "--bogus"]) == 2
 
@@ -160,14 +175,16 @@ class TestOut:
         ("missing/x.csv", "no directory {tmp}/missing"),
         ("file/x.csv", "no directory {tmp}/file"),
         (".", "is a directory"),
-    ], ids=["missing-directory", "file-as-directory", "directory"])
+        ("", "the path is empty"),
+    ], ids=["missing-directory", "file-as-directory", "directory", "empty"])
     def test_unusable_out_exits_2_before_any_computation(self, tmp_path, capsys, monkeypatch,
                                                          target, problem):
         (tmp_path / "file").write_text("kept", encoding="utf-8")
         calls = []
         monkeypatch.setitem(cli._DISPATCH, "threshold", calls.append)
-        out = tmp_path / target
-        code = main(["threshold", "--dg", "3", "--L", "8", "--out", str(out)])
+        # An empty --out names no file; it must not fall back to stdout.
+        out = str(tmp_path / target) if target else ""
+        code = main(["threshold", "--dg", "3", "--L", "8", "--out", out])
         assert code == 2
         assert calls == []
         problem = problem.format(tmp=tmp_path)

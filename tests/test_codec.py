@@ -8,7 +8,6 @@ from reference import (
     combined_factors,
     determined_bits,
     double_edge_sockets_loops,
-    masks_from_packed,
     masks_from_supports,
     parallel_pair_sockets_loops,
     peel_rounds,
@@ -263,7 +262,29 @@ class TestSamplePrecode:
         )
 
 
+# sha256 of encode(g, info) bytes, keyed by (params, M, graph seed, info
+# seed); info is drawn with default_rng(info seed).  The first graph has the
+# mc-encode workload's size.  They pin the encoder's output byte for byte, so
+# a change of row format inside gf2 cannot move a codeword unseen.
+ENCODE_DIGESTS = {
+    (params(L=16), 300, 7, 1):
+        "ebd32db4911ededf965bf99f7c13c891873c57cbbc884ed797851e24ff2407fd",
+    (params(dl=3, dr=6, L=6, w=3), 80, 11, 2):
+        "9a59e458ce51412a8a2f2cfe6fa1a9f0d58bf44e1508e8a9a36f21fd66587ab7",
+}
+
+
 class TestEncode:
+    @pytest.mark.parametrize("p, M, graph_seed, info_seed", list(ENCODE_DIGESTS), ids=str)
+    def test_codeword_digest_recorded(self, p, M, graph_seed, info_seed):
+        g = sample_precode(p, M, seed=graph_seed)
+        info = np.random.default_rng(info_seed).integers(
+            0, 2, g.realized_dimension(), dtype=np.uint8)
+        codeword = encode(g, info)
+        assert codeword.dtype == np.uint8 and codeword.shape == (g.num_bits,)
+        digest = hashlib.sha256(codeword.tobytes()).hexdigest()
+        assert digest == ENCODE_DIGESTS[p, M, graph_seed, info_seed]
+
     def test_zero_info_gives_zero_codeword(self):
         g = sample_precode(TOY, 6, seed=0)
         codeword = encode(g, np.zeros(g.realized_dimension(), dtype=np.uint8))
@@ -288,11 +309,13 @@ class TestEncode:
                                       (params(dl=3, dr=6, L=6, w=3), 80)], ids=str)
     def test_precode_scale_matches_bitmask_oracle(self, p, M):
         g = sample_precode(p, M, seed=11)
-        packed = gf2.rows_from_support(g.check_indptr, g.check_indices, g.num_bits)
-        got_rows, got_pivots = gf2.rref(packed, g.num_bits)
+        rows = gf2.rows_from_support(g.check_indptr, g.check_indices, g.num_bits)
+        got_rows, got_pivots = gf2.rref(rows, g.num_bits)
         want_rows, want_pivots = rref_masks(masks_from_supports(check_supports(g)), g.num_bits)
+        rank = len(want_pivots)
         assert got_pivots == want_pivots
-        assert masks_from_packed(got_rows) == want_rows
+        assert got_rows == want_rows[:rank]
+        assert not any(want_rows[rank:])
         free = sorted(set(range(g.num_bits)) - set(want_pivots))
         info = np.random.default_rng(12).integers(0, 2, len(free), dtype=np.uint8)
         codeword = encode(g, info)

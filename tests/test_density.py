@@ -219,6 +219,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             DEConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [1e-18, math.nextafter(2 * math.ulp(10.0), 0.0)])
+    def test_rejects_bisection_tol_below_float_resolution(self, value):
+        # Below two float steps at alpha = 10 the bracket can stop shrinking.
+        with pytest.raises(ValueError, match=f"bisection_tol must be >= .*, got {value}$"):
+            DEConfig(bisection_tol=value)
+
     @pytest.mark.parametrize("value", [True, 2.5, 0])
     def test_rejects_bad_max_iterations(self, value):
         with pytest.raises(ValueError, match="max_iterations"):
@@ -515,6 +521,25 @@ class TestThreshold:
         monkeypatch.setattr(density, "de_run", fake_de_run)
         with pytest.raises(NonMonotoneBracket):
             overhead_threshold(FIG2)
+
+    def test_smallest_bisection_tol_terminates(self, monkeypatch):
+        # A DE that decodes from alpha = 0.17 up: with the smallest accepted
+        # tolerance the bisection still ends, and an upper start past
+        # alpha = 10 is probed at 10.
+        alphas = []
+
+        def fake_de_run(p, beta, config=DEConfig()):
+            alphas.append(alpha_from_beta(p, beta))
+            ok = alphas[-1] >= 0.17
+            state = DEState(p=np.zeros(p.L) if ok else np.ones(p.L), s=np.zeros(p.L), iteration=1)
+            return DERun(state=state, converged_to_zero=ok)
+
+        monkeypatch.setattr(density, "de_run", fake_de_run)
+        tol = 2 * math.ulp(10.0)
+        result = overhead_threshold(FIG2, DEConfig(bisection_tol=tol), upper=40.0)
+        lo, hi = result.bracket
+        assert lo < 0.17 <= hi and hi - lo <= tol
+        assert len(alphas) < 100 and max(alphas) == pytest.approx(10.0)
 
     def test_decoding_zero_overhead_is_the_threshold(self, monkeypatch):
         # A DE that decodes everywhere: the probe at alpha = 0 closes the
