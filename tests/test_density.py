@@ -590,3 +590,329 @@ class TestSweep:
         monkeypatch.setattr(density, "overhead_threshold", no_threshold)
         with pytest.raises(ValueError, match="repeats L = 8"):
             threshold_sweep(FIG2, [8, 16, 8])
+
+
+def lane_cases():
+    """Lane batches for w in {1, 2}, L = 1..39 and 64, and K in {1, 2, 3,
+    7, 15}: five ensembles, three stall tolerances, caps from 30 to 1,500
+    and overheads on both sides of the L -> inf threshold, so that lanes
+    decode, stall, are certified and hit the cap."""
+    rng = np.random.default_rng(15)
+    ensembles = [(2, 3, 3), (2, 3, 2), (3, 6, 3), (2, 4, 5), (4, 8, 2)]
+    for w in (1, 2):
+        for L in [*range(1, 40), 64]:
+            for K in (1, 2, 3, 7, 15):
+                dl, dr, dg = ensembles[(L + K) % len(ensembles)]
+                p = params(dl=dl, dr=dr, dg=dg, L=L, w=w)
+                alphas = rng.choice([-0.2, 0.05, 0.1, 0.2, 0.4, 1.5], K)
+                betas = [dg / (1.0 - p.epsilon) * (1.0 - dl / dr) * (1.0 + a) for a in alphas]
+                config = DEConfig(max_iterations=int(rng.choice([30, 300, 1500], p=[.3, .5, .2])),
+                                  fixed_point_tol=float(rng.choice([1e-3, 1e-6, 1e-12])))
+                yield (w, L, K), p, config, betas
+
+
+def run_lanes(p, config, betas):
+    """Every lane's outcome; the second half joins once the first lane ends."""
+    lanes = density._Lanes(p, config, depth=4)
+    first = max(1, len(betas) // 2)
+    for k in range(first):
+        lanes.start(k, betas[k])
+    outcomes = lanes.advance()
+    for k in range(first, len(betas)):
+        lanes.start(k, betas[k])
+    while lanes.keys():
+        outcomes.update(lanes.advance())
+    return lanes, outcomes
+
+
+class TestLanes:
+    def test_lanes_are_bit_equal_to_de_run(self, monkeypatch):
+        certified = set()
+        real_certificate = density._failure_certificate
+
+        def recording_certificate(p, beta, *args):
+            y = real_certificate(p, beta, *args)
+            if y is not None:
+                certified.add(beta)
+            return y
+
+        monkeypatch.setattr(density, "_failure_certificate", recording_certificate)
+        kinds = set()
+        for case, p, config, betas in lane_cases():
+            lanes, outcomes = run_lanes(p, config, betas)
+            assert sorted(outcomes) == list(range(len(betas))), case
+            for k, beta in enumerate(betas):
+                run, ref = outcomes[k], de_run(p, beta, config)
+                assert run.state.iteration == ref.state.iteration, (case, k)
+                assert run.converged_to_zero is ref.converged_to_zero, (case, k)
+                assert run.hit_iteration_cap is ref.hit_iteration_cap, (case, k)
+                assert run.state.p.tobytes() == ref.state.p.tobytes(), (case, k)
+                assert run.state.s.tobytes() == ref.state.s.tobytes(), (case, k)
+                kinds.add("decoded" if ref.converged_to_zero else "capped" if ref.hit_iteration_cap
+                          else "certified" if beta in certified else "stalled")
+            assert lanes.retired == len(betas)
+            assert lanes.row_steps == sum(run.state.iteration for run in outcomes.values())
+        assert kinds == {"decoded", "capped", "stalled", "certified"}
+
+    @pytest.mark.parametrize("w, L", [(3, 12), (3, 2), (9, 20), (9, 5)])
+    def test_one_lane_is_de_run_at_any_width(self, w, L):
+        # Alone, a lane is laid out with no zeros, so its step is de_step's.
+        p = params(L=L, w=w)
+        for beta in (1.9, 2.5, 3.0):
+            config = DEConfig(max_iterations=400)
+            _, outcomes = run_lanes(p, config, [beta])
+            run, ref = outcomes[0], de_run(p, beta, config)
+            assert (run.state.iteration, run.converged_to_zero, run.hit_iteration_cap) == (
+                ref.state.iteration, ref.converged_to_zero, ref.hit_iteration_cap)
+            assert state_digest(run.state.p, run.state.s) == state_digest(ref.state.p, ref.state.s)
+
+    def test_a_rising_lane_returns_de_runs_error(self, monkeypatch):
+        # A step that jumps back to the all-ones state on its third call:
+        # every lane ends with the NonMonotoneRun de_run raises.
+        real_update = density._update
+        calls = []
+
+        def faulty_update(p, neg_beta, pv, sv):
+            calls.append(1)
+            if len(calls) < 3:
+                return real_update(p, neg_beta, pv, sv)
+            return np.ones_like(pv), np.ones_like(sv)
+
+        monkeypatch.setattr(density, "_update", faulty_update)
+        lanes = density._Lanes(FIG2, DEConfig(), depth=2)
+        for k, beta in enumerate([2.0, 2.5, 3.0]):
+            lanes.start(k, beta)
+        outcomes = lanes.advance()
+        assert lanes.keys() == [] and lanes.retired == 0
+        calls.clear()
+        with pytest.raises(NonMonotoneRun) as raised:
+            de_run(FIG2, 2.5)
+        assert sorted(outcomes) == [0, 1, 2]
+        assert all(isinstance(run, NonMonotoneRun) for run in outcomes.values())
+        assert str(outcomes[1]) == str(raised.value)
+
+    def test_lane_depth_fits_the_budget(self):
+        for w in (1, 2):
+            for L in (1, 8, 16, 24, 64, 128, 256, 512, 2000):
+                depth = density._lane_depth(params(L=L, w=w))
+                width = L + w - 1
+                assert depth == 1 or (2 ** depth - 1) * width <= density._LANE_BUDGET
+                assert (depth == density._MAX_LANE_DEPTH
+                        or (2 ** (depth + 1) - 1) * width > density._LANE_BUDGET)
+        assert density._lane_depth(params(L=512)) == 1
+        assert density._lane_depth(params(L=16)) == density._MAX_LANE_DEPTH
+        for w in (3, 4, 9):
+            assert density._lane_depth(params(L=4, w=w)) == 1
+
+
+class FakeLanes:
+    """A lane engine whose lane at beta ends with ``verdict(beta)`` = (DERun
+    or NonMonotoneRun, iterations) after that many locksteps.  ``path`` is
+    the plain bisection's probe sequence: at every ``advance`` each running
+    lane must lie inside the first probe on it whose outcome is not back.
+    No lane may start in the half of a returned probe that its verdict
+    ruled out."""
+
+    def __init__(self, verdict, depth, path=None):
+        self.verdict, self.depth, self.path = verdict, depth, path
+        self.running: dict = {}
+        self.started: dict = {}
+        self.returned: dict = {}
+        self.locksteps = 0
+
+    def keys(self):
+        return list(self.running)
+
+    def start(self, key, beta):
+        assert key not in self.started, f"{key} started twice"
+        for (a, b), run in self.returned.items():
+            if a <= key[0] < key[1] <= b and isinstance(run, DERun):
+                mid = 0.5 * (a + b)
+                assert key[1] <= mid if run.converged_to_zero else key[0] >= mid, key
+        self.running[key] = [beta, 0]
+        self.started[key] = beta
+
+    def stop(self, key):
+        del self.running[key]
+
+    def advance(self):
+        assert 0 < len(self.running) <= 2 ** self.depth - 1
+        if self.path is not None:
+            lo, hi = next(key for key, _ in self.path if key not in self.returned)
+            assert all(lo <= a < b <= hi for a, b in self.running), "a moot lane runs"
+        while True:
+            self.locksteps += 1
+            ended = {}
+            for key, lane in list(self.running.items()):
+                lane[1] += 1
+                outcome, iterations = self.verdict(lane[0])
+                if lane[1] == iterations:
+                    ended[key] = outcome
+                    del self.running[key]
+            if ended:
+                self.returned.update(ended)
+                return ended
+
+
+def fake_run(ok, iterations, capped=False):
+    state = DEState(p=np.zeros(1) if ok else np.ones(1), s=np.zeros(1), iteration=iterations)
+    return DERun(state=state, converged_to_zero=ok, hit_iteration_cap=capped)
+
+
+def wave_verdict(threshold, cap=None, raises=()):
+    """Decodes at and above ``threshold``; probes near it take longest, one
+    at ``cap`` iterations or more is capped, and an alpha in ``raises``
+    ends with NonMonotoneRun."""
+    def verdict(alpha):
+        iterations = 5 + int(3.0 / (abs(alpha - threshold) + 1e-3)) + int(alpha * 1e6) % 7
+        if alpha in raises:
+            return NonMonotoneRun(f"P_b rose at alpha = {alpha}"), iterations
+        if cap is not None and iterations >= cap:
+            return fake_run(False, cap, capped=True), cap
+        return fake_run(alpha >= threshold, iterations), iterations
+    return verdict
+
+
+def plain_bisection(lo, hi, success_iters, tol, verdict):
+    """The bisection one probe at a time: (lo, hi, success_iters) and the
+    path of (bracket, outcome)."""
+    path = []
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        run, iterations = verdict(mid)
+        path.append(((lo, hi), (run, iterations)))
+        if isinstance(run, NonMonotoneRun):
+            raise run
+        if run.converged_to_zero:
+            hi, success_iters = mid, run.state.iteration
+        else:
+            lo = mid
+    return (lo, hi, success_iters), path
+
+
+class TestLookAhead:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("threshold, lo, hi, tol, cap", [
+        (0.17282, 0.0, 1.0, 1e-4, None),
+        (0.0407, 0.0, 0.13, 1e-4, 2500),
+        (0.9, 0.0, 1.0, 1e-3, None),
+        (0.001, 0.0, 2.0, 1e-4, 900),
+        (0.5, 0.25, 0.75, 0.01, None),
+    ])
+    def test_same_bracket_and_probes_as_plain_bisection(self, depth, threshold, lo, hi, tol, cap):
+        verdict = wave_verdict(threshold, cap)
+        want, path = plain_bisection(lo, hi, 0, tol, verdict)
+        lanes = FakeLanes(verdict, depth, path)
+        assert density._bisect(lo, hi, 0, tol, lambda alpha: alpha, lanes) == want
+        # Every probe on the path ran at its midpoint; the path ends at the
+        # same bracket, so the bracket walked through the same verdicts.
+        for (a, b), _ in path:
+            assert lanes.started[a, b] == 0.5 * (a + b)
+        assert lanes.locksteps <= sum(iterations for _, (_, iterations) in path)
+        if depth == 1:
+            assert list(lanes.started) == [key for key, _ in path]
+        if cap is not None:
+            assert any(run.hit_iteration_cap for _, (run, _) in path)
+
+    def test_look_ahead_saves_locksteps(self):
+        verdict = wave_verdict(0.17282)
+        _, path = plain_bisection(0.0, 1.0, 0, 1e-4, verdict)
+        lanes = FakeLanes(verdict, 4, path)
+        density._bisect(0.0, 1.0, 0, 1e-4, lambda alpha: alpha, lanes)
+        assert lanes.locksteps < 0.6 * sum(iterations for _, (_, iterations) in path)
+
+    def test_an_off_path_error_stays_silent_and_an_on_path_one_raises(self):
+        # 0.75 is a look-ahead probe below the first verdict's other half;
+        # 0.125 is on the path.
+        off_path = wave_verdict(0.17282, raises=(0.75,))
+        want, path = plain_bisection(0.0, 1.0, 0, 1e-4, off_path)
+        lanes = FakeLanes(off_path, 3, path)
+        assert density._bisect(0.0, 1.0, 0, 1e-4, lambda alpha: alpha, lanes) == want
+        assert 0.75 in lanes.started.values()
+        on_path = wave_verdict(0.17282, raises=(0.125,))
+        with pytest.raises(NonMonotoneRun, match="alpha = 0.125"):
+            plain_bisection(0.0, 1.0, 0, 1e-4, on_path)
+        with pytest.raises(NonMonotoneRun, match="alpha = 0.125"):
+            density._bisect(0.0, 1.0, 0, 1e-4, lambda alpha: alpha, FakeLanes(on_path, 3))
+
+    @pytest.mark.parametrize("case", ["zero-decodes", "expansion", "capped-on-path"])
+    def test_threshold_equals_plain_bisection(self, monkeypatch, case):
+        # One verdict source drives de_run (the zero, expansion and spot
+        # probes) and the lanes.
+        threshold, cap, upper = {"zero-decodes": (-1.0, None, 1.0),
+                                 "expansion": (0.3, None, 0.05),
+                                 "capped-on-path": (0.17282, 700, 1.0)}[case]
+        verdict = wave_verdict(threshold, cap)
+        probes = []
+
+        def fake_de_run(p, beta, config=DEConfig()):
+            probes.append(alpha_from_beta(p, beta))
+            return verdict(probes[-1])[0]
+
+        def lane_verdict(beta):
+            return verdict(alpha_from_beta(FIG2, beta))
+
+        monkeypatch.setattr(density, "de_run", fake_de_run)
+        plain = overhead_threshold(FIG2, upper=upper)
+        plain_probes, probes[:] = probes[:], []
+        engines = []
+        def fake_probes(p, config):
+            engines.append(FakeLanes(lane_verdict, 4))
+            return engines[-1]
+
+        monkeypatch.setattr(density, "_probes", fake_probes)
+        assert overhead_threshold(FIG2, upper=upper) == plain
+        # de_run saw the zero and expansion probes and the spot probe of the
+        # plain run, and the lanes ran every probe between them.
+        head = {"zero-decodes": 1, "expansion": 5, "capped-on-path": 2}[case]
+        spot = plain_probes[-1:] if case != "zero-decodes" else []
+        assert probes == plain_probes[:head] + spot
+        lane_alphas = {alpha_from_beta(FIG2, beta) for beta in engines[0].started.values()}
+        assert lane_alphas >= set(plain_probes[head:len(plain_probes) - len(spot)])
+        if case == "zero-decodes":
+            assert plain.bracket == (0.0, 0.0) and engines[0].started == {}
+        if case == "expansion":
+            assert probes[1:head] == pytest.approx([0.05, 0.1, 0.2, 0.4])
+        if case == "capped-on-path":
+            assert any(verdict(alpha)[0].hit_iteration_cap for alpha in plain_probes)
+
+    @pytest.mark.parametrize("p, tol", [(params(L=8), 1e-4), (params(dg=2, L=12), 1e-3),
+                                        (params(dr=4, L=20), 1e-3)])
+    def test_lanes_give_the_sequential_threshold(self, monkeypatch, p, tol):
+        config = DEConfig(bisection_tol=tol)
+        engines = []
+        real_probes = density._probes
+        monkeypatch.setattr(density, "_probes",
+                            lambda *args: engines.append(real_probes(*args)) or engines[-1])
+        with_lanes = overhead_threshold(p, config)
+        assert isinstance(engines[0], density._Lanes) and engines[0].depth > 1
+        monkeypatch.setattr(density, "_lane_depth", lambda p: 1)
+        sequential = overhead_threshold(p, config)
+        assert isinstance(engines[1], density._SerialProbes)
+        assert with_lanes == sequential
+
+    @pytest.mark.parametrize("w", [3, 9])
+    def test_one_lane_at_widths_of_three_and_more(self, monkeypatch, w):
+        def no_lanes(*args):
+            raise AssertionError("lanes ran")
+
+        monkeypatch.setattr(density, "_Lanes", no_lanes)
+        result = overhead_threshold(params(L=12, w=w), DEConfig(bisection_tol=0.01))
+        assert result.bracket[1] - result.bracket[0] <= 0.01
+
+    def test_a_replaced_de_run_sees_every_probe(self, monkeypatch):
+        # A wrapper made with functools.wraps still runs this module's
+        # de_run, also where it replaces every name bound to it, as the
+        # benchmark's tracer does; anything else is a verdict source of its
+        # own, and the bisection calls it for every probe.
+        import functools
+
+        real = density.de_run
+        assert isinstance(density._probes(FIG2, DEConfig()), density._Lanes)
+        wrapped = functools.wraps(real)(lambda *args: real(*args))
+        for name, value in list(vars(density).items()):
+            if value is real:
+                monkeypatch.setattr(density, name, wrapped)
+        assert isinstance(density._probes(FIG2, DEConfig()), density._Lanes)
+        monkeypatch.setattr(density, "de_run", lambda *args: real(*args))
+        assert isinstance(density._probes(FIG2, DEConfig()), density._SerialProbes)
