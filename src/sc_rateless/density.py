@@ -24,8 +24,9 @@ sampled right-edge entries a k + b k equal fma(b, k, a k), and only 1,722
 equal the unfused sum.  So the bits of a step at w >= 3 (the recorded runs
 at w = 3 and 9 in the tests, for one) are those of this BLAS kernel.  At
 w <= 2 every edge entry is a single product, which rounds the same in
-either loop; that is why several probes run as lanes of one correlation
-(``_Lanes``) only at w <= 2.
+either loop.  Every run is a lane of ``_Lanes``: ``de_run`` runs one, and a
+bisection runs several as one correlation only at w <= 2, and one lane at
+a time at w >= 3.
 
 The update is clamped to [0, 1] from above only, and only at the widths
 where that clamp can bind.  For states in [0, 1] every factor above is
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -272,6 +272,7 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     """Iterate from the all-ones start until the mean erasure probability
     drops below the success target, the run fails, or the iteration cap.
     P_b is checked at every step: a rise by over 1e-12 raises ``NonMonotoneRun``.
+    The run is one lane of ``_Lanes``, whose stop rules are ``_StopRule``'s.
 
     A run fails on a stall or on a failure certificate.  It stalls when no
     entry of p or s moves by ``fixed_point_tol`` in one step.  That test
@@ -323,32 +324,17 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    rule = _StopRule(params, beta, config)
-    L, target, stall_floor = params.L, config.success_target, rule.stall_floor
-    check_at = rule.check_at
-    p = np.ones(L)
-    s = np.ones(L)
-    pb = 1.0
-    for it in range(1, config.max_iterations + 1):
-        p_next, s_next = de_step(params, beta, p, s)
-        # Bit-equal to p_next.mean(): the same pairwise sum, then one division.
-        pb_next = float(np.add.reduce(p_next)) / L
-        if pb - pb_next <= stall_floor or pb_next < target or it == check_at:
-            verdict = rule.check(it, pb, pb_next, (p, s), (p_next, s_next))
-            if verdict is not None:
-                return DERun(state=DEState(p=p_next, s=s_next, iteration=it),
-                             converged_to_zero=verdict[0], hit_iteration_cap=verdict[1])
-            check_at = rule.check_at
-        p, s, pb = p_next, s_next, pb_next
-    raise AssertionError("unreachable")  # the rule stops every run at the cap
-
-
-_DE_RUN_CODE = de_run.__code__
+    lanes = _Lanes(params, config, 1)
+    lanes.start(None, beta)
+    run = lanes.advance()[None]
+    if isinstance(run, NonMonotoneRun):
+        raise run
+    return run
 
 
 class _StopRule:
-    """The stop rules of one run (see ``de_run``), shared by ``de_run`` and
-    every lane of ``_Lanes``.
+    """The stop rules of one run (see ``de_run``), kept by each lane of
+    ``_Lanes``.
 
     ``check`` may follow any step.  A run skips it after a step where P_b
     fell by more than ``stall_floor``, stayed at or above the success target
@@ -437,17 +423,19 @@ def _lane_depth(params: EnsembleParams) -> int:
 
 class _Lanes:
     """DE runs of one ensemble at several betas in lockstep, each bit-equal
-    to ``de_run`` at its beta (see ``_lane_depth`` for why only at w <= 2).
+    to a run alone at its beta (see ``_lane_depth`` for why several lanes
+    run only at w <= 2).  ``de_run`` is one lane.
 
-    Row k of the (K, L + w - 1) arrays holds lane k's L sections and w - 1
-    zeros, so the flattened rows are the lanes laid end to end with zeros
-    between them, and one correlation serves every lane.  One lane runs
-    alone with no zeros: its step is ``de_step``'s at every w.  A vectorized
-    test of P_b after each lockstep finds the locksteps after which some
-    lane's ``_StopRule`` could stop it, and only those call the rules.  A lane
-    joins with ``start`` at the all-ones state and leaves when it ends or
-    is stopped; ``locksteps``, ``row_steps`` and ``retired`` count the
-    locksteps, the lane steps and the lanes that ended on a verdict.
+    The state of K lanes is one flat vector of K (L + w - 1) elements: each
+    lane's L sections and then w - 1 zeros, so one correlation serves every
+    lane.  One lane runs with no zeros, and its step is ``de_step``'s at
+    every w.  After each lockstep a test of P_b finds the locksteps after
+    which some lane's ``_StopRule`` could stop it, and only those call the
+    rules.  That test takes one lane's P_b as a float and several lanes' as
+    one vector.  A lane joins with ``start`` at the all-ones state and leaves
+    when it ends or is stopped; ``locksteps``, ``row_steps`` and ``retired``
+    count the locksteps, the lane steps and the lanes that ended on a
+    verdict.
     """
 
     def __init__(self, params: EnsembleParams, config: DEConfig, depth: int):
@@ -456,8 +444,9 @@ class _Lanes:
         self._keys: list = []
         self._rules: list[_StopRule] = []
         self._joined: list[int] = []
-        self._p = self._s = np.empty((0, params.L))
-        self._pb = np.empty(0)
+        self._width = params.L
+        self._p = self._s = np.empty(0)
+        self._pb: list[float] = []
         self._neg_beta = np.empty(0)
         self._next_check = math.inf
         self._joining: dict = {}
@@ -477,8 +466,8 @@ class _Lanes:
             self._leaving.add(key)
 
     def _regroup(self) -> None:
-        """Drop the rows of the lanes that left, append the joining ones at
-        the all-ones state, and lay the rows out for the new lane count."""
+        """Drop the lanes that left, append the joining ones at the all-ones
+        state, and lay the state out for the new lane count."""
         L, joining = self.params.L, self._joining
         rows = [k for k, key in enumerate(self._keys) if key not in self._leaving]
         self._keys = [self._keys[k] for k in rows] + list(joining)
@@ -488,11 +477,13 @@ class _Lanes:
         width = L + self.params.w - 1 if len(self._keys) > 1 else L
         for name in ("_p", "_s"):
             lanes = np.zeros((len(self._keys), width))
-            lanes[:len(rows), :L] = getattr(self, name)[rows, :L]
+            lanes[:len(rows), :L] = getattr(self, name).reshape(-1, self._width)[rows, :L]
             lanes[len(rows):, :L] = 1.0
-            setattr(self, name, lanes)
-        self._pb = np.concatenate([self._pb[rows], np.ones(len(joining))])
-        self._neg_beta = np.repeat([-rule.beta for rule in self._rules], width)
+            setattr(self, name, lanes.ravel())
+        self._width = width
+        self._pb = [self._pb[k] for k in rows] + [1.0] * len(joining)
+        self._neg_beta = (-self._rules[0].beta if len(self._rules) == 1
+                          else np.repeat([-rule.beta for rule in self._rules], width))
         self._next_check = min((j + rule.check_at for j, rule in zip(self._joined, self._rules)),
                                default=math.inf)
         self._joining, self._leaving = {}, set()
@@ -502,46 +493,56 @@ class _Lanes:
         the lanes that ended, or the ``NonMonotoneRun`` a lane raised."""
         if self._joining or self._leaving:
             self._regroup()
-        params, neg_beta, L, shape = self.params, self._neg_beta, self.params.L, self._p.shape
-        gap = L < shape[1]
+        params, neg_beta, L, width = self.params, self._neg_beta, self.params.L, self._width
+        count, next_check = len(self._keys), self._next_check
         stall_floor = self._rules[0].stall_floor
         target = self.config.success_target
         add, low = np.add.reduce, np.minimum.reduce
-        p, s, pb = self._p, self._s, self._pb
+        p, s = self._p, self._s
+        pb = self._pb[0] if count == 1 else np.array(self._pb)
         start = t = self.locksteps
         while True:
-            p_next, s_next = _update(params, neg_beta, p.ravel(), s.ravel())
-            p_next.shape = s_next.shape = shape
-            if gap:
-                p_next[:, L:] = 0.0
-                s_next[:, L:] = 0.0
-            pb_next = add(p_next[:, :L], axis=1)
-            pb_next /= L
+            p_next, s_next = _update(params, neg_beta, p, s)
+            if count == 1:
+                # Bit-equal to p_next.mean(): the same pairwise sum, then one division.
+                pb_next = float(add(p_next)) / L
+                due = pb - pb_next <= stall_floor or pb_next < target
+            else:
+                rows = p_next.reshape(count, width)
+                if width > L:
+                    rows[:, L:] = 0.0
+                    s_next.reshape(count, width)[:, L:] = 0.0
+                pb_next = add(rows[:, :L], axis=1)
+                pb_next /= L
+                due = low(pb - pb_next) <= stall_floor or low(pb_next) < target
             t += 1
-            if t == self._next_check or low(pb - pb_next) <= stall_floor or low(pb_next) < target:
+            if due or t == next_check:
                 self.locksteps = t
-                ended = self._check(p, s, pb.tolist(), p_next, s_next, pb_next.tolist())
+                pbs, pbs_next = ([pb], [pb_next]) if count == 1 else (pb.tolist(), pb_next.tolist())
+                ended = self._check(p, s, pbs, p_next, s_next, pbs_next)
                 if ended:
-                    self.row_steps += (t - start) * shape[0]
-                    self._p, self._s, self._pb = p_next, s_next, pb_next
+                    self.row_steps += (t - start) * count
+                    self._p, self._s, self._pb = p_next, s_next, pbs_next
                     return ended
+                next_check = self._next_check
             p, s, pb = p_next, s_next, pb_next
 
     def _check(self, p, s, pb, p_next, s_next, pb_next) -> dict:
         """Run every lane's stop rule after this lockstep; the lanes that
         end leave, and their outcomes are returned."""
-        L, t = self.params.L, self.locksteps
+        L, t, width = self.params.L, self.locksteps, self._width
         ended = {}
         for k, (key, rule, joined) in enumerate(zip(self._keys, self._rules, self._joined)):
+            lane = slice(k * width, k * width + L)
             try:
-                verdict = rule.check(t - joined, pb[k], pb_next[k], (p[k, :L], s[k, :L]),
-                                     (p_next[k, :L], s_next[k, :L]))
+                verdict = rule.check(t - joined, pb[k], pb_next[k], (p[lane], s[lane]),
+                                     (p_next[lane], s_next[lane]))
             except NonMonotoneRun as exc:
                 ended[key] = exc
                 self._leaving.add(key)
                 continue
             if verdict is not None:
-                state = DEState(p=p_next[k, :L].copy(), s=s_next[k, :L].copy(),
+                state = DEState(p=p_next[lane].copy(), s=s_next[lane].copy(),
                                 iteration=t - joined)
                 ended[key] = DERun(state=state, converged_to_zero=verdict[0],
                                    hit_iteration_cap=verdict[1])
@@ -553,40 +554,12 @@ class _Lanes:
         return ended
 
 
-class _SerialProbes:
-    """One probe at a time, each one ``de_run`` call: the bisection's
-    probes where lanes do not run (``_lane_depth`` is 1, or ``de_run`` is
-    not this module's own)."""
-
-    depth = 1
-
-    def __init__(self, params: EnsembleParams, config: DEConfig):
-        self.params, self.config = params, config
-        self._probe: dict = {}
-
-    def keys(self) -> list:
-        return list(self._probe)
-
-    def start(self, key, beta: float) -> None:
-        self._probe[key] = beta
-
-    def stop(self, key) -> None:
-        self._probe.pop(key, None)
-
-    def advance(self) -> dict:
-        key, beta = self._probe.popitem()
-        return {key: de_run(self.params, beta, self.config)}
-
-
-def _probes(params: EnsembleParams, config: DEConfig):
-    """The engine that runs a bisection's probes.  Lanes reproduce the
-    ``de_run`` defined here bit for bit, so they stand in for the module's
-    ``de_run`` only while it runs that code, directly or behind wrappers
-    made with ``functools.wraps``; any other ``de_run`` runs every probe."""
-    depth = _lane_depth(params)
-    if depth > 1 and getattr(inspect.unwrap(de_run), "__code__", None) is _DE_RUN_CODE:
-        return _Lanes(params, config, depth)
-    return _SerialProbes(params, config)
+def _probes(params: EnsembleParams, config: DEConfig) -> _Lanes:
+    """The engine that runs a bisection's probes: ``_lane_depth`` levels of
+    lanes, so one lane at a time at w >= 3 and at L > 332 (w = 2).  It is
+    the one place ``overhead_threshold`` gets its engine from, so an engine
+    with the same methods can stand in for it."""
+    return _Lanes(params, config, _lane_depth(params))
 
 
 def _untested(lo: float, hi: float, tol: float, outcomes: dict, count: int) -> list:
@@ -666,16 +639,17 @@ def overhead_threshold(
     below the bracket re-checks the monotonicity assumption.
 
     These probes are ``de_run`` calls.  The bisection's probes run as lanes
-    of one lockstep DE batch where w <= 2: the probe at the midpoint runs
-    together with the untested midpoints of the next levels of the
-    bisection tree, up to 2^d - 1 lanes, where d is the largest depth up to
-    4 whose lanes' K (L + w - 1) elements fit a measured budget of 1,000
-    (at w = 2: 15 lanes up to L = 65, 7 up to 141, 3 up to 332, then one).
-    Each lane is bit-equal to ``de_run``, and a verdict stops every lane it
-    makes moot, so the bisection probes the same alphas with the same
-    verdicts as one ``de_run`` call at a time, and the result is the same
-    to the bit.  The probe on the bisection's path steps at every lockstep,
-    so the locksteps never exceed the steps of the sequential bisection.
+    of one lockstep DE batch (``_Lanes``, from ``_probes``): the probe at the
+    midpoint runs together with the untested midpoints of the next levels
+    of the bisection tree, up to 2^d - 1 lanes, where d is the largest depth
+    up to 4 whose lanes' K (L + w - 1) elements fit a measured budget of
+    1,000 (at w = 2: 15 lanes up to L = 65, 7 up to 141, 3 up to 332, then
+    one), and d = 1 at w >= 3.  Each lane is bit-equal to ``de_run``, and a
+    verdict stops every lane it makes moot, so the bisection probes the same
+    alphas with the same verdicts as one ``de_run`` call at a time, and the
+    result is the same to the bit.  The probe on the bisection's path steps
+    at every lockstep, so the locksteps never exceed the steps of the
+    sequential bisection.
     """
     if params.dg == 1 and not allow_dg1:
         raise ValueError(

@@ -120,6 +120,7 @@ class TestValidation:
             raise AssertionError("a DE probe ran")
 
         monkeypatch.setattr(density, "de_run", no_probe)
+        monkeypatch.setattr(density, "_probes", no_probe)
         L = ["--L", "8"] if command == "threshold" else ["--L-grid", "8"]
         code, text = run(tmp_path, command, "--dg", "3", *L, "--bisect-tol", "1e-18")
         assert code == 2
@@ -157,14 +158,14 @@ class TestValidation:
         # Every DE run's second step jumps back to the all-ones state.
         import sc_rateless.density as density
 
-        real_step = density.de_step
+        real_update = density._update
 
-        def faulty_step(params, beta, p, s):
+        def faulty_update(params, neg_beta, p, s):
             if np.all(p == 1.0):
-                return real_step(params, beta, p, s)
+                return real_update(params, neg_beta, p, s)
             return np.ones_like(p), np.ones_like(s)
 
-        monkeypatch.setattr(density, "de_step", faulty_step)
+        monkeypatch.setattr(density, "_update", faulty_update)
         code, _ = run(tmp_path, "threshold", "--dg", "3", "--L", "8")
         assert code == 3
         assert "P_b rose" in capsys.readouterr().err

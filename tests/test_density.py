@@ -269,16 +269,16 @@ class TestRun:
         # A faulty update that lets P_b rise must stop the run with a
         # declared error, also under ``python -O``: here the third step
         # jumps back to the all-ones state.
-        real_step = density.de_step
+        real_update = density._update
         calls = []
 
-        def faulty_step(params, beta, p, s):
+        def faulty_update(params, neg_beta, p, s):
             calls.append(1)
             if len(calls) < 3:
-                return real_step(params, beta, p, s)
+                return real_update(params, neg_beta, p, s)
             return np.ones_like(p), np.ones_like(s)
 
-        monkeypatch.setattr(density, "de_step", faulty_step)
+        monkeypatch.setattr(density, "_update", faulty_update)
         with pytest.raises(NonMonotoneRun, match="at iteration 3"):
             de_run(FIG2, beta_from_alpha(FIG2, 0.5))
         assert len(calls) == 3
@@ -512,13 +512,11 @@ class TestThreshold:
         # placed between the dyadic bisection probes so only the spot check
         # can see it (the threshold resolves to ~0.3000, the spot probe lands
         # at ~0.2800).
-        def fake_de_run(p, beta, config=DEConfig()):
-            alpha = alpha_from_beta(p, beta)
-            ok = alpha >= 0.3 or 0.279 <= alpha <= 0.281
-            state = DEState(p=np.zeros(p.L) if ok else np.ones(p.L), s=np.zeros(p.L), iteration=1)
-            return DERun(state=state, converged_to_zero=ok)
+        def verdict(beta):
+            alpha = alpha_from_beta(FIG2, beta)
+            return fake_run(alpha >= 0.3 or 0.279 <= alpha <= 0.281, 1), 1
 
-        monkeypatch.setattr(density, "de_run", fake_de_run)
+        rig_every_probe(monkeypatch, verdict)
         with pytest.raises(NonMonotoneBracket):
             overhead_threshold(FIG2)
 
@@ -528,13 +526,11 @@ class TestThreshold:
         # alpha = 10 is probed at 10.
         alphas = []
 
-        def fake_de_run(p, beta, config=DEConfig()):
-            alphas.append(alpha_from_beta(p, beta))
-            ok = alphas[-1] >= 0.17
-            state = DEState(p=np.zeros(p.L) if ok else np.ones(p.L), s=np.zeros(p.L), iteration=1)
-            return DERun(state=state, converged_to_zero=ok)
+        def verdict(beta):
+            alphas.append(alpha_from_beta(FIG2, beta))
+            return fake_run(alphas[-1] >= 0.17, 1), 1
 
-        monkeypatch.setattr(density, "de_run", fake_de_run)
+        rig_every_probe(monkeypatch, verdict)
         tol = 2 * math.ulp(10.0)
         result = overhead_threshold(FIG2, DEConfig(bisection_tol=tol), upper=40.0)
         lo, hi = result.bracket
@@ -852,25 +848,29 @@ class TestLookAhead:
         def lane_verdict(beta):
             return verdict(alpha_from_beta(FIG2, beta))
 
-        monkeypatch.setattr(density, "de_run", fake_de_run)
-        plain = overhead_threshold(FIG2, upper=upper)
-        plain_probes, probes[:] = probes[:], []
         engines = []
+        depth = [1]
+
         def fake_probes(p, config):
-            engines.append(FakeLanes(lane_verdict, 4))
+            engines.append(FakeLanes(lane_verdict, depth[0]))
             return engines[-1]
 
+        monkeypatch.setattr(density, "de_run", fake_de_run)
         monkeypatch.setattr(density, "_probes", fake_probes)
+        plain = overhead_threshold(FIG2, upper=upper)
+        plain_calls, probes[:] = probes[:], []
+        depth[0] = 4
         assert overhead_threshold(FIG2, upper=upper) == plain
-        # de_run saw the zero and expansion probes and the spot probe of the
-        # plain run, and the lanes ran every probe between them.
+        # de_run saw the same zero, expansion and spot probes in both runs,
+        # and the lanes ran every probe of the one-lane bisection.
         head = {"zero-decodes": 1, "expansion": 5, "capped-on-path": 2}[case]
-        spot = plain_probes[-1:] if case != "zero-decodes" else []
-        assert probes == plain_probes[:head] + spot
-        lane_alphas = {alpha_from_beta(FIG2, beta) for beta in engines[0].started.values()}
-        assert lane_alphas >= set(plain_probes[head:len(plain_probes) - len(spot)])
+        assert probes == plain_calls and len(probes) == head + (case != "zero-decodes")
+        sequential = [alpha_from_beta(FIG2, beta) for beta in engines[0].started.values()]
+        plain_probes = plain_calls[:head] + sequential + plain_calls[head:]
+        lane_alphas = {alpha_from_beta(FIG2, beta) for beta in engines[1].started.values()}
+        assert lane_alphas >= set(sequential)
         if case == "zero-decodes":
-            assert plain.bracket == (0.0, 0.0) and engines[0].started == {}
+            assert plain.bracket == (0.0, 0.0) and engines[1].started == {}
         if case == "expansion":
             assert probes[1:head] == pytest.approx([0.05, 0.1, 0.2, 0.4])
         if case == "capped-on-path":
@@ -880,39 +880,59 @@ class TestLookAhead:
                                         (params(dr=4, L=20), 1e-3)])
     def test_lanes_give_the_sequential_threshold(self, monkeypatch, p, tol):
         config = DEConfig(bisection_tol=tol)
-        engines = []
-        real_probes = density._probes
-        monkeypatch.setattr(density, "_probes",
-                            lambda *args: engines.append(real_probes(*args)) or engines[-1])
+        engines = record_engines(monkeypatch)
         with_lanes = overhead_threshold(p, config)
-        assert isinstance(engines[0], density._Lanes) and engines[0].depth > 1
+        assert engines[0].depth > 1
         monkeypatch.setattr(density, "_lane_depth", lambda p: 1)
         sequential = overhead_threshold(p, config)
-        assert isinstance(engines[1], density._SerialProbes)
+        assert engines[1].depth == 1 and engines[1].row_steps == engines[1].locksteps
         assert with_lanes == sequential
 
     @pytest.mark.parametrize("w", [3, 9])
     def test_one_lane_at_widths_of_three_and_more(self, monkeypatch, w):
-        def no_lanes(*args):
-            raise AssertionError("lanes ran")
-
-        monkeypatch.setattr(density, "_Lanes", no_lanes)
+        engines = record_engines(monkeypatch)
         result = overhead_threshold(params(L=12, w=w), DEConfig(bisection_tol=0.01))
         assert result.bracket[1] - result.bracket[0] <= 0.01
+        assert [engine.depth for engine in engines] == [1]
+        assert 0 < engines[0].row_steps == engines[0].locksteps
 
-    def test_a_replaced_de_run_sees_every_probe(self, monkeypatch):
-        # A wrapper made with functools.wraps still runs this module's
-        # de_run, also where it replaces every name bound to it, as the
-        # benchmark's tracer does; anything else is a verdict source of its
-        # own, and the bisection calls it for every probe.
-        import functools
+    @pytest.mark.parametrize("p, tol", [(params(L=8), 1e-4), (params(L=12, w=3), 0.01)])
+    def test_threshold_equals_bisection_on_every_step_loop(self, p, tol):
+        # The loop that tests for a stall on every step is the reference for
+        # whole thresholds: its verdicts, through the same zero and expansion
+        # probes and a plain bisection, give overhead_threshold's bracket, at
+        # w = 2 with lanes and at w = 3 with one lane.
+        config = DEConfig(bisection_tol=tol)
 
-        real = density.de_run
-        assert isinstance(density._probes(FIG2, DEConfig()), density._Lanes)
-        wrapped = functools.wraps(real)(lambda *args: real(*args))
-        for name, value in list(vars(density).items()):
-            if value is real:
-                monkeypatch.setattr(density, name, wrapped)
-        assert isinstance(density._probes(FIG2, DEConfig()), density._Lanes)
-        monkeypatch.setattr(density, "de_run", lambda *args: real(*args))
-        assert isinstance(density._probes(FIG2, DEConfig()), density._SerialProbes)
+        def verdict(alpha):
+            ref = de_run_testing_change_every_step(p, beta_from_alpha(p, alpha), config)
+            return fake_run(ref.decoded, ref.iteration, ref.capped), ref.iteration
+
+        run, _ = verdict(0.0)
+        assert not run.converged_to_zero
+        hi = 1.0
+        while not (run := verdict(hi)[0]).converged_to_zero:
+            hi *= 2.0
+        (lo, hi, iterations), path = plain_bisection(0.0, hi, run.state.iteration, tol, verdict)
+        result = overhead_threshold(p, config)
+        assert result.bracket == (lo, hi)
+        assert result.alpha_star == 0.5 * (lo + hi)
+        assert result.iterations_at_threshold == iterations
+        assert (density._lane_depth(p) > 1) is (p.w == 2) and len(path) > 3
+
+
+def record_engines(monkeypatch) -> list:
+    """The engines that overhead_threshold gets from density._probes."""
+    engines = []
+    real_probes = density._probes
+    monkeypatch.setattr(density, "_probes",
+                        lambda *args: engines.append(real_probes(*args)) or engines[-1])
+    return engines
+
+
+def rig_every_probe(monkeypatch, verdict):
+    """Make ``verdict(beta)`` = (DERun, iterations) the outcome of every DE
+    probe of overhead_threshold: its de_run calls and its bisection's
+    engine, which runs one lane at a time."""
+    monkeypatch.setattr(density, "de_run", lambda p, beta, config=DEConfig(): verdict(beta)[0])
+    monkeypatch.setattr(density, "_probes", lambda p, config: FakeLanes(verdict, 1))
