@@ -234,38 +234,71 @@ def _update(params: EnsembleParams, neg_beta, p: np.ndarray, s: np.ndarray):
 # the last step with these slopes and shrunk by this factor.
 _CERTIFY_FIRST = 64
 _CERTIFY_GROWTH = 1.25
-_CERTIFY_SLOPES = (10.0, 100.0, 1000.0, 10000.0)
+_CERTIFY_SLOPES = np.array([10.0, 100.0, 1000.0, 10000.0])
 _CERTIFY_SHRINK = 1e-9
 _U = 2.0 ** -53
 
 
-def _failure_certificate(params: EnsembleParams, beta: float, success_target: float,
-                         prev: tuple[np.ndarray, np.ndarray],
-                         cur: tuple[np.ndarray, np.ndarray]):
-    """A state (p_y, s_y) that proves a run never decodes, or None.
+def _stackable(params: EnsembleParams) -> bool:
+    """Whether one ``_update`` on states laid end to end, with w - 1 zeros
+    after each, gives each state the bits ``de_step`` gives it alone.
 
-    ``prev`` and ``cur`` are the run's last two states.  Each candidate is
-    y = (1 - eta) clip(x_t - k (x_{t-1} - x_t), 0, 1), and the first one that
-    passes is returned.  It passes when its computed P_b is at least
-    ``success_target`` + 2 (L + 1) u and de_step(y) >= y + margin
-    componentwise, where margin = 2e + 2u (e from the derivation in
-    ``de_run``; 2u covers the rounding of y + margin).
+    At w <= 2 every entry of a flat full average that touches a state's
+    edge is a single product, which rounds the same in either loop.  At
+    w >= 3 the entries at the inner edges would come from numpy's unfused
+    loop, where ``de_step`` takes them from the BLAS dot product, which may
+    fuse (see ``de_step``)."""
+    return params.w <= 2
+
+
+def _failure_certificates(params: EnsembleParams, rules: list, prev: np.ndarray,
+                          cur: np.ndarray):
+    """Try the failure certificate (see ``de_run``) of D runs at once.
+
+    ``prev`` and ``cur`` are (2, D, L) arrays of the runs' last two states,
+    p above s, and ``rules`` their ``_StopRule``s.  Returns per run a state
+    (p_y, s_y) that proves it never decodes, or None; then the number of
+    ``_update`` calls and of candidates stepped.
+
+    The candidates of every slope are built as one block, with the bits of
+    one slope at a time.  Those whose P_b is at least the rule's
+    ``pb_floor`` are stepped: in one ``_update``, laid out as the lanes of
+    ``_Lanes``, where ``_stackable``, else one at a time as ``de_step``.  A
+    run's first passing candidate in slope order is returned, the one a
+    search that stops at the first passing slope returns.
     """
-    dl, dr, dg, w, L = params.dl, params.dr, params.dg, params.w, params.L
-    error_a = (dr - 1) * (w + 2) + w + 10
-    error_b = (dg - 1) * (w + 2) + w + 12
-    error_gf = beta * (error_b + 2) + 8
-    e = 2.0 * (dl * error_a + error_gf + 9) * _U
-    margin = 2.0 * e + 2.0 * _U
-    pb_floor = success_target + 2.0 * (L + 1) * _U
-    for k in _CERTIFY_SLOPES:
-        y = tuple(np.clip(x + k * (x - x_prev), 0.0, 1.0) * (1.0 - _CERTIFY_SHRINK)
-                  for x_prev, x in zip(prev, cur))
-        if float(np.add.reduce(y[0])) / L < pb_floor:
-            continue
-        if all(np.all(fy >= v + margin) for fy, v in zip(de_step(params, beta, *y), y)):
-            return y
-    return None
+    L = params.L
+    y = cur[:, :, None] + _CERTIFY_SLOPES[:, None] * (cur - prev)[:, :, None]
+    # clip(y, 0, 1) as its two ufuncs, without np.clip's Python wrapper.
+    np.maximum(y, 0.0, out=y)
+    np.minimum(y, 1.0, out=y)
+    y *= 1.0 - _CERTIFY_SHRINK
+    pb = np.add.reduce(y[0], axis=2)
+    pb /= L
+    keep = pb >= np.array([rule.pb_floor for rule in rules])[:, None]
+    run = keep.nonzero()[0]
+    y = y[:, keep]
+    count = len(run)
+    found = [None] * len(rules)
+    if count == 0:
+        return found, 0, 0
+    neg_beta = np.array([-rule.beta for rule in rules])[run]
+    margin = np.array([rule.margin for rule in rules])[run, None]
+    if _stackable(params):
+        width = L + params.w - 1
+        flat = np.zeros((2, count, width))
+        flat[:, :, :L] = y
+        f = np.array(_update(params, np.repeat(neg_beta, width), flat[0].ravel(),
+                             flat[1].ravel())).reshape(2, count, width)[:, :, :L]
+        batches = 1
+    else:
+        f = np.array([_update(params, neg_beta[j], y[0, j], y[1, j]) for j in range(count)])
+        f = f.swapaxes(0, 1)
+        batches = count
+    for j in np.flatnonzero(np.all(f >= y + margin, axis=(0, 2))):
+        if found[run[j]] is None:
+            found[run[j]] = (y[0, j], y[1, j])
+    return found, batches, count
 
 
 def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -> DERun:
@@ -296,8 +329,11 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     the cap, so returning "failed" at once changes no verdict.  Candidates
     are tried at step 64 and then each time the step count has grown by 25%:
     y = (1 - eta) clip(x_t - k (x_{t-1} - x_t), 0, 1) with k = 10 .. 10^4
-    and eta = 1e-9, one ``de_step`` each.  The shrink is needed because
-    interior sections sit at exactly one, where f~(y) >= y + 2e fails.
+    and eta = 1e-9.  ``_failure_certificates`` steps every candidate of
+    every lane that is due at one lockstep in one ``_update`` at w <= 2, and
+    one candidate per ``_update`` at w >= 3; each step has the bits of
+    ``de_step``.  The shrink is needed because interior sections sit at
+    exactly one, where f~(y) >= y + 2e fails.
 
     The bound e, to first order in u.  Each count below is in units of u; e
     is twice the total, which covers the higher-order terms while every
@@ -341,12 +377,20 @@ class _StopRule:
     and the iteration is not ``check_at``, since no rule can stop the run
     there: a rise of P_b is a fall below zero, the stall test cannot pass,
     and neither the certificate nor the cap is due.
+
+    ``check`` receives the failure certificate's verdict, which
+    ``_failure_certificates`` finds for every lane due at one lockstep.  A
+    candidate y passes when its computed P_b is at least ``pb_floor`` =
+    ``success_target`` + 2 (L + 1) u and f~(y) >= y + ``margin``
+    componentwise, where margin = 2e + 2u (e from the derivation in
+    ``de_run``; 2u covers the rounding of y + margin).
     """
 
-    __slots__ = ("params", "beta", "config", "stall_floor", "next_certify", "check_at")
+    __slots__ = ("beta", "config", "stall_floor", "margin", "pb_floor", "next_certify",
+                 "check_at")
 
     def __init__(self, params: EnsembleParams, beta: float, config: DEConfig):
-        self.params, self.beta, self.config = params, beta, config
+        self.beta, self.config = beta, config
         # max_i |p_next_i - p_i| >= (sum p - sum p_next) / L.  The states stay
         # in [0, 1], so each computed P_b is within (L + 1) u of sum p / L
         # (u = 2^-53, a bound for any summation order), and the computed fall
@@ -355,22 +399,30 @@ class _StopRule:
         # computed |p_next - p| loses at most another factor (1 - u): the
         # stall test cannot pass.
         self.stall_floor = 2.0 * config.fixed_point_tol + 8.0 * (params.L + 1) * _U
+        dl, dr, dg, w = params.dl, params.dr, params.dg, params.w
+        error_a = (dr - 1) * (w + 2) + w + 10
+        error_b = (dg - 1) * (w + 2) + w + 12
+        error_gf = beta * (error_b + 2) + 8
+        e = 2.0 * (dl * error_a + error_gf + 9) * _U
+        self.margin = 2.0 * e + 2.0 * _U
+        self.pb_floor = config.success_target + 2.0 * (params.L + 1) * _U
         self.next_certify = _CERTIFY_FIRST
         self.check_at = min(_CERTIFY_FIRST, config.max_iterations)
 
-    def check(self, it: int, pb: float, pb_next: float, prev, cur) -> tuple[bool, bool] | None:
+    def check(self, it: int, pb: float, pb_next: float, prev, cur,
+              certified: bool) -> tuple[bool, bool] | None:
         """None if the run goes on after iteration ``it``, else whether it
         (decoded, hit the cap).  ``prev`` and ``cur`` are the (p, s) states
-        before and after the step; the stall test overwrites ``prev``."""
+        before and after the step; the stall test overwrites ``prev``.
+        ``certified`` is whether a failure certificate was found after this
+        step, which is tried only when ``it`` is ``next_certify``."""
         config = self.config
         if pb_next > pb + 1e-12:
             raise NonMonotoneRun(f"P_b rose from {pb} to {pb_next} at iteration {it}")
-        failed = False
         if it == self.next_certify:
             self.next_certify = math.ceil(it * _CERTIFY_GROWTH)
             self.check_at = min(self.next_certify, config.max_iterations)
-            failed = _failure_certificate(
-                self.params, self.beta, config.success_target, prev, cur) is not None
+        failed = certified
         if not failed and pb - pb_next <= self.stall_floor:
             # The previous state is dead once stepped from, so |x_next - x|
             # is taken in its buffers (a step returns new arrays).
@@ -405,14 +457,8 @@ _MAX_LANE_DEPTH = 4
 def _lane_depth(params: EnsembleParams) -> int:
     """How many levels of a bisection run as lanes of one lockstep: the
     largest d up to ``_MAX_LANE_DEPTH`` whose 2^d - 1 lanes fit
-    ``_LANE_BUDGET``, and 1 at w >= 3.
-
-    At w <= 2 every entry of a flat full average that touches a lane's edge
-    is a single product, so a lane's bits equal ``de_step``'s.  At w >= 3
-    the entries at a lane's inner edges would come from numpy's unfused
-    loop, where ``de_step`` takes them from the BLAS dot product, which may
-    fuse (see ``de_step``)."""
-    if params.w > 2:
+    ``_LANE_BUDGET``, and 1 where lanes are not ``_stackable`` (w >= 3)."""
+    if not _stackable(params):
         return 1
     lane = params.L + params.w - 1
     depth = 1
@@ -432,15 +478,20 @@ class _Lanes:
     every w.  After each lockstep a test of P_b finds the locksteps after
     which some lane's ``_StopRule`` could stop it, and only those call the
     rules.  That test takes one lane's P_b as a float and several lanes' as
-    one vector.  A lane joins with ``start`` at the all-ones state and leaves
-    when it ends or is stopped; ``locksteps``, ``row_steps`` and ``retired``
-    count the locksteps, the lane steps and the lanes that ended on a
-    verdict.
+    one vector.  The failure certificates of every lane due at a lockstep
+    are tried together, before any stall test overwrites a lane's previous
+    state (``_failure_certificates``: one ``_update`` at w <= 2).  A lane
+    joins with ``start`` at the all-ones state and leaves when it ends or is
+    stopped.  ``locksteps``, ``row_steps`` and ``retired`` count the
+    locksteps, the lane steps and the lanes that ended on a verdict;
+    ``certificate_batches`` and ``certificate_candidates`` count the
+    certificates' ``_update`` calls and the candidates they stepped.
     """
 
     def __init__(self, params: EnsembleParams, config: DEConfig, depth: int):
         self.params, self.config, self.depth = params, config, depth
         self.locksteps = self.row_steps = self.retired = 0
+        self.certificate_batches = self.certificate_candidates = 0
         self._keys: list = []
         self._rules: list[_StopRule] = []
         self._joined: list[int] = []
@@ -531,12 +582,23 @@ class _Lanes:
         """Run every lane's stop rule after this lockstep; the lanes that
         end leave, and their outcomes are returned."""
         L, t, width = self.params.L, self.locksteps, self._width
+        due = [k for k, (rule, joined) in enumerate(zip(self._rules, self._joined))
+               if t - joined == rule.next_certify]
+        certified = set()
+        if due:
+            found, batches, candidates = _failure_certificates(
+                self.params, [self._rules[k] for k in due],
+                np.array((p, s)).reshape(2, -1, width)[:, due, :L],
+                np.array((p_next, s_next)).reshape(2, -1, width)[:, due, :L])
+            self.certificate_batches += batches
+            self.certificate_candidates += candidates
+            certified = {k for k, y in zip(due, found) if y is not None}
         ended = {}
         for k, (key, rule, joined) in enumerate(zip(self._keys, self._rules, self._joined)):
             lane = slice(k * width, k * width + L)
             try:
                 verdict = rule.check(t - joined, pb[k], pb_next[k], (p[lane], s[lane]),
-                                     (p_next[lane], s_next[lane]))
+                                     (p_next[lane], s_next[lane]), k in certified)
             except NonMonotoneRun as exc:
                 ended[key] = exc
                 self._leaving.add(key)

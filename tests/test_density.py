@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -366,8 +367,9 @@ def de_run_testing_change_every_step(p, beta, config, certify=True):
         certificate = None
         if certify and it == next_certify:
             next_certify = math.ceil(it * density._CERTIFY_GROWTH)
-            certificate = density._failure_certificate(
-                p, beta, config.success_target, (pv, sv), (nxt_p, nxt_s))
+            (certificate,), _, _ = density._failure_certificates(
+                p, [density._StopRule(p, beta, config)], np.array((pv, sv))[:, None],
+                np.array((nxt_p, nxt_s))[:, None])
         change = max(float(np.abs(nxt_p - pv).max()), float(np.abs(nxt_s - sv).max()))
         pv, sv, pb = nxt_p, nxt_s, float(np.add.reduce(nxt_p)) / p.L
         iterates.append((pv, sv))
@@ -461,6 +463,96 @@ def test_stall_only_loop_keeps_the_recorded_stall():
     run = de_run(WAVE, WAVE_STALL_BETA)
     assert run.state.iteration < ref.iteration
     assert not run.converged_to_zero and not run.hit_iteration_cap
+
+
+def failure_certificate_one_slope_at_a_time(p, beta, success_target, prev, cur):
+    """The failure certificate as de_run tried it before the candidates were
+    batched: one de_step per slope, and the first slope that passes wins."""
+    error_a = (p.dr - 1) * (p.w + 2) + p.w + 10
+    error_b = (p.dg - 1) * (p.w + 2) + p.w + 12
+    error_gf = beta * (error_b + 2) + 8
+    e = 2.0 * (p.dl * error_a + error_gf + 9) * density._U
+    margin = 2.0 * e + 2.0 * density._U
+    pb_floor = success_target + 2.0 * (p.L + 1) * density._U
+    for k in density._CERTIFY_SLOPES:
+        y = tuple(np.clip(x + k * (x - x_prev), 0.0, 1.0) * (1.0 - density._CERTIFY_SHRINK)
+                  for x_prev, x in zip(prev, cur))
+        if float(np.add.reduce(y[0])) / p.L < pb_floor:
+            continue
+        if all(np.all(fy >= v + margin) for fy, v in zip(de_step(p, beta, *y), y)):
+            return y
+    return None
+
+
+def certify_together(p, config, betas, prevs, curs):
+    """_failure_certificates on one batch of runs: their certificates and the
+    number of _update calls it made."""
+    rules = [density._StopRule(p, beta, config) for beta in betas]
+    found, batches, _ = density._failure_certificates(
+        p, rules, np.array(prevs).swapaxes(0, 1), np.array(curs).swapaxes(0, 1))
+    return found, batches
+
+
+def assert_certificates_agree(case, p, config, betas, prevs, curs, found):
+    """Each found certificate is the one-slope-at-a-time one, to the bit."""
+    for beta, prev, cur, y in zip(betas, prevs, curs, found):
+        ref = failure_certificate_one_slope_at_a_time(p, beta, config.success_target, prev, cur)
+        assert (y is None) is (ref is None), case
+        if y is not None:
+            assert y[0].tobytes() == ref[0].tobytes(), case
+            assert y[1].tobytes() == ref[1].tobytes(), case
+
+
+def certificate_points(p, beta, config, every_step=False):
+    """The (prev, cur) states of the every-step loop at each iteration where
+    de_run tries its failure certificate, or at every iteration."""
+    iterates = [ones(p.L), *de_run_testing_change_every_step(p, beta, config).iterates]
+    it = 1 if every_step else density._CERTIFY_FIRST
+    while it < len(iterates):
+        yield iterates[it - 1], iterates[it]
+        it = it + 1 if every_step else math.ceil(it * density._CERTIFY_GROWTH)
+
+
+def test_batched_certificate_equals_one_slope_at_a_time_on_every_run():
+    # Every certificate point of every stopping-rule run (L = 1..40, w = 1..9),
+    # one run per call.  No run with L < w lasts until the first certificate,
+    # so those runs are certified at every step.
+    verdicts, widths = set(), set()
+    for case, p, beta, config in random_runs():
+        for prev, cur in certificate_points(p, beta, config, every_step=p.L < p.w):
+            found, _ = certify_together(p, config, [beta], [prev], [cur])
+            assert_certificates_agree(case, p, config, [beta], [prev], [cur], found)
+            verdicts.add(found[0] is not None)
+            widths.add("short" if p.L < p.w else "w >= 3" if p.w >= 3 else "w <= 2")
+    assert verdicts == {True, False} and widths == {"short", "w >= 3", "w <= 2"}
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_batched_certificate_equals_one_slope_at_a_time_across_runs(w):
+    # Runs at mixed betas and iterations certified in one _update, as the
+    # due lanes of one lockstep are: each verdict and certificate is the one
+    # a run alone gets, so no candidate leaks into its neighbours.  Runs
+    # still at the all-ones start fail only at the chain's edges, where the
+    # decoding wave starts, so their candidates would pass if one leaked.
+    rng = np.random.default_rng(17)
+    verdicts = set()
+    for L in (1, 2, 3, 5, 8, 16, 24, 33, 64):
+        p = params(dl=2, dr=3, dg=3 if L % 2 else 2, L=L, w=w)
+        config = DEConfig()
+        lanes = []
+        for k, alpha in enumerate(rng.choice([-0.2, 0.02, 0.05, 0.1, 0.2, 0.4, 1.5], 12)):
+            beta = p.dg / (1.0 - p.epsilon) * (1.0 - p.dl / p.dr) * (1.0 + alpha)
+            if k % 4 == 0:
+                lanes.insert(rng.integers(len(lanes) + 1), (beta, ones(L), ones(L)))
+                continue
+            points = list(certificate_points(p, beta, DEConfig(max_iterations=400), True))
+            lanes.append((beta, *points[rng.integers(len(points))]))
+        betas, prevs, curs = zip(*lanes)
+        found, batches = certify_together(p, config, betas, prevs, curs)
+        assert batches <= 1, L
+        assert_certificates_agree((w, L), p, config, betas, prevs, curs, found)
+        verdicts.update(y is not None for y in found)
+    assert verdicts == {True, False}
 
 
 class TestThreshold:
@@ -624,15 +716,14 @@ def run_lanes(p, config, betas):
 class TestLanes:
     def test_lanes_are_bit_equal_to_de_run(self, monkeypatch):
         certified = set()
-        real_certificate = density._failure_certificate
+        real_certificates = density._failure_certificates
 
-        def recording_certificate(p, beta, *args):
-            y = real_certificate(p, beta, *args)
-            if y is not None:
-                certified.add(beta)
-            return y
+        def recording_certificates(p, rules, *args):
+            found, batches, candidates = real_certificates(p, rules, *args)
+            certified.update(rule.beta for rule, y in zip(rules, found) if y is not None)
+            return found, batches, candidates
 
-        monkeypatch.setattr(density, "_failure_certificate", recording_certificate)
+        monkeypatch.setattr(density, "_failure_certificates", recording_certificates)
         kinds = set()
         for case, p, config, betas in lane_cases():
             lanes, outcomes = run_lanes(p, config, betas)
@@ -686,6 +777,45 @@ class TestLanes:
         assert sorted(outcomes) == [0, 1, 2]
         assert all(isinstance(run, NonMonotoneRun) for run in outcomes.values())
         assert str(outcomes[1]) == str(raised.value)
+
+    @pytest.mark.parametrize("w, depth", [(2, 3), (2, 1), (3, 1)])
+    def test_certificates_take_one_update_per_lockstep_at_widths_up_to_two(
+            self, monkeypatch, w, depth):
+        # Every lane due at a lockstep is certified in one _update at w <= 2,
+        # and each candidate in its own at w >= 3; the counters see each call.
+        p = params(L=16, w=w)
+        lanes = density._Lanes(p, DEConfig(max_iterations=1500), depth)
+        width = p.L + p.w - 1 if w <= 2 else p.L
+        real_update, real_certificates = density._update, density._failure_certificates
+        certifying, calls = [], []
+
+        def counting_certificates(*args):
+            certifying.append(lanes.locksteps)
+            try:
+                return real_certificates(*args)
+            finally:
+                certifying.pop()
+
+        def counting_update(p, neg_beta, pv, sv):
+            if certifying:
+                calls.append((certifying[-1], len(pv) // width))
+            return real_update(p, neg_beta, pv, sv)
+
+        monkeypatch.setattr(density, "_failure_certificates", counting_certificates)
+        monkeypatch.setattr(density, "_update", counting_update)
+        alphas = [-0.2, 0.02, 0.05, 0.1, 0.2, 0.4, 1.5, 0.03, 0.07, 0.3]
+        pending = [p.dg / (1.0 - p.epsilon) * (1.0 - p.dl / p.dr) * (1.0 + a) for a in alphas]
+        while pending or lanes.keys():
+            while pending and len(lanes.keys()) < 2 ** depth - 1:
+                lanes.start(len(pending), pending.pop())
+            lanes.advance()
+        per_lockstep = collections.Counter(t for t, _ in calls)
+        assert max(per_lockstep.values()) == (1 if w <= 2 else 4)
+        # With several lanes one update steps the candidates of several.
+        most = max(n for _, n in calls)
+        assert most > 4 if depth > 1 else most <= (4 if w <= 2 else 1)
+        assert lanes.certificate_batches == len(calls)
+        assert lanes.certificate_candidates == sum(n for _, n in calls)
 
     def test_lane_depth_fits_the_budget(self):
         for w in (1, 2):
