@@ -24,9 +24,8 @@ sampled right-edge entries a k + b k equal fma(b, k, a k), and only 1,722
 equal the unfused sum.  So the bits of a step at w >= 3 (the recorded runs
 at w = 3 and 9 in the tests, for one) are those of this BLAS kernel.  At
 w <= 2 every edge entry is a single product, which rounds the same in
-either loop.  Every run is a lane of ``_Lanes``: ``de_run`` runs one, and a
-bisection runs several as one correlation only at w <= 2, and one lane at
-a time at w >= 3.
+either loop.  So a bisection runs several DE runs as lanes of one
+correlation (``_Lanes``) only at w <= 2, and one at a time at w >= 3.
 
 The update is clamped to [0, 1] from above only, and only at the widths
 where that clamp can bind.  For states in [0, 1] every factor above is
@@ -39,8 +38,10 @@ of as many kernel terms taken on ones, and every later factor stays in
 [0, 1].  A width whose partial sums on ones all stay <= 1 (every w in 1..12
 but 9 and 11 on x86-64) needs no clamp, and skipping it changes no bit.
 
-Decoding succeeds when the mean of p falls below a configured target; the
-overhead threshold is located by bisection on alpha.
+A run decodes when P_b, the mean of p, falls below a configured target, and
+fails on a stall or on a failure certificate (see ``de_run``).  Every run,
+``de_run``'s too, is a lane of ``_Lanes``, the one owner of these stop
+rules.  The overhead threshold is located by bisection on alpha.
 """
 from __future__ import annotations
 
@@ -116,11 +117,15 @@ class DEConfig:
             raise ValueError(f"max_iterations must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"max_iterations must be >= 1, got {value}")
-        # Written as "not > 0" so that a NaN is rejected too.
-        for name in ("fixed_point_tol", "success_target", "bisection_tol"):
+        # P_b and every entry's change lie in [0, 1], so a success target or a
+        # stall tolerance of one or more lets a run stop at its first step at
+        # any overhead.  Written as "not 0 < value < high" so a NaN fails too.
+        for name, high in (("fixed_point_tol", 1.0), ("success_target", 1.0),
+                           ("bisection_tol", math.inf)):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+            if not 0.0 < value < high:
+                bound = "finite" if high == math.inf else f"< {high:g}"
+                raise ValueError(f"{name} must be > 0 and {bound}, got {value}")
         if self.bisection_tol < _MIN_BISECTION_TOL:
             raise ValueError(
                 f"bisection_tol must be >= {_MIN_BISECTION_TOL:g} (two float steps at "
@@ -251,21 +256,22 @@ def _stackable(params: EnsembleParams) -> bool:
     return params.w <= 2
 
 
-def _failure_certificates(params: EnsembleParams, rules: list, prev: np.ndarray,
-                          cur: np.ndarray):
+def _failure_certificates(params: EnsembleParams, betas: list, pb_floor: float,
+                          prev: np.ndarray, cur: np.ndarray):
     """Try the failure certificate (see ``de_run``) of D runs at once.
 
     ``prev`` and ``cur`` are (2, D, L) arrays of the runs' last two states,
-    p above s, and ``rules`` their ``_StopRule``s.  Returns per run a state
+    p above s, and ``betas`` the runs' betas.  Returns per run a state
     (p_y, s_y) that proves it never decodes, or None; then the number of
     ``_update`` calls and of candidates stepped.
 
     The candidates of every slope are built as one block, with the bits of
-    one slope at a time.  Those whose P_b is at least the rule's
-    ``pb_floor`` are stepped: in one ``_update``, laid out as the lanes of
-    ``_Lanes``, where ``_stackable``, else one at a time as ``de_step``.  A
-    run's first passing candidate in slope order is returned, the one a
-    search that stops at the first passing slope returns.
+    one slope at a time.  Those whose P_b is at least ``pb_floor`` are
+    stepped: in one ``_update``, laid out as the lanes of ``_Lanes``, where
+    ``_stackable``, else one at a time as ``de_step``.  A candidate y passes
+    when f~(y) >= y + ``_margin`` componentwise.  A run's first passing
+    candidate in slope order is returned, the one a search that stops at the
+    first passing slope returns.
     """
     L = params.L
     y = cur[:, :, None] + _CERTIFY_SLOPES[:, None] * (cur - prev)[:, :, None]
@@ -275,15 +281,15 @@ def _failure_certificates(params: EnsembleParams, rules: list, prev: np.ndarray,
     y *= 1.0 - _CERTIFY_SHRINK
     pb = np.add.reduce(y[0], axis=2)
     pb /= L
-    keep = pb >= np.array([rule.pb_floor for rule in rules])[:, None]
+    keep = pb >= pb_floor
     run = keep.nonzero()[0]
     y = y[:, keep]
     count = len(run)
-    found = [None] * len(rules)
+    found = [None] * len(betas)
     if count == 0:
         return found, 0, 0
-    neg_beta = np.array([-rule.beta for rule in rules])[run]
-    margin = np.array([rule.margin for rule in rules])[run, None]
+    neg_beta = -np.array(betas)[run]
+    margin = np.array([_margin(params, beta) for beta in betas])[run, None]
     if _stackable(params):
         width = L + params.w - 1
         flat = np.zeros((2, count, width))
@@ -305,7 +311,7 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     """Iterate from the all-ones start until the mean erasure probability
     drops below the success target, the run fails, or the iteration cap.
     P_b is checked at every step: a rise by over 1e-12 raises ``NonMonotoneRun``.
-    The run is one lane of ``_Lanes``, whose stop rules are ``_StopRule``'s.
+    The run is one lane of ``_Lanes``, which applies these stop rules.
 
     A run fails on a stall or on a failure certificate.  It stalls when no
     entry of p or s moves by ``fixed_point_tol`` in one step.  That test
@@ -323,17 +329,16 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
         x~_{t+1} >= f(x~_t) - e >= f(y) - e >= f~(y) - 2e >= y.
 
     Each computed P_b is within (L + 1) u of the exact mean (u = 2^-53; see
-    the stall floor below), so a computed P_b(y) at least
+    the stall floor in ``_Lanes``), so a computed P_b(y) at least
     ``success_target`` + 2 (L + 1) u keeps every computed P_b at or above
     the target: the run never decodes.  Iterated on, it would stall or hit
     the cap, so returning "failed" at once changes no verdict.  Candidates
     are tried at step 64 and then each time the step count has grown by 25%:
     y = (1 - eta) clip(x_t - k (x_{t-1} - x_t), 0, 1) with k = 10 .. 10^4
-    and eta = 1e-9.  ``_failure_certificates`` steps every candidate of
-    every lane that is due at one lockstep in one ``_update`` at w <= 2, and
-    one candidate per ``_update`` at w >= 3; each step has the bits of
-    ``de_step``.  The shrink is needed because interior sections sit at
-    exactly one, where f~(y) >= y + 2e fails.
+    and eta = 1e-9; the shrink is needed because interior sections sit at
+    exactly one, where f~(y) >= y + 2e fails.  ``_failure_certificates``
+    steps the candidates of every lane due at one lockstep together, with
+    the bits of ``de_step``, and accepts f~(y) >= y + ``_margin``.
 
     The bound e, to first order in u.  Each count below is in units of u; e
     is twice the total, which covers the higher-order terms while every
@@ -357,6 +362,7 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
 
     The clamp min(., 1) is 1-Lipschitz and f <= 1, so it adds nothing.  At
     dr = 30, w = 12, dg = 3 and beta ~ 6 this gives E_s ~ 1,200 and e ~ 2,400u.
+    ``_margin`` adds 2u to 2e for the rounding of y + margin.
     """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
@@ -368,76 +374,15 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     return run
 
 
-class _StopRule:
-    """The stop rules of one run (see ``de_run``), kept by each lane of
-    ``_Lanes``.
-
-    ``check`` may follow any step.  A run skips it after a step where P_b
-    fell by more than ``stall_floor``, stayed at or above the success target
-    and the iteration is not ``check_at``, since no rule can stop the run
-    there: a rise of P_b is a fall below zero, the stall test cannot pass,
-    and neither the certificate nor the cap is due.
-
-    ``check`` receives the failure certificate's verdict, which
-    ``_failure_certificates`` finds for every lane due at one lockstep.  A
-    candidate y passes when its computed P_b is at least ``pb_floor`` =
-    ``success_target`` + 2 (L + 1) u and f~(y) >= y + ``margin``
-    componentwise, where margin = 2e + 2u (e from the derivation in
-    ``de_run``; 2u covers the rounding of y + margin).
-    """
-
-    __slots__ = ("beta", "config", "stall_floor", "margin", "pb_floor", "next_certify",
-                 "check_at")
-
-    def __init__(self, params: EnsembleParams, beta: float, config: DEConfig):
-        self.beta, self.config = beta, config
-        # max_i |p_next_i - p_i| >= (sum p - sum p_next) / L.  The states stay
-        # in [0, 1], so each computed P_b is within (L + 1) u of sum p / L
-        # (u = 2^-53, a bound for any summation order), and the computed fall
-        # of P_b is within a factor (1 + u) of the true one.  A computed fall
-        # above this floor thus leaves a true fall above 2 tol (1 - u), and the
-        # computed |p_next - p| loses at most another factor (1 - u): the
-        # stall test cannot pass.
-        self.stall_floor = 2.0 * config.fixed_point_tol + 8.0 * (params.L + 1) * _U
-        dl, dr, dg, w = params.dl, params.dr, params.dg, params.w
-        error_a = (dr - 1) * (w + 2) + w + 10
-        error_b = (dg - 1) * (w + 2) + w + 12
-        error_gf = beta * (error_b + 2) + 8
-        e = 2.0 * (dl * error_a + error_gf + 9) * _U
-        self.margin = 2.0 * e + 2.0 * _U
-        self.pb_floor = config.success_target + 2.0 * (params.L + 1) * _U
-        self.next_certify = _CERTIFY_FIRST
-        self.check_at = min(_CERTIFY_FIRST, config.max_iterations)
-
-    def check(self, it: int, pb: float, pb_next: float, prev, cur,
-              certified: bool) -> tuple[bool, bool] | None:
-        """None if the run goes on after iteration ``it``, else whether it
-        (decoded, hit the cap).  ``prev`` and ``cur`` are the (p, s) states
-        before and after the step; the stall test overwrites ``prev``.
-        ``certified`` is whether a failure certificate was found after this
-        step, which is tried only when ``it`` is ``next_certify``."""
-        config = self.config
-        if pb_next > pb + 1e-12:
-            raise NonMonotoneRun(f"P_b rose from {pb} to {pb_next} at iteration {it}")
-        if it == self.next_certify:
-            self.next_certify = math.ceil(it * _CERTIFY_GROWTH)
-            self.check_at = min(self.next_certify, config.max_iterations)
-        failed = certified
-        if not failed and pb - pb_next <= self.stall_floor:
-            # The previous state is dead once stepped from, so |x_next - x|
-            # is taken in its buffers (a step returns new arrays).
-            (p, s), (p_next, s_next) = prev, cur
-            np.abs(np.subtract(p_next, p, out=p), out=p)
-            np.abs(np.subtract(s_next, s, out=s), out=s)
-            change = max(
-                float(np.maximum.reduce(p, initial=0.0)),
-                float(np.maximum.reduce(s, initial=0.0)),
-            )
-            failed = change < config.fixed_point_tol
-        done_zero = pb_next < config.success_target
-        if done_zero or failed or it == config.max_iterations:
-            return done_zero, not (done_zero or failed)
-        return None
+def _margin(params: EnsembleParams, beta: float) -> float:
+    """The failure certificate's margin 2e + 2u at ``beta``, with e the
+    bound on one computed step's error derived in ``de_run``."""
+    dl, dr, dg, w = params.dl, params.dr, params.dg, params.w
+    error_a = (dr - 1) * (w + 2) + w + 10
+    error_b = (dg - 1) * (w + 2) + w + 12
+    error_gf = beta * (error_b + 2) + 8
+    e = 2.0 * (dl * error_a + error_gf + 9) * _U
+    return 2.0 * e + 2.0 * _U
 
 
 # Lanes of one lockstep share a flat vector of K (L + w - 1) elements.  A
@@ -449,7 +394,9 @@ class _StopRule:
 # took 5.4 s, 7 lanes 6.3 s and one lane 8.7 s; at L = 128, 7 lanes (903
 # elements) took 7.5 s, 15 lanes 8.3 s and one lane 12.6 s; at L = 256
 # (cap 450k), 3 lanes (771 elements) took 29 and 37 s, one lane 35 and
-# 36 s.  At L = 512 a lockstep of 3 lanes costs 1.8 one-lane steps.
+# 36 s.  At L = 512 a lockstep of 3 lanes costs 1.8 one-lane steps.  At
+# w = 2 the budget gives 15 lanes up to L = 65, 7 up to 141, 3 up to 332,
+# then one lane at a time.
 _LANE_BUDGET = 1000
 _MAX_LANE_DEPTH = 4
 
@@ -469,21 +416,30 @@ def _lane_depth(params: EnsembleParams) -> int:
 
 class _Lanes:
     """DE runs of one ensemble at several betas in lockstep, each bit-equal
-    to a run alone at its beta (see ``_lane_depth`` for why several lanes
-    run only at w <= 2).  ``de_run`` is one lane.
+    to a run alone at its beta, and the one owner of their stop rules (see
+    ``de_run``).  ``de_run`` is one lane; several run together only where
+    ``_stackable`` (w <= 2).
 
     The state of K lanes is one flat vector of K (L + w - 1) elements: each
     lane's L sections and then w - 1 zeros, so one correlation serves every
     lane.  One lane runs with no zeros, and its step is ``de_step``'s at
-    every w.  After each lockstep a test of P_b finds the locksteps after
-    which some lane's ``_StopRule`` could stop it, and only those call the
-    rules.  That test takes one lane's P_b as a float and several lanes' as
-    one vector.  The failure certificates of every lane due at a lockstep
-    are tried together, before any stall test overwrites a lane's previous
-    state (``_failure_certificates``: one ``_update`` at w <= 2).  A lane
-    joins with ``start`` at the all-ones state and leaves when it ends or is
-    stopped.  ``locksteps``, ``row_steps`` and ``retired`` count the
-    locksteps, the lane steps and the lanes that ended on a verdict;
+    every w.  Beside its key, each lane keeps its beta, the lockstep it
+    joined at and the iteration of its next failure certificate.  The stall
+    floor and the P_b floor depend only on L and the config, so the engine
+    holds one of each.
+
+    The stop rules run only after a lockstep where one could stop some
+    lane: where some lane's P_b fell by no more than ``stall_floor`` (a rise
+    is a fall below zero) or fell below the success target, or where some
+    lane's certificate or cap is due.  Elsewhere no rule can stop a lane,
+    since a fall above the floor rules out a stall.  That test takes one
+    lane's P_b as a float and several lanes' as one vector.  The failure certificates of every lane due at a lockstep are
+    tried together, before any stall test overwrites a lane's previous
+    state (``_failure_certificates``: one ``_update`` at w <= 2).
+
+    A lane joins with ``start`` at the all-ones state and leaves when it
+    ends or is stopped.  ``locksteps``, ``row_steps`` and ``retired`` count
+    the locksteps, the lane steps and the lanes that ended on a verdict;
     ``certificate_batches`` and ``certificate_candidates`` count the
     certificates' ``_update`` calls and the candidates they stepped.
     """
@@ -492,9 +448,22 @@ class _Lanes:
         self.params, self.config, self.depth = params, config, depth
         self.locksteps = self.row_steps = self.retired = 0
         self.certificate_batches = self.certificate_candidates = 0
+        # max_i |p_next_i - p_i| >= (sum p - sum p_next) / L.  The states stay
+        # in [0, 1], so each computed P_b is within (L + 1) u of sum p / L
+        # (u = 2^-53, a bound for any summation order), and the computed fall
+        # of P_b is within a factor (1 + u) of the true one.  A computed fall
+        # above this floor thus leaves a true fall above 2 tol (1 - u), and the
+        # computed |p_next - p| loses at most another factor (1 - u): the
+        # stall test cannot pass.
+        self.stall_floor = 2.0 * config.fixed_point_tol + 8.0 * (params.L + 1) * _U
+        # A failure certificate's candidate needs a computed P_b of at least
+        # this, so that every later computed P_b stays at or above the
+        # success target (see de_run).
+        self.pb_floor = config.success_target + 2.0 * (params.L + 1) * _U
         self._keys: list = []
-        self._rules: list[_StopRule] = []
+        self._betas: list[float] = []
         self._joined: list[int] = []
+        self._certify: list[int] = []
         self._width = params.L
         self._p = self._s = np.empty(0)
         self._pb: list[float] = []
@@ -516,15 +485,23 @@ class _Lanes:
         if self._joining.pop(key, None) is None:
             self._leaving.add(key)
 
+    def _check_at(self) -> float:
+        """The first lockstep at which a staying lane's certificate or cap
+        is due."""
+        cap = self.config.max_iterations
+        return min((joined + min(certify, cap) for key, joined, certify
+                    in zip(self._keys, self._joined, self._certify)
+                    if key not in self._leaving), default=math.inf)
+
     def _regroup(self) -> None:
         """Drop the lanes that left, append the joining ones at the all-ones
         state, and lay the state out for the new lane count."""
         L, joining = self.params.L, self._joining
         rows = [k for k, key in enumerate(self._keys) if key not in self._leaving]
         self._keys = [self._keys[k] for k in rows] + list(joining)
-        self._rules = ([self._rules[k] for k in rows]
-                       + [_StopRule(self.params, beta, self.config) for beta in joining.values()])
+        self._betas = [self._betas[k] for k in rows] + list(joining.values())
         self._joined = [self._joined[k] for k in rows] + [self.locksteps] * len(joining)
+        self._certify = [self._certify[k] for k in rows] + [_CERTIFY_FIRST] * len(joining)
         width = L + self.params.w - 1 if len(self._keys) > 1 else L
         for name in ("_p", "_s"):
             lanes = np.zeros((len(self._keys), width))
@@ -533,11 +510,10 @@ class _Lanes:
             setattr(self, name, lanes.ravel())
         self._width = width
         self._pb = [self._pb[k] for k in rows] + [1.0] * len(joining)
-        self._neg_beta = (-self._rules[0].beta if len(self._rules) == 1
-                          else np.repeat([-rule.beta for rule in self._rules], width))
-        self._next_check = min((j + rule.check_at for j, rule in zip(self._joined, self._rules)),
-                               default=math.inf)
+        self._neg_beta = (-self._betas[0] if len(self._betas) == 1
+                          else np.repeat([-beta for beta in self._betas], width))
         self._joining, self._leaving = {}, set()
+        self._next_check = self._check_at()
 
     def advance(self) -> dict:
         """Step every lane until at least one ends; return {key: DERun} for
@@ -546,7 +522,7 @@ class _Lanes:
             self._regroup()
         params, neg_beta, L, width = self.params, self._neg_beta, self.params.L, self._width
         count, next_check = len(self._keys), self._next_check
-        stall_floor = self._rules[0].stall_floor
+        stall_floor = self.stall_floor
         target = self.config.success_target
         add, low = np.add.reduce, np.minimum.reduce
         p, s = self._p, self._s
@@ -579,48 +555,57 @@ class _Lanes:
             p, s, pb = p_next, s_next, pb_next
 
     def _check(self, p, s, pb, p_next, s_next, pb_next) -> dict:
-        """Run every lane's stop rule after this lockstep; the lanes that
-        end leave, and their outcomes are returned."""
-        L, t, width = self.params.L, self.locksteps, self._width
-        due = [k for k, (rule, joined) in enumerate(zip(self._rules, self._joined))
-               if t - joined == rule.next_certify]
+        """Apply every lane's stop rules after this lockstep (see
+        ``de_run``); the lanes that end leave, and their outcomes are
+        returned.  The stall test overwrites a lane's state in ``p`` and
+        ``s``, which are dead once stepped from."""
+        config, L, t, width = self.config, self.params.L, self.locksteps, self._width
+        due = [k for k, (joined, certify) in enumerate(zip(self._joined, self._certify))
+               if t - joined == certify]
         certified = set()
         if due:
             found, batches, candidates = _failure_certificates(
-                self.params, [self._rules[k] for k in due],
+                self.params, [self._betas[k] for k in due], self.pb_floor,
                 np.array((p, s)).reshape(2, -1, width)[:, due, :L],
                 np.array((p_next, s_next)).reshape(2, -1, width)[:, due, :L])
             self.certificate_batches += batches
             self.certificate_candidates += candidates
             certified = {k for k, y in zip(due, found) if y is not None}
+            for k in due:
+                self._certify[k] = math.ceil(self._certify[k] * _CERTIFY_GROWTH)
         ended = {}
-        for k, (key, rule, joined) in enumerate(zip(self._keys, self._rules, self._joined)):
-            lane = slice(k * width, k * width + L)
-            try:
-                verdict = rule.check(t - joined, pb[k], pb_next[k], (p[lane], s[lane]),
-                                     (p_next[lane], s_next[lane]), k in certified)
-            except NonMonotoneRun as exc:
-                ended[key] = exc
+        for k, (key, joined) in enumerate(zip(self._keys, self._joined)):
+            it = t - joined
+            if pb_next[k] > pb[k] + 1e-12:
+                ended[key] = NonMonotoneRun(f"P_b rose from {pb[k]} to {pb_next[k]} "
+                                            f"at iteration {it}")
                 self._leaving.add(key)
                 continue
-            if verdict is not None:
-                state = DEState(p=p_next[lane].copy(), s=s_next[lane].copy(),
-                                iteration=t - joined)
-                ended[key] = DERun(state=state, converged_to_zero=verdict[0],
-                                   hit_iteration_cap=verdict[1])
+            lane = slice(k * width, k * width + L)
+            failed = k in certified
+            if not failed and pb[k] - pb_next[k] <= self.stall_floor:
+                dp, ds = p[lane], s[lane]
+                np.abs(np.subtract(p_next[lane], dp, out=dp), out=dp)
+                np.abs(np.subtract(s_next[lane], ds, out=ds), out=ds)
+                change = max(float(np.maximum.reduce(dp, initial=0.0)),
+                             float(np.maximum.reduce(ds, initial=0.0)))
+                failed = change < config.fixed_point_tol
+            decoded = pb_next[k] < config.success_target
+            if decoded or failed or it == config.max_iterations:
+                state = DEState(p=p_next[lane].copy(), s=s_next[lane].copy(), iteration=it)
+                ended[key] = DERun(state=state, converged_to_zero=decoded,
+                                   hit_iteration_cap=not (decoded or failed))
                 self._leaving.add(key)
                 self.retired += 1
-        self._next_check = min((j + rule.check_at for j, rule, key
-                                in zip(self._joined, self._rules, self._keys)
-                                if key not in self._leaving), default=math.inf)
+        self._next_check = self._check_at()
         return ended
 
 
 def _probes(params: EnsembleParams, config: DEConfig) -> _Lanes:
     """The engine that runs a bisection's probes: ``_lane_depth`` levels of
-    lanes, so one lane at a time at w >= 3 and at L > 332 (w = 2).  It is
-    the one place ``overhead_threshold`` gets its engine from, so an engine
-    with the same methods can stand in for it."""
+    lanes (see ``_LANE_BUDGET``).  It is the one place
+    ``overhead_threshold`` gets its engine from, so an engine with the same
+    methods can stand in for it."""
     return _Lanes(params, config, _lane_depth(params))
 
 
@@ -697,21 +682,21 @@ def overhead_threshold(
     The bracket starts as [0, upper].  Zero overhead is probed first: at
     capacity it cannot decode, and if it does anyway the bracket is [0, 0]
     and there is nothing to bisect.  The upper end, capped at alpha = 10, is
-    doubled (capped again) until it decodes.  After bisection one spot probe
-    below the bracket re-checks the monotonicity assumption.
+    doubled (capped again) until it decodes; if the probe at alpha = 10 does
+    not, ``NoSuccessInBracket`` says so, and whether that probe hit the
+    iteration cap.  After bisection one spot probe below the bracket
+    re-checks the monotonicity assumption.
 
     These probes are ``de_run`` calls.  The bisection's probes run as lanes
     of one lockstep DE batch (``_Lanes``, from ``_probes``): the probe at the
     midpoint runs together with the untested midpoints of the next levels
-    of the bisection tree, up to 2^d - 1 lanes, where d is the largest depth
-    up to 4 whose lanes' K (L + w - 1) elements fit a measured budget of
-    1,000 (at w = 2: 15 lanes up to L = 65, 7 up to 141, 3 up to 332, then
-    one), and d = 1 at w >= 3.  Each lane is bit-equal to ``de_run``, and a
-    verdict stops every lane it makes moot, so the bisection probes the same
-    alphas with the same verdicts as one ``de_run`` call at a time, and the
-    result is the same to the bit.  The probe on the bisection's path steps
-    at every lockstep, so the locksteps never exceed the steps of the
-    sequential bisection.
+    of the bisection tree, up to 2^d - 1 lanes, where d is ``_lane_depth``
+    (see ``_LANE_BUDGET``; d = 1 at w >= 3).  Each lane is bit-equal to
+    ``de_run``, and a verdict stops every lane it makes moot, so the
+    bisection probes the same alphas with the same verdicts as one
+    ``de_run`` call at a time, and the result is the same to the bit.  The
+    probe on the bisection's path steps at every lockstep, so the locksteps
+    never exceed the steps of the sequential bisection.
     """
     if params.dg == 1 and not allow_dg1:
         raise ValueError(
@@ -721,23 +706,24 @@ def overhead_threshold(
     if not upper > 0.0:
         raise ValueError(f"the upper starting point must be > 0, got {upper}")
 
-    def decodes(alpha: float) -> tuple[bool, int]:
-        run = de_run(params, beta_from_alpha(params, alpha), config)
-        return run.converged_to_zero, run.state.iteration
+    def probe(alpha: float) -> DERun:
+        return de_run(params, beta_from_alpha(params, alpha), config)
 
     lo = 0.0
-    ok, success_iters = decodes(lo)
-    hi = lo if ok else min(upper, _ALPHA_CAP)
-    while not ok:
-        ok, success_iters = decodes(hi)
-        if not ok:
+    run = probe(lo)
+    hi = lo if run.converged_to_zero else min(upper, _ALPHA_CAP)
+    while not run.converged_to_zero:
+        run = probe(hi)
+        if not run.converged_to_zero:
             if hi >= _ALPHA_CAP:
+                capped = (f"; the last probe hit the iteration cap of {config.max_iterations}"
+                          if run.hit_iteration_cap else "")
                 raise NoSuccessInBracket(
-                    f"density evolution fails up to alpha = {hi:g} for {params}"
+                    f"density evolution fails up to alpha = {hi:g} for {params}{capped}"
                 )
             hi = min(2.0 * hi, _ALPHA_CAP)
 
-    lo, hi, success_iters = _bisect(lo, hi, success_iters, config.bisection_tol,
+    lo, hi, success_iters = _bisect(lo, hi, run.state.iteration, config.bisection_tol,
                                     lambda alpha: beta_from_alpha(params, alpha),
                                     _probes(params, config))
 
@@ -746,12 +732,10 @@ def overhead_threshold(
     # also fail (probing just above the bracket instead would sit in the
     # critically slow regime and stall spuriously).
     spot = alpha_star - max(0.02, 10.0 * config.bisection_tol)
-    if spot > 0.0:
-        ok, _ = decodes(spot)
-        if ok:
-            raise NonMonotoneBracket(
-                f"alpha = {spot:g} decodes although the bracket bottom {lo:g} does not"
-            )
+    if spot > 0.0 and probe(spot).converged_to_zero:
+        raise NonMonotoneBracket(
+            f"alpha = {spot:g} decodes although the bracket bottom {lo:g} does not"
+        )
     return ThresholdResult(
         alpha_star=alpha_star,
         beta_star=beta_from_alpha(params, alpha_star),

@@ -127,6 +127,28 @@ class TestValidation:
         assert text == ""
         assert "bisection_tol must be >= " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--success-target", "2", "success_target must be > 0 and < 1, got 2.0"),
+        ("--success-target", "inf", "success_target must be > 0 and < 1, got inf"),
+        ("--fp-tol", "1", "fixed_point_tol must be > 0 and < 1, got 1.0"),
+        ("--bisect-tol", "inf", "bisection_tol must be > 0 and finite, got inf"),
+    ])
+    def test_meaningless_tolerance_exits_2_before_any_probe(
+            self, tmp_path, capsys, monkeypatch, flag, value, message):
+        # A success target of 2 used to "decode" every probe at step 1 and
+        # print alpha_star=0.0 with exit code 0.
+        import sc_rateless.density as density
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a DE probe ran")
+
+        monkeypatch.setattr(density, "de_run", no_probe)
+        monkeypatch.setattr(density, "_probes", no_probe)
+        code, text = run(tmp_path, "threshold", "--dg", "3", "--L", "8", flag, value)
+        assert code == 2
+        assert text == ""
+        assert f"error: {message}\n" == capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         assert main(["threshold", "--bogus"]) == 2
 
@@ -153,6 +175,15 @@ class TestValidation:
             "--max-iter", "200",
         )
         assert code == 3
+
+    def test_capped_expansion_probe_says_so(self, tmp_path, capsys):
+        # The alpha = 10 probe is still decoding when it reaches the cap of 5.
+        code, text = run(tmp_path, "threshold", "--dg", "3", "--L", "16", "--max-iter", "5")
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: density evolution fails up to alpha = 10 for EnsembleParams(dl=2, dr=3, "
+            "dg=3, L=16, w=2, epsilon=0.5); the last probe hit the iteration cap of 5\n")
 
     def test_rising_bit_error_exits_3(self, tmp_path, monkeypatch, capsys):
         # Every DE run's second step jumps back to the all-ones state.

@@ -215,9 +215,17 @@ class TestStep:
 
 class TestConfig:
     @pytest.mark.parametrize("name", ["fixed_point_tol", "success_target", "bisection_tol"])
-    @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
     def test_rejects_nonpositive_and_nan_tolerances(self, name, value):
         with pytest.raises(ValueError, match=name):
+            DEConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["fixed_point_tol", "success_target"])
+    @pytest.mark.parametrize("value", [1.0, 2.0])
+    def test_rejects_probability_tolerances_of_one_or_more(self, name, value):
+        # P_b and every change of a state lie in [0, 1], so such a tolerance
+        # would stop a run at its first step at any overhead.
+        with pytest.raises(ValueError, match=f"{name} must be > 0 and < 1, got {value}"):
             DEConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [1e-18, math.nextafter(2 * math.ulp(10.0), 0.0)])
@@ -368,7 +376,7 @@ def de_run_testing_change_every_step(p, beta, config, certify=True):
         if certify and it == next_certify:
             next_certify = math.ceil(it * density._CERTIFY_GROWTH)
             (certificate,), _, _ = density._failure_certificates(
-                p, [density._StopRule(p, beta, config)], np.array((pv, sv))[:, None],
+                p, [beta], density._Lanes(p, config, 1).pb_floor, np.array((pv, sv))[:, None],
                 np.array((nxt_p, nxt_s))[:, None])
         change = max(float(np.abs(nxt_p - pv).max()), float(np.abs(nxt_s - sv).max()))
         pv, sv, pb = nxt_p, nxt_s, float(np.add.reduce(nxt_p)) / p.L
@@ -487,9 +495,9 @@ def failure_certificate_one_slope_at_a_time(p, beta, success_target, prev, cur):
 def certify_together(p, config, betas, prevs, curs):
     """_failure_certificates on one batch of runs: their certificates and the
     number of _update calls it made."""
-    rules = [density._StopRule(p, beta, config) for beta in betas]
     found, batches, _ = density._failure_certificates(
-        p, rules, np.array(prevs).swapaxes(0, 1), np.array(curs).swapaxes(0, 1))
+        p, betas, density._Lanes(p, config, 1).pb_floor, np.array(prevs).swapaxes(0, 1),
+        np.array(curs).swapaxes(0, 1))
     return found, batches
 
 
@@ -718,9 +726,9 @@ class TestLanes:
         certified = set()
         real_certificates = density._failure_certificates
 
-        def recording_certificates(p, rules, *args):
-            found, batches, candidates = real_certificates(p, rules, *args)
-            certified.update(rule.beta for rule, y in zip(rules, found) if y is not None)
+        def recording_certificates(p, betas, *args):
+            found, batches, candidates = real_certificates(p, betas, *args)
+            certified.update(beta for beta, y in zip(betas, found) if y is not None)
             return found, batches, candidates
 
         monkeypatch.setattr(density, "_failure_certificates", recording_certificates)
@@ -777,6 +785,42 @@ class TestLanes:
         assert sorted(outcomes) == [0, 1, 2]
         assert all(isinstance(run, NonMonotoneRun) for run in outcomes.values())
         assert str(outcomes[1]) == str(raised.value)
+
+    def test_one_rising_lane_leaves_and_the_others_run_on(self, monkeypatch):
+        # Once, the step resets only the middle lane of three to all ones: that
+        # lane ends with NonMonotoneRun, and the other two run on bit-equal to
+        # de_run.
+        p, config = params(L=16, w=2), DEConfig(max_iterations=1500)
+        betas = [beta_from_alpha(p, a) for a in (0.02, 0.15, 0.4)]
+        refs = [de_run(p, beta, config) for beta in betas]
+        width, real_update, calls = p.L + p.w - 1, density._update, []
+
+        def faulty_update(p, neg_beta, pv, sv):
+            p_next, s_next = real_update(p, neg_beta, pv, sv)
+            if len(pv) == 3 * width:
+                calls.append(1)
+                if len(calls) == 3:
+                    p_next[width:width + p.L] = s_next[width:width + p.L] = 1.0
+            return p_next, s_next
+
+        monkeypatch.setattr(density, "_update", faulty_update)
+        lanes = density._Lanes(p, config, depth=2)
+        for k, beta in enumerate(betas):
+            lanes.start(k, beta)
+        outcomes = lanes.advance()
+        assert list(outcomes) == [1] and lanes.keys() == [0, 2]
+        assert isinstance(outcomes[1], NonMonotoneRun)
+        assert str(outcomes[1]).endswith("to 1.0 at iteration 3")
+        while lanes.keys():
+            outcomes.update(lanes.advance())
+        assert lanes.retired == 2
+        for k in (0, 2):
+            run, ref = outcomes[k], refs[k]
+            assert (run.state.iteration, run.converged_to_zero, run.hit_iteration_cap) == (
+                ref.state.iteration, ref.converged_to_zero, ref.hit_iteration_cap)
+            assert state_digest(run.state.p, run.state.s) == state_digest(ref.state.p, ref.state.s)
+        assert refs[0].state.iteration > 3 and refs[2].state.iteration > 3
+        assert {refs[0].converged_to_zero, refs[2].converged_to_zero} == {False, True}
 
     @pytest.mark.parametrize("w, depth", [(2, 3), (2, 1), (3, 1)])
     def test_certificates_take_one_update_per_lockstep_at_widths_up_to_two(
