@@ -89,7 +89,13 @@ class PrecodeGraph:
         return self.num_bits - len(self._systematic_form[1])
 
     def syndrome_weight(self, bits: np.ndarray) -> int:
-        """Number of violated precode checks for a full bit assignment."""
+        """Number of violated precode checks for a full bit assignment.
+        Raises ValueError unless ``bits`` holds exactly one entry per bit."""
+        bits = np.asarray(bits)
+        if bits.shape != (self.num_bits,):
+            raise ValueError(
+                f"bits must have length {self.num_bits}, got shape {bits.shape}"
+            )
         edge_check = np.repeat(np.arange(self.num_checks), np.diff(self.check_indptr))
         parities = np.bincount(
             edge_check, weights=bits[self.check_indices], minlength=self.num_checks
@@ -317,26 +323,6 @@ class TrialResult:
     assignment: np.ndarray
 
 
-def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys and the index of each one's first occurrence,
-    as ``np.unique(keys, return_index=True)`` but without its per-call
-    overhead, which dominates on the small arrays of a peeling round."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    head = np.empty(ordered.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    return ordered[head], order[head]
-
-
-def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    before = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    return np.repeat(starts - before, lengths) + np.arange(total, dtype=np.int64)
-
-
 def peel(graph: PrecodeGraph, stream: ChannelStream) -> TrialResult:
     """Iterative erasure filling to its fixpoint.
 
@@ -345,64 +331,112 @@ def peel(graph: PrecodeGraph, stream: ChannelStream) -> TrialResult:
     and are dropped.  Any factor with exactly one unknown incident bit
     resolves it to the XOR of the rest; rounds are level-synchronous sweeps
     of the resolution frontier, so the fixpoint and the round count do not
-    depend on scheduling.
+    depend on scheduling.  A bit that several factors resolve in the same
+    round takes the value of the lowest-numbered one (checks first, then
+    channel nodes in stream order).
 
-    Setting up the factor graph costs O(E log E) for its E edges.  After
-    that a round touches only the edges of the bits it resolves: it costs
-    O(e log e) for those e edges, independent of the graph size, so the
-    whole decode costs O(E log E) plus a per-round constant of numpy calls.
+    Setting up the factor graph costs O(E log E) for its E edges, for the
+    sort that groups the edges by bit.  After that no round sorts: a round
+    touches only the edges of the bits it resolves and costs O(e) for those
+    e edges, independent of the graph size, so the whole decode costs
+    O(E log E) plus a per-round constant of numpy calls.
+
+    Raises ValueError when the stream does not fit the graph: its arrays
+    disagree in length, or a bit id lies outside [-1, num_bits).
     """
     num_bits = graph.num_bits
     num_checks = graph.num_checks
+    bit_ids = stream.bit_ids
     n = len(stream)
+    if not (bit_ids.ndim == 2 and len(bit_ids) == len(stream.values)
+            == len(stream.erased) == n):
+        raise ValueError(
+            f"stream arrays disagree: {n} sections, bit_ids of shape "
+            f"{bit_ids.shape}, {len(stream.values)} values, "
+            f"{len(stream.erased)} erasure flags"
+        )
+    if bit_ids.size and not (bit_ids.min() >= -1 and bit_ids.max() < num_bits):
+        raise ValueError(
+            f"stream bit ids span [{bit_ids.min()}, {bit_ids.max()}], outside "
+            f"[-1, {num_bits}) for this graph"
+        )
 
-    # Fold each unerased channel node's in-chain references mod 2.
-    live = ~stream.erased
-    node_of_ref = np.repeat(np.arange(n), stream.bit_ids.shape[1])
-    ref_bits = stream.bit_ids.ravel()
-    usable = live[node_of_ref] & (ref_bits >= 0)
-    keys, counts = np.unique(
-        node_of_ref[usable] * num_bits + ref_bits[usable], return_counts=True
-    )
-    keys = keys[counts % 2 == 1]
+    # Fold each unerased channel node's in-chain references mod 2: a
+    # reference stays if it is the first column holding its bit and the bit
+    # occurs an odd number of times in the row.
+    live = np.flatnonzero(~stream.erased)
+    rows = bit_ids[live]
+    keep = rows >= 0
+    odd = np.ones_like(keep)
+    for i in range(1, rows.shape[1]):
+        for j in range(i):
+            same = rows[:, i] == rows[:, j]
+            keep[:, i] &= ~same
+            odd[:, i] ^= same
+            odd[:, j] ^= same
+    keep &= odd
+    node_of_edge, _ = np.nonzero(keep)
 
+    # Channel factor num_checks + r is the r-th unerased node, so factor ids
+    # keep stream order.
     edge_factor = np.concatenate(
         [
             np.repeat(np.arange(num_checks), np.diff(graph.check_indptr)),
-            num_checks + keys // num_bits,
+            num_checks + node_of_edge,
         ]
     )
-    edge_bit = np.concatenate([graph.check_indices, keys % num_bits])
-    num_factors = num_checks + n
+    edge_bit = np.concatenate([graph.check_indices, rows[keep]], dtype=np.int64)
+    num_factors = num_checks + len(live)
     target = np.concatenate(
-        [np.zeros(num_checks, dtype=np.int64), stream.values.astype(np.int64)]
+        [np.zeros(num_checks, dtype=np.int64), stream.values[live].astype(np.int64)]
     )
 
     unk_count = np.bincount(edge_factor, minlength=num_factors)
     unk_sum = np.bincount(
         edge_factor, weights=edge_bit, minlength=num_factors
     ).astype(np.int64)
-    # Factors of each bit's edges, grouped by bit; the order inside a group
-    # is immaterial, since a round's updates commute.
-    factor_by_bit = edge_factor[np.argsort(edge_bit)]
-    bit_indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(edge_bit, minlength=num_bits)))
-    )
+    # Factors of each bit's edges, grouped by bit.  One sort of (bit, factor)
+    # keys packed in an int64 costs several times less than an argsort of
+    # the bits and a gather.  The order inside a group is immaterial, since
+    # a round's updates commute.
+    shift = num_factors.bit_length()
+    factor_by_bit = np.sort((edge_bit << shift) | edge_factor) & ((1 << shift) - 1)
+    degree = np.bincount(edge_bit, minlength=num_bits)
+    bit_end = np.cumsum(degree)
 
     state = np.full(num_bits, -1, dtype=np.int8)
+    # Scratch for the rounds, indexed by bit: its lowest frontier factor, and
+    # one frontier position that holds it.
+    best = np.empty(num_bits, dtype=np.int64)
+    stamp = np.empty(num_bits, dtype=np.int64)
+    index = np.arange(len(edge_bit))
     frontier = np.flatnonzero(unk_count == 1)
     rounds = 0
     while frontier.size:
-        bits_new, first = _first_occurrences(unk_sum[frontier])
-        vals_new = target[frontier[first]]
+        # A factor touched by several of last round's bits may repeat in the
+        # frontier.  Each bit resolves once, to its lowest factor's value:
+        # the entry whose position its stamp holds stands for the bit,
+        # whichever of the bit's writes won.
+        bits = unk_sum[frontier]
+        best[bits] = num_factors
+        np.minimum.at(best, bits, frontier)
+        positions = index[:bits.size]
+        stamp[bits] = positions
+        bits_new = bits[stamp[bits] == positions]
+        vals_new = target[best[bits_new]] & 1
         state[bits_new] = vals_new
-        lengths = bit_indptr[bits_new + 1] - bit_indptr[bits_new]
-        factors = factor_by_bit[_concat_ranges(bit_indptr[bits_new], lengths)]
+        lengths = degree[bits_new]
+        ends = lengths.cumsum()
+        factors = factor_by_bit[
+            (bit_end[bits_new] - ends).repeat(lengths) + index[:ends[-1]]
+        ]
         # Unbuffered updates: a factor may hold several of this round's bits.
+        # A factor's target keeps its parity as a running sum, since
+        # np.subtract.at is several times faster than np.bitwise_xor.at.
         np.subtract.at(unk_count, factors, 1)
-        np.subtract.at(unk_sum, factors, np.repeat(bits_new, lengths))
-        np.bitwise_xor.at(target, factors, np.repeat(vals_new, lengths))
-        frontier, _ = _first_occurrences(factors[unk_count[factors] == 1])
+        np.subtract.at(unk_sum, factors, bits_new.repeat(lengths))
+        np.subtract.at(target, factors, vals_new.repeat(lengths))
+        frontier = factors[unk_count[factors] == 1]
         rounds += 1
 
     return TrialResult(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -327,6 +328,16 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(g, np.zeros(g.realized_dimension() + 1, dtype=np.uint8))
 
+    @pytest.mark.parametrize("length", [23, 25, 31])
+    @pytest.mark.parametrize("fill", [0, 1])
+    def test_syndrome_weight_rejects_wrong_length(self, length, fill):
+        # A 31-entry vector on the 24-bit graph used to count 0 (all zeros)
+        # or 16 (all ones) violated checks.
+        g = sample_precode(TOY, 6, seed=3)
+        assert g.num_bits == 24
+        with pytest.raises(ValueError, match="bits must have length 24"):
+            g.syndrome_weight(np.full(length, fill, dtype=np.uint8))
+
 
 def stream_and_oracle(g, codeword, n, eps, seed):
     """``channel_stream`` and its loop oracle on the same inputs; asserts
@@ -391,6 +402,29 @@ class TestChannelStream:
         g, codeword, _ = toy_instance(4, M=12)
         with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
             channel_stream(g, codeword, 20, eps, seed=0)
+
+
+def hand_stream(bit_ids, values, erased=None):
+    """A ChannelStream of hand-picked references; ``peel`` reads no
+    sections, so they are all 0."""
+    bit_ids = np.array(bit_ids, dtype=np.int64)
+    n = len(bit_ids)
+    return ChannelStream(
+        sections=np.zeros(n, dtype=np.int64),
+        bit_ids=bit_ids,
+        values=np.array(values, dtype=np.uint8),
+        erased=np.zeros(n, dtype=bool) if erased is None else np.array(erased),
+    )
+
+
+def assert_matches_oracle(g, stream):
+    """``peel`` and the level-synchronous oracle give the same round count
+    and the same assignment; returns the result."""
+    result = peel(g, stream)
+    assignment, rounds = peel_rounds(g.num_bits, combined_factors(g, stream))
+    assert result.peeling_rounds == rounds
+    assert result.assignment.tolist() == assignment
+    return result
 
 
 class TestPeel:
@@ -503,6 +537,95 @@ class TestPeel:
                 assignment, rounds = peel_rounds(g.num_bits, combined_factors(g, stream))
                 assert result.peeling_rounds == rounds
                 assert result.assignment.tolist() == assignment
+
+    @pytest.mark.parametrize("dg", [1, 2, 4])
+    def test_oracle_at_other_channel_degrees(self, dg):
+        # The fold of repeated references at the channel degrees the dg = 3
+        # toys above do not reach; odd seeds draw random values, so factors
+        # disagree and the lowest-numbered one must win.
+        repeats = 0
+        for p, M in ORACLE_TOYS:
+            p = dataclasses.replace(p, dg=dg)
+            for seed in range(8):
+                g, _, stream = toy_instance(seed, M=M, alpha=0.3, p=p)
+                if seed % 2:
+                    rng = np.random.default_rng(seed)
+                    stream = dataclasses.replace(
+                        stream, values=rng.integers(0, 2, len(stream)).astype(np.uint8)
+                    )
+                assert_matches_oracle(g, stream)
+                # Shortened references get distinct negative ids, so only
+                # repeated in-chain references count.
+                rows = np.sort(np.where(stream.bit_ids < 0, -1 - np.arange(dg), stream.bit_ids))
+                repeats += int((rows[:, 1:] == rows[:, :-1]).any(axis=1).sum())
+        assert (repeats > 0) == (dg > 1)
+
+    def test_repeated_references_fold_mod_2(self):
+        g = sample_precode(TOY, 6, seed=3)
+        base = peel(g, hand_stream([[-1, -1, -1]], [0]))
+        b, c = np.flatnonzero(base.assignment < 0)[[0, -1]]
+        for value in (0, 1):
+            # Twice: the references cancel and the node constrains nothing.
+            twice = assert_matches_oracle(g, hand_stream([[b, b, -1]], [value]))
+            assert twice.assignment.tolist() == base.assignment.tolist()
+            assert twice.peeling_rounds == base.peeling_rounds
+            # Three times: one reference stays, and resolves its bit.
+            thrice = assert_matches_oracle(g, hand_stream([[b, b, b]], [value]))
+            once = peel(g, hand_stream([[b, -1, -1]], [value]))
+            assert thrice.assignment[b] == value
+            assert thrice.assignment.tolist() == once.assignment.tolist()
+            # Twice around another bit: only the other bit is constrained.
+            split = assert_matches_oracle(g, hand_stream([[b, c, b]], [value]))
+            other = peel(g, hand_stream([[c, -1, -1]], [value]))
+            assert split.assignment[c] == value
+            assert split.assignment.tolist() == other.assignment.tolist()
+
+    def test_lowest_factor_wins_a_contested_bit(self):
+        # Two factors resolve one bit to different values in the same round:
+        # the lower factor id wins.  Checks come before channel nodes, and
+        # channel nodes keep stream order; an erased node in between does
+        # not count.
+        g = sample_precode(TOY, 6, seed=3)
+        base = peel(g, hand_stream([[-1, -1, -1]], [0]))
+        b = int(np.flatnonzero(base.assignment < 0)[0])
+        for first in (0, 1):
+            stream = hand_stream(
+                [[b, -1, -1], [b, b, b], [-1, b, -1]], [first, 1, 1 - first],
+                erased=[False, True, False],
+            )
+            result = assert_matches_oracle(g, stream)
+            assert result.assignment[b] == first
+        # A check with one in-chain bit resolves it to 0 in round 1; so does
+        # every copy of a node that claims 1 for that bit.
+        sizes = np.diff(g.check_indptr)
+        q = int(np.flatnonzero(sizes == 1)[0])
+        x = int(g.check_indices[g.check_indptr[q]])
+        contested = assert_matches_oracle(g, hand_stream([[x, -1, -1]] * 3, [1, 1, 1]))
+        assert contested.assignment[x] == 0
+
+    def test_rejects_stream_that_does_not_fit_graph(self):
+        # A stream drawn for an L = 4, M = 12 graph used to decode on the
+        # M = 6 graph (residual 0.0 after 3 rounds), and a bit id of -5
+        # passed as a shortened reference.
+        big = sample_precode(TOY, 12, seed=0)
+        small = sample_precode(TOY, 6, seed=0)
+        stream = channel_stream(big, np.zeros(big.num_bits, dtype=np.uint8), 60, 0.5, seed=1)
+        assert stream.bit_ids.max() >= small.num_bits
+        peel(big, stream)
+        with pytest.raises(ValueError, match=r"outside \[-1, 24\)"):
+            peel(small, stream)
+        negative = stream.bit_ids.copy()
+        negative[0, 0] = -5
+        with pytest.raises(ValueError, match="outside"):
+            peel(big, dataclasses.replace(stream, bit_ids=negative))
+        for field, value in [
+            ("values", stream.values[:-1]),
+            ("erased", stream.erased[:-1]),
+            ("bit_ids", stream.bit_ids[:-1]),
+            ("bit_ids", stream.bit_ids[:, 0]),
+        ]:
+            with pytest.raises(ValueError, match="stream arrays disagree"):
+                peel(big, dataclasses.replace(stream, **{field: value}))
 
     def test_determinism(self):
         g, codeword, stream = toy_instance(21, M=12, alpha=0.4)
