@@ -11,10 +11,13 @@ reads
 
 with gf the Poisson generating function (node and edge perspectives agree).
 Both sliding averages are plain correlations with the symmetric ones(w)/w
-kernel, so one step is four ``np.correlate`` calls plus elementwise updates
-written in place into the arrays those correlations return.  At L <= 512 a
-step's cost is numpy call overhead, not arithmetic, so it allocates little
-beyond those arrays.
+kernel.  p and s lie end to end in one state vector, so one step is two
+``np.correlate`` calls at w <= 2, one per average over both halves, and
+every elementwise update runs once over both, in place in the arrays the
+correlations return (the power once per half where dr != dg).  At w >= 3
+the inner averages of p and s stay two correlations, whose results are laid
+end to end for the rest of the step.  At L <= 512 a step's cost is numpy
+call overhead, not arithmetic, so it allocates little beyond those arrays.
 
 The correlations fix the summation order, but not every bit on every CPU.
 ``np.correlate`` takes the first and last w - 1 entries of a full average
@@ -24,8 +27,10 @@ sampled right-edge entries a k + b k equal fma(b, k, a k), and only 1,722
 equal the unfused sum.  So the bits of a step at w >= 3 (the recorded runs
 at w = 3 and 9 in the tests, for one) are those of this BLAS kernel.  At
 w <= 2 every edge entry is a single product, which rounds the same in
-either loop.  So a bisection runs several DE runs as lanes of one
-correlation (``_Lanes``) only at w <= 2, and one at a time at w >= 3.
+either loop.  So p and s share their inner average, and a bisection runs
+several DE runs as lanes of one correlation (``_Lanes``), only at w <= 2.
+An outer (valid) average has no edge entries: every entry sums w terms in
+the same loop, so at any w it serves both halves at once.
 
 The update is clamped to [0, 1] from above only, and only at the widths
 where that clamp can bind.  For states in [0, 1] every factor above is
@@ -182,56 +187,91 @@ def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
     probabilities p and s; returns the next (p, s) as new arrays and leaves
     its inputs unchanged.
 
-    The states must lie in [0, 1] and beta must be >= 0; the outputs then
-    lie in [0, 1] too, so iterating from the all-ones start (as ``de_run``
-    does) keeps the contract.  The upper clamp is applied only at widths
-    whose kernel sums can round past one, so outside the contract the
-    outputs may exceed one.
+    The states must lie in [0, 1].  Beta must be finite and >= 0, else
+    ``ValueError``, as in ``de_run``; the outputs then lie in [0, 1] too, so
+    iterating from the all-ones start (as ``de_run`` does) keeps the
+    contract.  The upper clamp is applied only at widths whose kernel sums
+    can round past one, so outside the contract the outputs may exceed one.
 
-    At w >= 3 the bits depend on the BLAS library: a full average's first
-    and last w - 1 entries come from its dot product, which may fuse a
-    multiply-add (OpenBLAS's Haswell ``ddot`` does), and the other entries
-    from numpy's unfused loop (see the module docstring).
+    The step is the one ``_update`` of a lone lane of ``_Lanes``, with p
+    and s laid out as there.  At w >= 3 the bits depend on the BLAS
+    library: a full average's first and last w - 1 entries come from its
+    dot product, which may fuse a multiply-add (OpenBLAS's Haswell ``ddot``
+    does), and the other entries from numpy's unfused loop (see the module
+    docstring).
     """
     if len(p) != params.L or len(s) != params.L:
         raise ValueError(f"p and s need {params.L} sections, got {len(p)} and {len(s)}")
-    return _update(params, -beta, p, s)
+    _check_beta(beta)
+    x = np.zeros((2, params.L + params.w - 1 if _stackable(params) else params.L))
+    x[0, :params.L], x[1, :params.L] = p, s
+    out = _update(params, -beta, x.ravel()).reshape(x.shape)
+    return out[0, :params.L], out[1, :params.L]
 
 
-def _update(params: EnsembleParams, neg_beta, p: np.ndarray, s: np.ndarray):
-    """The update of ``de_step`` on one state, or on the states of
-    ``_Lanes`` laid end to end with w - 1 zeros after each; ``neg_beta`` is
-    -beta, or one -beta per element of that flat vector."""
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+
+
+def _update(params: EnsembleParams, neg_beta, x: np.ndarray) -> np.ndarray:
+    """The update of ``de_step`` on the flat state ``x`` of ``_Lanes``: the
+    K p-lanes, then the K s-lanes, each L sections and then its zeros.
+    Returns the next state as a new array with that layout, whose zeros
+    the caller must reset; ``neg_beta`` is -beta, or one -beta per element
+    of a half.
+
+    At w <= 2 (``_stackable``) one full and one valid correlation serve
+    both halves.  A full entry there is one product or the sum of two.  A
+    sum of two nonzero products lies inside a lane, where every layout
+    takes it from numpy's loop; any other entry is one product plus at most
+    a zero product, which rounds the same in either loop.  So every entry
+    has the bits it has in a half's own correlation, but the one that
+    straddles the halves: it adds a zero product to s's first product, so
+    it equals s's first entry, and as p's entry it reaches only the last
+    p-lane's last zero.  At w >= 3 each half has its own full correlation,
+    for its BLAS edge bits, and the valid one drops the w - 1 entries
+    between the halves.  The power is one call over both halves where
+    dr == dg, else one per half.
+    """
     kernel, clamp = _kernel(params.w)
-    # Inner average per check/channel section (length L+w-1, zero-extended),
-    # then the outer average back onto bit sections (length L).  The
+    n = len(x) // 2
+    # Inner average per check/channel section (length n+w-1, zero-extended),
+    # then the outer average back onto bit sections (length n).  The
     # elementwise updates write into the arrays the correlations return.  A
-    # state shorter than the kernel goes second and reversed, the operand
+    # half shorter than the kernel goes second and reversed, the operand
     # order ``np.convolve`` takes there, so every sum runs in the order it
     # did with ``np.convolve``.
-    short = len(p) < params.w
-    x = np.correlate(kernel, p[::-1], "full") if short else np.correlate(p, kernel, "full")
-    np.subtract(1.0, x, out=x)
-    x **= params.dr - 1
-    np.subtract(1.0, x, out=x)
-    a = np.correlate(x, kernel, "valid")
-    y = np.correlate(kernel, s[::-1], "full") if short else np.correlate(s, kernel, "full")
+    if _stackable(params):
+        y = np.correlate(x, kernel, "full")
+    elif n < params.w:
+        y = np.concatenate((np.correlate(kernel, x[n - 1::-1], "full"),
+                            np.correlate(kernel, x[:n - 1:-1], "full")))
+    else:
+        y = np.concatenate((np.correlate(x[:n], kernel, "full"),
+                            np.correlate(x[n:], kernel, "full")))
+    s = y[len(y) // 2:]
     np.subtract(1.0, y, out=y)
-    y **= params.dg - 1
-    y *= 1.0 - params.epsilon
+    if params.dr == params.dg:
+        y **= params.dr - 1
+    else:
+        y[:len(y) // 2] **= params.dr - 1
+        s **= params.dg - 1
+    s *= 1.0 - params.epsilon
     np.subtract(1.0, y, out=y)
-    gf = np.correlate(y, kernel, "valid")
+    outer = np.correlate(y, kernel, "valid")
+    a, gf = outer[:n], outer[-n:]
     np.subtract(1.0, gf, out=gf)
     gf *= neg_beta
     np.exp(gf, out=gf)
+    out = np.empty(2 * n)
     # a ** 1 is a, so dl = 2 needs no power for p.
-    p_next = a * gf if params.dl == 2 else a ** (params.dl - 1) * gf
+    np.multiply(a if params.dl == 2 else a ** (params.dl - 1), gf, out=out[:n])
     a **= params.dl
-    a *= gf
+    np.multiply(a, gf, out=out[n:])
     if clamp:
-        np.minimum(p_next, 1.0, out=p_next)
-        np.minimum(a, 1.0, out=a)
-    return p_next, a
+        np.minimum(out, 1.0, out=out)
+    return out
 
 
 # The failure certificate (see de_run): tried first at step 64, then each
@@ -245,14 +285,15 @@ _U = 2.0 ** -53
 
 
 def _stackable(params: EnsembleParams) -> bool:
-    """Whether one ``_update`` on states laid end to end, with w - 1 zeros
-    after each, gives each state the bits ``de_step`` gives it alone.
+    """Whether a full average over states laid end to end, with w - 1 zeros
+    after each, gives each state the bits it gets alone: then p and s share
+    one (see ``_update``), and so do the lanes of ``_Lanes``.
 
     At w <= 2 every entry of a flat full average that touches a state's
-    edge is a single product, which rounds the same in either loop.  At
-    w >= 3 the entries at the inner edges would come from numpy's unfused
-    loop, where ``de_step`` takes them from the BLAS dot product, which may
-    fuse (see ``de_step``)."""
+    edge is a single product, or one plus a zero product, which rounds the
+    same in either loop.  At w >= 3 the entries at the inner edges would
+    come from numpy's unfused loop, where a state alone takes them from the
+    BLAS dot product, which may fuse (see ``de_step``)."""
     return params.w <= 2
 
 
@@ -291,16 +332,13 @@ def _failure_certificates(params: EnsembleParams, betas: list, pb_floor: float,
     neg_beta = -np.array(betas)[run]
     margin = np.array([_margin(params, beta) for beta in betas])[run, None]
     if _stackable(params):
-        width = L + params.w - 1
-        flat = np.zeros((2, count, width))
+        flat = np.zeros((2, count, L + params.w - 1))
         flat[:, :, :L] = y
-        f = np.array(_update(params, np.repeat(neg_beta, width), flat[0].ravel(),
-                             flat[1].ravel())).reshape(2, count, width)[:, :, :L]
-        batches = 1
+        f = _update(params, np.repeat(neg_beta, flat.shape[2]), flat.ravel())
+        f, batches = f.reshape(flat.shape)[:, :, :L], 1
     else:
-        f = np.array([_update(params, neg_beta[j], y[0, j], y[1, j]) for j in range(count)])
-        f = f.swapaxes(0, 1)
-        batches = count
+        f = np.array([_update(params, neg_beta[j], y[:, j].ravel()) for j in range(count)])
+        f, batches = f.reshape(count, 2, L).swapaxes(0, 1), count
     for j in np.flatnonzero(np.all(f >= y + margin, axis=(0, 2))):
         if found[run[j]] is None:
             found[run[j]] = (y[0, j], y[1, j])
@@ -364,8 +402,7 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     dr = 30, w = 12, dg = 3 and beta ~ 6 this gives E_s ~ 1,200 and e ~ 2,400u.
     ``_margin`` adds 2u to 2e for the rounding of y + margin.
     """
-    if not 0.0 <= beta < math.inf:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    _check_beta(beta)
     lanes = _Lanes(params, config, 1)
     lanes.start(None, beta)
     run = lanes.advance()[None]
@@ -385,11 +422,12 @@ def _margin(params: EnsembleParams, beta: float) -> float:
     return 2.0 * e + 2.0 * _U
 
 
-# Lanes of one lockstep share a flat vector of K (L + w - 1) elements.  A
-# bisection runs the largest K = 2^d - 1 lanes, at most 15, that fit this
-# budget: a lockstep's cost grows with that vector and the lane count, while
-# each added level saves fewer locksteps.  Measured on a shared 2-core
-# x86-64 machine with dg = 3 thresholds: at L = 8 and 16, 7 and 15 lanes
+# Lanes of one lockstep share a flat vector of K (L + w - 1) elements per
+# message type, p and s.  A bisection runs the largest K = 2^d - 1 lanes, at
+# most 15, that fit this budget: a lockstep's cost grows with that vector
+# and the lane count, while each added level saves fewer locksteps.
+# Measured, before p and s shared one vector, on a shared 2-core x86-64
+# machine with dg = 3 thresholds: at L = 8 and 16, 7 and 15 lanes
 # tie and 31 or 63 lanes are slower; at L = 64, 15 lanes (975 elements)
 # took 5.4 s, 7 lanes 6.3 s and one lane 8.7 s; at L = 128, 7 lanes (903
 # elements) took 7.5 s, 15 lanes 8.3 s and one lane 12.6 s; at L = 256
@@ -420,22 +458,25 @@ class _Lanes:
     ``de_run``).  ``de_run`` is one lane; several run together only where
     ``_stackable`` (w <= 2).
 
-    The state of K lanes is one flat vector of K (L + w - 1) elements: each
-    lane's L sections and then w - 1 zeros, so one correlation serves every
-    lane.  One lane runs with no zeros, and its step is ``de_step``'s at
-    every w.  Beside its key, each lane keeps its beta, the lockstep it
-    joined at and the iteration of its next failure certificate.  The stall
-    floor and the P_b floor depend only on L and the config, so the engine
-    holds one of each.
+    The state of K lanes is one flat vector of 2K (L + w - 1) elements:
+    the K p-lanes, then the K s-lanes, each lane's L sections and then
+    w - 1 zeros, so one correlation serves every lane of both halves (see
+    ``_update``).  After each step one assignment on the (2K, L + w - 1)
+    view resets the zeros.  A lone lane keeps its zeros at w <= 2 and runs
+    with none at w >= 3; either way its step is ``de_step``'s.  Beside its
+    key, each lane keeps its beta, the lockstep it joined at and the
+    iteration of its next failure certificate.  The stall floor and the P_b
+    floor depend only on L and the config, so the engine holds one of each.
 
     The stop rules run only after a lockstep where one could stop some
     lane: where some lane's P_b fell by no more than ``stall_floor`` (a rise
     is a fall below zero) or fell below the success target, or where some
     lane's certificate or cap is due.  Elsewhere no rule can stop a lane,
     since a fall above the floor rules out a stall.  That test takes one
-    lane's P_b as a float and several lanes' as one vector.  The failure certificates of every lane due at a lockstep are
-    tried together, before any stall test overwrites a lane's previous
-    state (``_failure_certificates``: one ``_update`` at w <= 2).
+    lane's P_b as a float and several lanes' as one vector.  The failure
+    certificates of every lane due at a lockstep are tried together, before
+    any stall test overwrites a lane's previous state
+    (``_failure_certificates``: one ``_update`` at w <= 2).
 
     A lane joins with ``start`` at the all-ones state and leaves when it
     ends or is stopped.  ``locksteps``, ``row_steps`` and ``retired`` count
@@ -464,8 +505,7 @@ class _Lanes:
         self._betas: list[float] = []
         self._joined: list[int] = []
         self._certify: list[int] = []
-        self._width = params.L
-        self._p = self._s = np.empty(0)
+        self._x, self._width = np.empty(0), params.L
         self._pb: list[float] = []
         self._neg_beta = np.empty(0)
         self._next_check = math.inf
@@ -502,16 +542,13 @@ class _Lanes:
         self._betas = [self._betas[k] for k in rows] + list(joining.values())
         self._joined = [self._joined[k] for k in rows] + [self.locksteps] * len(joining)
         self._certify = [self._certify[k] for k in rows] + [_CERTIFY_FIRST] * len(joining)
-        width = L + self.params.w - 1 if len(self._keys) > 1 else L
-        for name in ("_p", "_s"):
-            lanes = np.zeros((len(self._keys), width))
-            lanes[:len(rows), :L] = getattr(self, name).reshape(-1, self._width)[rows, :L]
-            lanes[len(rows):, :L] = 1.0
-            setattr(self, name, lanes.ravel())
-        self._width = width
+        width = L + self.params.w - 1 if _stackable(self.params) or len(self._keys) > 1 else L
+        lanes = np.zeros((2, len(self._keys), width))
+        lanes[:, :len(rows), :L] = self._x.reshape(2, -1, self._width)[:, rows, :L]
+        lanes[:, len(rows):, :L] = 1.0
+        self._x, self._width = lanes.ravel(), width
         self._pb = [self._pb[k] for k in rows] + [1.0] * len(joining)
-        self._neg_beta = (-self._betas[0] if len(self._betas) == 1
-                          else np.repeat([-beta for beta in self._betas], width))
+        self._neg_beta = np.repeat([-beta for beta in self._betas], width)
         self._joining, self._leaving = {}, set()
         self._next_check = self._check_at()
 
@@ -525,49 +562,47 @@ class _Lanes:
         stall_floor = self.stall_floor
         target = self.config.success_target
         add, low = np.add.reduce, np.minimum.reduce
-        p, s = self._p, self._s
+        x = self._x
         pb = self._pb[0] if count == 1 else np.array(self._pb)
         start = t = self.locksteps
         while True:
-            p_next, s_next = _update(params, neg_beta, p, s)
+            x_next = _update(params, neg_beta, x)
+            if width > L:
+                x_next.reshape(2 * count, width)[:, L:] = 0.0
             if count == 1:
-                # Bit-equal to p_next.mean(): the same pairwise sum, then one division.
-                pb_next = float(add(p_next)) / L
+                # Bit-equal to the mean of the lane's p: the same pairwise sum, then
+                # one division.
+                pb_next = float(add(x_next[:L])) / L
                 due = pb - pb_next <= stall_floor or pb_next < target
             else:
-                rows = p_next.reshape(count, width)
-                if width > L:
-                    rows[:, L:] = 0.0
-                    s_next.reshape(count, width)[:, L:] = 0.0
-                pb_next = add(rows[:, :L], axis=1)
-                pb_next /= L
+                pb_next = add(x_next.reshape(2 * count, width)[:count, :L], axis=1) / L
                 due = low(pb - pb_next) <= stall_floor or low(pb_next) < target
             t += 1
             if due or t == next_check:
                 self.locksteps = t
                 pbs, pbs_next = ([pb], [pb_next]) if count == 1 else (pb.tolist(), pb_next.tolist())
-                ended = self._check(p, s, pbs, p_next, s_next, pbs_next)
+                ended = self._check(x, pbs, x_next, pbs_next)
                 if ended:
                     self.row_steps += (t - start) * count
-                    self._p, self._s, self._pb = p_next, s_next, pbs_next
+                    self._x, self._pb = x_next, pbs_next
                     return ended
                 next_check = self._next_check
-            p, s, pb = p_next, s_next, pb_next
+            x, pb = x_next, pb_next
 
-    def _check(self, p, s, pb, p_next, s_next, pb_next) -> dict:
+    def _check(self, x, pb, x_next, pb_next) -> dict:
         """Apply every lane's stop rules after this lockstep (see
         ``de_run``); the lanes that end leave, and their outcomes are
-        returned.  The stall test overwrites a lane's state in ``p`` and
-        ``s``, which are dead once stepped from."""
+        returned.  The stall test overwrites a lane's state in ``x``, which
+        is dead once stepped from."""
         config, L, t, width = self.config, self.params.L, self.locksteps, self._width
+        lanes, lanes_next = x.reshape(2, -1, width), x_next.reshape(2, -1, width)
         due = [k for k, (joined, certify) in enumerate(zip(self._joined, self._certify))
                if t - joined == certify]
         certified = set()
         if due:
             found, batches, candidates = _failure_certificates(
                 self.params, [self._betas[k] for k in due], self.pb_floor,
-                np.array((p, s)).reshape(2, -1, width)[:, due, :L],
-                np.array((p_next, s_next)).reshape(2, -1, width)[:, due, :L])
+                lanes[:, due, :L], lanes_next[:, due, :L])
             self.certificate_batches += batches
             self.certificate_candidates += candidates
             certified = {k for k, y in zip(due, found) if y is not None}
@@ -581,18 +616,14 @@ class _Lanes:
                                             f"at iteration {it}")
                 self._leaving.add(key)
                 continue
-            lane = slice(k * width, k * width + L)
+            lane, lane_next = lanes[:, k, :L], lanes_next[:, k, :L]
             failed = k in certified
             if not failed and pb[k] - pb_next[k] <= self.stall_floor:
-                dp, ds = p[lane], s[lane]
-                np.abs(np.subtract(p_next[lane], dp, out=dp), out=dp)
-                np.abs(np.subtract(s_next[lane], ds, out=ds), out=ds)
-                change = max(float(np.maximum.reduce(dp, initial=0.0)),
-                             float(np.maximum.reduce(ds, initial=0.0)))
-                failed = change < config.fixed_point_tol
+                np.abs(np.subtract(lane_next, lane, out=lane), out=lane)
+                failed = float(np.maximum.reduce(lane, axis=None)) < config.fixed_point_tol
             decoded = pb_next[k] < config.success_target
             if decoded or failed or it == config.max_iterations:
-                state = DEState(p=p_next[lane].copy(), s=s_next[lane].copy(), iteration=it)
+                state = DEState(p=lane_next[0].copy(), s=lane_next[1].copy(), iteration=it)
                 ended[key] = DERun(state=state, converged_to_zero=decoded,
                                    hit_iteration_cap=not (decoded or failed))
                 self._leaving.add(key)

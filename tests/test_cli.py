@@ -191,10 +191,10 @@ class TestValidation:
 
         real_update = density._update
 
-        def faulty_update(params, neg_beta, p, s):
-            if np.all(p == 1.0):
-                return real_update(params, neg_beta, p, s)
-            return np.ones_like(p), np.ones_like(s)
+        def faulty_update(params, neg_beta, x):
+            if np.all(x[:params.L] == 1.0):
+                return real_update(params, neg_beta, x)
+            return np.ones_like(x)
 
         monkeypatch.setattr(density, "_update", faulty_update)
         code, _ = run(tmp_path, "threshold", "--dg", "3", "--L", "8")

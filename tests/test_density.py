@@ -140,6 +140,18 @@ class TestStep:
         for x, y in itertools.combinations((p_in, s_in, out_p, out_s), 2):
             assert not np.shares_memory(x, y)
 
+    @pytest.mark.parametrize("beta", [-3.0, -0.1, math.nan, math.inf])
+    def test_rejects_the_betas_de_run_rejects(self, beta):
+        # At beta = -3 the step used to return p ~ 1.09, outside [0, 1], and
+        # at NaN it returned NaNs.
+        for w in (2, 3):
+            p = params(L=8, w=w)
+            with pytest.raises(ValueError, match="beta must be finite and >= 0") as stepped:
+                de_step(p, beta, *ones(p.L))
+            with pytest.raises(ValueError) as ran:
+                de_run(p, beta)
+            assert str(stepped.value) == str(ran.value)
+
     def test_upper_clamp_binds_at_width_nine(self):
         # Nine ones averaged by the 1/9 kernel round up past one, so from the
         # all-ones state a and both products exceed one before the clamp.
@@ -281,11 +293,11 @@ class TestRun:
         real_update = density._update
         calls = []
 
-        def faulty_update(params, neg_beta, p, s):
+        def faulty_update(params, neg_beta, x):
             calls.append(1)
             if len(calls) < 3:
-                return real_update(params, neg_beta, p, s)
-            return np.ones_like(p), np.ones_like(s)
+                return real_update(params, neg_beta, x)
+            return np.ones_like(x)
 
         monkeypatch.setattr(density, "_update", faulty_update)
         with pytest.raises(NonMonotoneRun, match="at iteration 3"):
@@ -336,6 +348,31 @@ RECORDED_RUNS = [
     pytest.param(params(L=20, w=9), 1.9, 100_000, 72, True, False,
                  "4d3887374c3a80509d4f60a8b00181c2dacf6547afb1ace17d1a89e83447a3c9",
                  id="w9-dl2-decodes"),
+    # Recorded before p and s shared one state vector: at w <= 2 the step
+    # then averages both in one correlation and takes the power of each
+    # half apart where dr != dg.
+    pytest.param(params(dr=4, dg=3), 3.5, 100_000, 114, True, False,
+                 "5a96b942b0fcbdb08707da9639a0b0d3d3619a603efb68268665a286007c37e1",
+                 id="w2-dr4-dg3-decodes"),
+    pytest.param(params(dr=4, dg=3), 3.0, 300, 300, False, True,
+                 "42f272c31053fd1b4f9be2f88acade106aa8c11c70dd932e2dac384dd1d3af3b",
+                 id="w2-dr4-dg3-capped"),
+    pytest.param(params(dl=3, dr=6), 3.5, 100_000, 116, True, False,
+                 "7ee7d8bd4d06af07e6376f7a3408d721c8d37b073cf421e344db3f84b2bdd353",
+                 id="w2-dl3-decodes"),
+    pytest.param(params(dl=3, dr=6), 3.0, 100_000, 100, False, False,
+                 "871dfea3b6e9ad0e11014fe7d917e83b910e06b35a27c2105e8e83e7bb8dab91",
+                 id="w2-dl3-fails"),
+    pytest.param(params(dg=2, L=1), 0.5, 100_000, 90, True, False,
+                 "96e7c4e7dfe644391be85488056accb95e77cb7b7358832ae0851c3bb9f35e9f",
+                 id="w2-L1-decodes"),
+    # At w = 1 the all-ones state is a fixed point unless dg = 1.
+    pytest.param(params(dg=1, L=8, w=1), 2.0, 100_000, 71, True, False,
+                 "7b8b4430a18a1aea89ee300de2fba3ec754deafcab4cbfba1106f10decf3387c",
+                 id="w1-dg1-decodes"),
+    pytest.param(params(dg=1, L=8, w=1), 1.4, 100_000, 2674, False, False,
+                 "96cf746ee7002f86634844237bab2784c8f0821a830a16888888eeca39a1b63d",
+                 id="w1-dg1-fails"),
 ]
 
 
@@ -767,11 +804,11 @@ class TestLanes:
         real_update = density._update
         calls = []
 
-        def faulty_update(p, neg_beta, pv, sv):
+        def faulty_update(p, neg_beta, x):
             calls.append(1)
             if len(calls) < 3:
-                return real_update(p, neg_beta, pv, sv)
-            return np.ones_like(pv), np.ones_like(sv)
+                return real_update(p, neg_beta, x)
+            return np.ones_like(x)
 
         monkeypatch.setattr(density, "_update", faulty_update)
         lanes = density._Lanes(FIG2, DEConfig(), depth=2)
@@ -795,13 +832,13 @@ class TestLanes:
         refs = [de_run(p, beta, config) for beta in betas]
         width, real_update, calls = p.L + p.w - 1, density._update, []
 
-        def faulty_update(p, neg_beta, pv, sv):
-            p_next, s_next = real_update(p, neg_beta, pv, sv)
-            if len(pv) == 3 * width:
+        def faulty_update(p, neg_beta, x):
+            x_next = real_update(p, neg_beta, x)
+            if len(x) == 2 * 3 * width:
                 calls.append(1)
                 if len(calls) == 3:
-                    p_next[width:width + p.L] = s_next[width:width + p.L] = 1.0
-            return p_next, s_next
+                    x_next.reshape(2, 3, width)[:, 1, :p.L] = 1.0
+            return x_next
 
         monkeypatch.setattr(density, "_update", faulty_update)
         lanes = density._Lanes(p, config, depth=2)
@@ -822,6 +859,33 @@ class TestLanes:
         assert refs[0].state.iteration > 3 and refs[2].state.iteration > 3
         assert {refs[0].converged_to_zero, refs[2].converged_to_zero} == {False, True}
 
+    def test_every_update_input_holds_zeros_in_every_padding_slot(self, monkeypatch):
+        # At w = 2 the full average's entry that straddles the p- and s-lanes
+        # lands on the last p-lane's last zero, so the lanes are bit-equal to
+        # de_run only if every padding slot of both halves is zero whenever
+        # _update reads it: at every lockstep and in every certificate block.
+        p, config = params(L=16, w=2), DEConfig(max_iterations=1500)
+        width, real_update, lanes_read = p.L + p.w - 1, density._update, collections.Counter()
+
+        def checking_update(q, neg_beta, x):
+            rows = x.reshape(-1, width)
+            assert len(rows) % 2 == 0 and np.all(rows[:, q.L:] == 0.0)
+            lanes_read[len(rows) // 2] += 1
+            return real_update(q, neg_beta, x)
+
+        monkeypatch.setattr(density, "_update", checking_update)
+        betas = [beta_from_alpha(p, a) for a in (0.02, 0.15, 0.4)]
+        lanes, outcomes = density._Lanes(p, config, depth=2), {}
+        for k, beta in enumerate(betas):
+            lanes.start(k, beta)
+        while lanes.keys():
+            outcomes.update(lanes.advance())
+        assert lanes_read[3] >= 64 and lanes.certificate_batches > 0
+        for k, beta in enumerate(betas):
+            run, ref = outcomes[k], de_run(p, beta, config)
+            assert run.state.iteration == ref.state.iteration
+            assert state_digest(run.state.p, run.state.s) == state_digest(ref.state.p, ref.state.s)
+
     @pytest.mark.parametrize("w, depth", [(2, 3), (2, 1), (3, 1)])
     def test_certificates_take_one_update_per_lockstep_at_widths_up_to_two(
             self, monkeypatch, w, depth):
@@ -840,10 +904,10 @@ class TestLanes:
             finally:
                 certifying.pop()
 
-        def counting_update(p, neg_beta, pv, sv):
+        def counting_update(p, neg_beta, x):
             if certifying:
-                calls.append((certifying[-1], len(pv) // width))
-            return real_update(p, neg_beta, pv, sv)
+                calls.append((certifying[-1], len(x) // (2 * width)))
+            return real_update(p, neg_beta, x)
 
         monkeypatch.setattr(density, "_failure_certificates", counting_certificates)
         monkeypatch.setattr(density, "_update", counting_update)
