@@ -17,7 +17,9 @@ every elementwise update runs once over both, in place in the arrays the
 correlations return (the power once per half where dr != dg).  At w >= 3
 the inner averages of p and s stay two correlations, whose results are laid
 end to end for the rest of the step.  At L <= 512 a step's cost is numpy
-call overhead, not arithmetic, so it allocates little beyond those arrays.
+call overhead, not arithmetic, so it allocates little beyond those arrays,
+takes its constants as cached arrays, and the run loop steps a block of
+``_BLOCK`` steps before it looks at any of them (see ``_Lanes``).
 
 The correlations fix the summation order, but not every bit on every CPU.
 ``np.correlate`` takes the first and last w - 1 entries of a full average
@@ -46,7 +48,10 @@ but 9 and 11 on x86-64) needs no clamp, and skipping it changes no bit.
 A run decodes when P_b, the mean of p, falls below a configured target, and
 fails on a stall or on a failure certificate (see ``de_run``).  Every run,
 ``de_run``'s too, is a lane of ``_Lanes``, the one owner of these stop
-rules.  The overhead threshold is located by bisection on alpha.
+rules.  Each lane depends only on its own state, so stepping a whole block
+before the stop rules run, and dropping the steps past a stop, changes no
+iteration, verdict or bit.  The overhead threshold is located by bisection
+on alpha.
 """
 from __future__ import annotations
 
@@ -214,12 +219,26 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
 
 
-def _update(params: EnsembleParams, neg_beta, x: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _constants(m: int, n: int, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only operands of ``_update``: ones of lengths m and n, and
+    1 - epsilon as a 0-d array.  An array operand is converted once, where
+    a Python float is converted on every ufunc call; the bits are the
+    same."""
+    arrays = np.ones(m), np.ones(n), np.array(1.0 - epsilon)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _update(params: EnsembleParams, neg_beta, x: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
     """The update of ``de_step`` on the flat state ``x`` of ``_Lanes``: the
     K p-lanes, then the K s-lanes, each L sections and then its zeros.
-    Returns the next state as a new array with that layout, whose zeros
-    the caller must reset; ``neg_beta`` is -beta, or one -beta per element
-    of a half.
+    Writes the next state, with that layout, into ``out`` (a new array if
+    None) and returns it; the caller must reset its zeros.  ``neg_beta`` is
+    -beta, or one -beta per element of a half.  Every ``1 - .`` and the
+    ``* (1 - eps)`` take array operands from ``_constants``.
 
     At w <= 2 (``_stackable``) one full and one valid correlation serve
     both halves.  A full entry there is one product or the sum of two.  A
@@ -250,21 +269,23 @@ def _update(params: EnsembleParams, neg_beta, x: np.ndarray) -> np.ndarray:
     else:
         y = np.concatenate((np.correlate(x[:n], kernel, "full"),
                             np.correlate(x[n:], kernel, "full")))
+    ones_y, ones_n, keep = _constants(len(y), n, params.epsilon)
     s = y[len(y) // 2:]
-    np.subtract(1.0, y, out=y)
+    np.subtract(ones_y, y, out=y)
     if params.dr == params.dg:
         y **= params.dr - 1
     else:
         y[:len(y) // 2] **= params.dr - 1
         s **= params.dg - 1
-    s *= 1.0 - params.epsilon
-    np.subtract(1.0, y, out=y)
+    s *= keep
+    np.subtract(ones_y, y, out=y)
     outer = np.correlate(y, kernel, "valid")
     a, gf = outer[:n], outer[-n:]
-    np.subtract(1.0, gf, out=gf)
+    np.subtract(ones_n, gf, out=gf)
     gf *= neg_beta
     np.exp(gf, out=gf)
-    out = np.empty(2 * n)
+    if out is None:
+        out = np.empty(2 * n)
     # a ** 1 is a, so dl = 2 needs no power for p.
     np.multiply(a if params.dl == 2 else a ** (params.dl - 1), gf, out=out[:n])
     a **= params.dl
@@ -348,8 +369,10 @@ def _failure_certificates(params: EnsembleParams, betas: list, pb_floor: float,
 def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -> DERun:
     """Iterate from the all-ones start until the mean erasure probability
     drops below the success target, the run fails, or the iteration cap.
-    P_b is checked at every step: a rise by over 1e-12 raises ``NonMonotoneRun``.
-    The run is one lane of ``_Lanes``, which applies these stop rules.
+    Every step's P_b is computed, and a rise by over 1e-12 raises
+    ``NonMonotoneRun``.  The run is one lane of ``_Lanes``, which applies
+    these stop rules after each block of steps at the step where they fire,
+    so the run ends there as if they ran at every step.
 
     A run fails on a stall or on a failure certificate.  It stalls when no
     entry of p or s moves by ``fixed_point_tol`` in one step.  That test
@@ -426,17 +449,28 @@ def _margin(params: EnsembleParams, beta: float) -> float:
 # message type, p and s.  A bisection runs the largest K = 2^d - 1 lanes, at
 # most 15, that fit this budget: a lockstep's cost grows with that vector
 # and the lane count, while each added level saves fewer locksteps.
-# Measured, before p and s shared one vector, on a shared 2-core x86-64
-# machine with dg = 3 thresholds: at L = 8 and 16, 7 and 15 lanes
+# Measured before p and s shared one vector and before lanes stepped in
+# blocks (``_BLOCK``), on a shared 2-core x86-64 machine with dg = 3
+# thresholds: at L = 8 and 16, 7 and 15 lanes
 # tie and 31 or 63 lanes are slower; at L = 64, 15 lanes (975 elements)
 # took 5.4 s, 7 lanes 6.3 s and one lane 8.7 s; at L = 128, 7 lanes (903
 # elements) took 7.5 s, 15 lanes 8.3 s and one lane 12.6 s; at L = 256
 # (cap 450k), 3 lanes (771 elements) took 29 and 37 s, one lane 35 and
 # 36 s.  At L = 512 a lockstep of 3 lanes costs 1.8 one-lane steps.  At
 # w = 2 the budget gives 15 lanes up to L = 65, 7 up to 141, 3 up to 332,
-# then one lane at a time.
+# then one lane at a time.  A block of ``_BLOCK`` + 1 such vectors then
+# takes at most 2 * 17 * 1000 * 8 bytes, 0.27 MB.
 _LANE_BUDGET = 1000
 _MAX_LANE_DEPTH = 4
+
+# ``_Lanes`` steps its lanes this many locksteps at a time before it screens
+# them for a stop.  A longer block spreads the screen's dozen numpy calls
+# over more steps, but steps further past each stop.  Measured on a shared
+# 2-core x86-64 machine with ``sweep --dg 3 --L-grid 8,16,24`` (~129k
+# locksteps), in two sessions of 6 rounds alternating 8, 16 and 32: median
+# CPU times of 2.62 / 1.89 / 2.39 s and 2.35 / 2.18 / 2.34 s, with 699 /
+# 1,539 / 3,203 locksteps thrown away.
+_BLOCK = 16
 
 
 def _lane_depth(params: EnsembleParams) -> int:
@@ -461,33 +495,43 @@ class _Lanes:
     The state of K lanes is one flat vector of 2K (L + w - 1) elements:
     the K p-lanes, then the K s-lanes, each lane's L sections and then
     w - 1 zeros, so one correlation serves every lane of both halves (see
-    ``_update``).  After each step one assignment on the (2K, L + w - 1)
-    view resets the zeros.  A lone lane keeps its zeros at w <= 2 and runs
-    with none at w >= 3; either way its step is ``de_step``'s.  Beside its
-    key, each lane keeps its beta, the lockstep it joined at and the
-    iteration of its next failure certificate.  The stall floor and the P_b
-    floor depend only on L and the config, so the engine holds one of each.
+    ``_update``).  A lone lane keeps its zeros at w <= 2 and runs with none
+    at w >= 3; either way its step is ``de_step``'s.  Beside its key, each
+    lane keeps its beta, the lockstep it joined at and the iteration of its
+    next failure certificate.  The stall floor and the P_b floor depend only
+    on L and the config, so the engine holds one of each.
 
-    The stop rules run only after a lockstep where one could stop some
-    lane: where some lane's P_b fell by no more than ``stall_floor`` (a rise
-    is a fall below zero) or fell below the success target, or where some
-    lane's certificate or cap is due.  Elsewhere no rule can stop a lane,
-    since a fall above the floor rules out a stall.  That test takes one
-    lane's P_b as a float and several lanes' as one vector.  The failure
-    certificates of every lane due at a lockstep are tried together, before
-    any stall test overwrites a lane's previous state
+    The lanes step ``_BLOCK`` locksteps at a time in a buffer of
+    ``_BLOCK`` + 1 such vectors, which the engine owns: row 0 holds the
+    state, and each step writes the next row (``_update``'s ``out``), whose
+    zeros are then reset through a view made when the lanes were laid out.
+    One ``np.add.reduce`` over the block's (``_BLOCK``, K, L) view of p then
+    gives every step's P_b, each with the bits of the 1-D reduce of its
+    lane's p.  The stop rules run only after a lockstep where one could
+    stop some lane: where some lane's P_b fell by no more than
+    ``stall_floor`` (a rise is a fall below zero) or fell below the success
+    target, or where some lane's certificate or cap is due.  Elsewhere no
+    rule can stop a lane, since a fall above the floor rules out a stall.
+    That screen runs once per block on (``_BLOCK``, K) arrays; then the
+    rules run at each lockstep it picked, in order, on that lockstep's two
+    rows, as they would if the lanes stepped one lockstep at a time.  Once
+    a lane ends at row j, the rows after j are thrown away and row j becomes
+    the state.  The failure certificates of every lane due at a lockstep are
+    tried together, before any stall test overwrites a lane's previous state
     (``_failure_certificates``: one ``_update`` at w <= 2).
 
     A lane joins with ``start`` at the all-ones state and leaves when it
     ends or is stopped.  ``locksteps``, ``row_steps`` and ``retired`` count
-    the locksteps, the lane steps and the lanes that ended on a verdict;
-    ``certificate_batches`` and ``certificate_candidates`` count the
-    certificates' ``_update`` calls and the candidates they stepped.
+    the locksteps up to the last stop, the lane steps and the lanes that
+    ended on a verdict; ``discarded`` counts the locksteps stepped past a
+    stop and thrown away.  ``certificate_batches`` and
+    ``certificate_candidates`` count the certificates' ``_update`` calls and
+    the candidates they stepped.
     """
 
     def __init__(self, params: EnsembleParams, config: DEConfig, depth: int):
         self.params, self.config, self.depth = params, config, depth
-        self.locksteps = self.row_steps = self.retired = 0
+        self.locksteps = self.row_steps = self.retired = self.discarded = 0
         self.certificate_batches = self.certificate_candidates = 0
         # max_i |p_next_i - p_i| >= (sum p - sum p_next) / L.  The states stay
         # in [0, 1], so each computed P_b is within (L + 1) u of sum p / L
@@ -505,8 +549,9 @@ class _Lanes:
         self._betas: list[float] = []
         self._joined: list[int] = []
         self._certify: list[int] = []
-        self._x, self._width = np.empty(0), params.L
-        self._pb: list[float] = []
+        self._rows, self._pads, self._width = [np.empty(0)], None, params.L
+        self._pb = np.empty((1, 0))
+        self._p_sections = np.empty((0, 0, 0))
         self._neg_beta = np.empty(0)
         self._next_check = math.inf
         self._joining: dict = {}
@@ -535,19 +580,24 @@ class _Lanes:
 
     def _regroup(self) -> None:
         """Drop the lanes that left, append the joining ones at the all-ones
-        state, and lay the state out for the new lane count."""
+        state, and lay the block out for the new lane count."""
         L, joining = self.params.L, self._joining
         rows = [k for k, key in enumerate(self._keys) if key not in self._leaving]
         self._keys = [self._keys[k] for k in rows] + list(joining)
         self._betas = [self._betas[k] for k in rows] + list(joining.values())
         self._joined = [self._joined[k] for k in rows] + [self.locksteps] * len(joining)
         self._certify = [self._certify[k] for k in rows] + [_CERTIFY_FIRST] * len(joining)
-        width = L + self.params.w - 1 if _stackable(self.params) or len(self._keys) > 1 else L
-        lanes = np.zeros((2, len(self._keys), width))
-        lanes[:, :len(rows), :L] = self._x.reshape(2, -1, self._width)[:, rows, :L]
-        lanes[:, len(rows):, :L] = 1.0
-        self._x, self._width = lanes.ravel(), width
-        self._pb = [self._pb[k] for k in rows] + [1.0] * len(joining)
+        count = len(self._keys)
+        width = L + self.params.w - 1 if _stackable(self.params) or count > 1 else L
+        block = np.zeros((_BLOCK + 1, 2, count, width))
+        block[0, :, :len(rows), :L] = self._rows[0].reshape(2, -1, self._width)[:, rows, :L]
+        block[0, :, len(rows):, :L] = 1.0
+        pb = np.empty((_BLOCK + 1, count))
+        pb[0] = [self._pb[0, k] for k in rows] + [1.0] * len(joining)
+        self._rows, self._width, self._pb = list(block.reshape(_BLOCK + 1, -1)), width, pb
+        pads = block.reshape(_BLOCK + 1, 2 * count, width)[:, :, L:]
+        self._pads = list(pads) if width > L else None
+        self._p_sections = block[1:, 0, :, :L]
         self._neg_beta = np.repeat([-beta for beta in self._betas], width)
         self._joining, self._leaving = {}, set()
         self._next_check = self._check_at()
@@ -557,37 +607,43 @@ class _Lanes:
         the lanes that ended, or the ``NonMonotoneRun`` a lane raised."""
         if self._joining or self._leaving:
             self._regroup()
-        params, neg_beta, L, width = self.params, self._neg_beta, self.params.L, self._width
+        params, neg_beta, L = self.params, self._neg_beta, self.params.L
+        rows, pads, pb, p_sections = self._rows, self._pads, self._pb, self._p_sections
         count, next_check = len(self._keys), self._next_check
         stall_floor = self.stall_floor
         target = self.config.success_target
-        add, low = np.add.reduce, np.minimum.reduce
-        x = self._x
-        pb = self._pb[0] if count == 1 else np.array(self._pb)
+        low = np.minimum.reduce
+        pb_next = pb[1:]
         start = t = self.locksteps
         while True:
-            x_next = _update(params, neg_beta, x)
-            if width > L:
-                x_next.reshape(2 * count, width)[:, L:] = 0.0
-            if count == 1:
-                # Bit-equal to the mean of the lane's p: the same pairwise sum, then
-                # one division.
-                pb_next = float(add(x_next[:L])) / L
-                due = pb - pb_next <= stall_floor or pb_next < target
-            else:
-                pb_next = add(x_next.reshape(2 * count, width)[:count, :L], axis=1) / L
-                due = low(pb - pb_next) <= stall_floor or low(pb_next) < target
-            t += 1
-            if due or t == next_check:
-                self.locksteps = t
-                pbs, pbs_next = ([pb], [pb_next]) if count == 1 else (pb.tolist(), pb_next.tolist())
-                ended = self._check(x, pbs, x_next, pbs_next)
+            for j in range(_BLOCK):
+                _update(params, neg_beta, rows[j], rows[j + 1])
+                if pads is not None:
+                    pads[j + 1].fill(0.0)
+            # Each P_b is the same pairwise sum as the 1-D reduce of the lane's
+            # p, then one division.
+            np.add.reduce(p_sections, axis=2, out=pb_next)
+            pb_next /= L
+            due = (low(pb[:-1] - pb_next, axis=1) <= stall_floor) | (low(pb_next, axis=1) < target)
+            rows_due = iter(np.flatnonzero(due).tolist())
+            end = t + _BLOCK
+            # The next row the screen picked, or one past the block; the rules
+            # run there or at the next certificate or cap, whichever is first.
+            row = next(rows_due, _BLOCK) + 1
+            while (at := min(t + row, next_check)) <= end:
+                j = at - t
+                self.locksteps = at
+                ended = self._check(rows[j - 1], pb[j - 1].tolist(), rows[j], pb[j].tolist())
                 if ended:
-                    self.row_steps += (t - start) * count
-                    self._x, self._pb = x_next, pbs_next
+                    self.row_steps += (at - start) * count
+                    self.discarded += end - at
+                    rows[0][:], pb[0] = rows[j], pb[j]
                     return ended
                 next_check = self._next_check
-            x, pb = x_next, pb_next
+                while row <= j:
+                    row = next(rows_due, _BLOCK) + 1
+            rows[0][:], pb[0] = rows[_BLOCK], pb[_BLOCK]
+            t = end
 
     def _check(self, x, pb, x_next, pb_next) -> dict:
         """Apply every lane's stop rules after this lockstep (see

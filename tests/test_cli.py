@@ -191,10 +191,11 @@ class TestValidation:
 
         real_update = density._update
 
-        def faulty_update(params, neg_beta, x):
+        def faulty_update(params, neg_beta, x, out=None):
             if np.all(x[:params.L] == 1.0):
-                return real_update(params, neg_beta, x)
-            return np.ones_like(x)
+                return real_update(params, neg_beta, x, out)
+            out[:] = 1.0
+            return out
 
         monkeypatch.setattr(density, "_update", faulty_update)
         code, _ = run(tmp_path, "threshold", "--dg", "3", "--L", "8")

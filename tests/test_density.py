@@ -289,20 +289,22 @@ class TestRun:
     def test_rising_bit_error_raises(self, monkeypatch):
         # A faulty update that lets P_b rise must stop the run with a
         # declared error, also under ``python -O``: here the third step
-        # jumps back to the all-ones state.
+        # jumps back to the all-ones state.  The steps after it in its block
+        # are stepped too, and thrown away.
         real_update = density._update
         calls = []
 
-        def faulty_update(params, neg_beta, x):
+        def faulty_update(params, neg_beta, x, out=None):
             calls.append(1)
             if len(calls) < 3:
-                return real_update(params, neg_beta, x)
-            return np.ones_like(x)
+                return real_update(params, neg_beta, x, out)
+            out[:] = 1.0
+            return out
 
         monkeypatch.setattr(density, "_update", faulty_update)
         with pytest.raises(NonMonotoneRun, match="at iteration 3"):
             de_run(FIG2, beta_from_alpha(FIG2, 0.5))
-        assert len(calls) == 3
+        assert len(calls) == density._BLOCK
 
     def test_boundary_wave_starts_at_the_edges(self):
         p = FIG2
@@ -804,11 +806,12 @@ class TestLanes:
         real_update = density._update
         calls = []
 
-        def faulty_update(p, neg_beta, x):
+        def faulty_update(p, neg_beta, x, out=None):
             calls.append(1)
             if len(calls) < 3:
-                return real_update(p, neg_beta, x)
-            return np.ones_like(x)
+                return real_update(p, neg_beta, x, out)
+            out[:] = 1.0
+            return out
 
         monkeypatch.setattr(density, "_update", faulty_update)
         lanes = density._Lanes(FIG2, DEConfig(), depth=2)
@@ -832,8 +835,8 @@ class TestLanes:
         refs = [de_run(p, beta, config) for beta in betas]
         width, real_update, calls = p.L + p.w - 1, density._update, []
 
-        def faulty_update(p, neg_beta, x):
-            x_next = real_update(p, neg_beta, x)
+        def faulty_update(p, neg_beta, x, out=None):
+            x_next = real_update(p, neg_beta, x, out)
             if len(x) == 2 * 3 * width:
                 calls.append(1)
                 if len(calls) == 3:
@@ -867,11 +870,11 @@ class TestLanes:
         p, config = params(L=16, w=2), DEConfig(max_iterations=1500)
         width, real_update, lanes_read = p.L + p.w - 1, density._update, collections.Counter()
 
-        def checking_update(q, neg_beta, x):
+        def checking_update(q, neg_beta, x, out=None):
             rows = x.reshape(-1, width)
             assert len(rows) % 2 == 0 and np.all(rows[:, q.L:] == 0.0)
             lanes_read[len(rows) // 2] += 1
-            return real_update(q, neg_beta, x)
+            return real_update(q, neg_beta, x, out)
 
         monkeypatch.setattr(density, "_update", checking_update)
         betas = [beta_from_alpha(p, a) for a in (0.02, 0.15, 0.4)]
@@ -885,6 +888,90 @@ class TestLanes:
             run, ref = outcomes[k], de_run(p, beta, config)
             assert run.state.iteration == ref.state.iteration
             assert state_digest(run.state.p, run.state.s) == state_digest(ref.state.p, ref.state.s)
+
+    def test_block_stepping_matches_testing_every_step(self):
+        # Lanes step _BLOCK locksteps before the stop rules screen them, so a
+        # lane may stop at any row of a block.  At every cap from one step to
+        # two blocks and one step, each lane, alone and beside others, ends at
+        # the step, with the verdict and the state, of the loop that tests
+        # every step.  A lone lane throws the rest of its last block away.
+        block, p, kinds = density._BLOCK, params(L=8), set()
+        betas = [beta_from_alpha(p, a) for a in (-0.2, 0.4, 1.5, 4.0)]
+        for tol in (1e-2, 1e-12):
+            for cap in range(1, 2 * block + 2):
+                config = DEConfig(max_iterations=cap, fixed_point_tol=tol)
+                _, together = run_lanes(p, config, betas)
+                for k, beta in enumerate(betas):
+                    ref = de_run_testing_change_every_step(p, beta, config)
+                    alone = density._Lanes(p, config, 1)
+                    alone.start(None, beta)
+                    run = alone.advance()[None]
+                    assert alone.discarded == -ref.iteration % block, (tol, cap, k)
+                    for run in (run, together[k]):
+                        assert (run.state.iteration, run.converged_to_zero,
+                                run.hit_iteration_cap) == (ref.iteration, ref.decoded,
+                                                           ref.capped), (tol, cap, k)
+                        assert state_digest(run.state.p, run.state.s) == state_digest(
+                            ref.p, ref.s), (tol, cap, k)
+                    kinds.add("decoded" if ref.decoded else "capped" if ref.capped
+                              else "stalled")
+        assert kinds == {"decoded", "capped", "stalled"}
+
+    def test_certificate_due_in_the_block_of_an_earlier_stall_check(self, monkeypatch):
+        # At L = 16 with fixed_point_tol = 1e-2 the P_b screen sends most
+        # locksteps to the stall test, so the certificates due at iterations 64
+        # and 80 fall in blocks where a stall test ran first.  Each lane still
+        # ends as the loop that tests every step does.
+        block, checked, certified = density._BLOCK, [], []
+        real_check, real_certificates = density._Lanes._check, density._failure_certificates
+
+        def recording_check(self, *args):
+            checked.append(self.locksteps)
+            return real_check(self, *args)
+
+        def recording_certificates(*args):
+            certified.append(checked[-1])
+            return real_certificates(*args)
+
+        monkeypatch.setattr(density._Lanes, "_check", recording_check)
+        monkeypatch.setattr(density, "_failure_certificates", recording_certificates)
+        p, config = params(L=16), DEConfig(fixed_point_tol=1e-2)
+        beta = beta_from_alpha(p, 0.4)
+        run, ref = de_run(p, beta, config), de_run_testing_change_every_step(p, beta, config)
+        assert certified[:2] == [64, 80]
+        for t in certified[:2]:
+            assert any(s < t and (s - 1) // block == (t - 1) // block for s in checked), t
+        betas = [beta_from_alpha(p, a) for a in (0.4, 0.1, 0.3)]
+        _, outcomes = run_lanes(p, config, betas)
+        for got, beta in [(run, beta), *((outcomes[k], b) for k, b in enumerate(betas))]:
+            ref = de_run_testing_change_every_step(p, beta, config)
+            assert (got.state.iteration, got.converged_to_zero, got.hit_iteration_cap) == (
+                ref.iteration, ref.decoded, ref.capped)
+            assert state_digest(got.state.p, got.state.s) == state_digest(ref.p, ref.s)
+
+    @pytest.mark.parametrize("L", [1, 7, 8, 9, 127, 128, 129, 512])
+    def test_block_pb_is_each_lanes_one_dimensional_mean(self, monkeypatch, L):
+        # One reduce over every step and lane of a block gives each P_b the
+        # bits of a 1-D np.add.reduce of the lane's p, then one division.  The
+        # step here writes random states, whose sums depend on the order.
+        rng, p = np.random.default_rng(L), params(L=L)
+        width, written = L + p.w - 1, []
+
+        def random_update(q, neg_beta, x, out=None):
+            out[:] = rng.random(len(out))
+            written.append(out.reshape(2, -1, width)[0, :, :L].copy())
+            return out
+
+        monkeypatch.setattr(density, "_update", random_update)
+        for depth in (1, 2, 3):
+            written.clear()
+            lanes = density._Lanes(p, DEConfig(max_iterations=density._BLOCK), depth)
+            for k in range(2 ** depth - 1):
+                lanes.start(k, 2.0)
+            lanes.advance()
+            assert len(written) == density._BLOCK
+            assert lanes._pb[1:].tolist() == [
+                [float(np.add.reduce(lane)) / L for lane in step] for step in written]
 
     @pytest.mark.parametrize("w, depth", [(2, 3), (2, 1), (3, 1)])
     def test_certificates_take_one_update_per_lockstep_at_widths_up_to_two(
@@ -904,10 +991,10 @@ class TestLanes:
             finally:
                 certifying.pop()
 
-        def counting_update(p, neg_beta, x):
+        def counting_update(p, neg_beta, x, out=None):
             if certifying:
                 calls.append((certifying[-1], len(x) // (2 * width)))
-            return real_update(p, neg_beta, x)
+            return real_update(p, neg_beta, x, out)
 
         monkeypatch.setattr(density, "_failure_certificates", counting_certificates)
         monkeypatch.setattr(density, "_update", counting_update)
