@@ -80,7 +80,9 @@ class PrecodeGraph:
         rows = gf2.rows_from_support(self.check_indptr, self.check_indices, self.num_bits)
         reduced, pivots = gf2.rref(rows, self.num_bits)
         pivots = np.asarray(pivots, dtype=np.int64)
-        free = np.setdiff1d(np.arange(self.num_bits), pivots)
+        is_pivot = np.zeros(self.num_bits, dtype=bool)
+        is_pivot[pivots] = True
+        free = np.flatnonzero(~is_pivot)
         return reduced, pivots, free
 
     def realized_dimension(self) -> int:

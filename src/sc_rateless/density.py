@@ -231,6 +231,12 @@ def _constants(m: int, n: int, epsilon: float) -> tuple[np.ndarray, np.ndarray, 
     return arrays
 
 
+# The clamp's bound, a read-only 0-d array for the reason ``_constants``
+# gives.
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
+
+
 def _update(params: EnsembleParams, neg_beta, x: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
     """The update of ``de_step`` on the flat state ``x`` of ``_Lanes``: the
@@ -238,7 +244,8 @@ def _update(params: EnsembleParams, neg_beta, x: np.ndarray,
     Writes the next state, with that layout, into ``out`` (a new array if
     None) and returns it; the caller must reset its zeros.  ``neg_beta`` is
     -beta, or one -beta per element of a half.  Every ``1 - .`` and the
-    ``* (1 - eps)`` take array operands from ``_constants``.
+    ``* (1 - eps)`` take array operands from ``_constants``, and the clamp
+    takes ``_ONE``.
 
     At w <= 2 (``_stackable``) one full and one valid correlation serve
     both halves.  A full entry there is one product or the sum of two.  A
@@ -291,7 +298,7 @@ def _update(params: EnsembleParams, neg_beta, x: np.ndarray,
     a **= params.dl
     np.multiply(a, gf, out=out[n:])
     if clamp:
-        np.minimum(out, 1.0, out=out)
+        np.minimum(out, _ONE, out=out)
     return out
 
 

@@ -3,6 +3,8 @@ import pytest
 
 from reference import masks_from_supports, rref_masks
 from sc_rateless import gf2
+from sc_rateless.codec import sample_precode
+from sc_rateless.ensemble import EnsembleParams
 
 
 def random_dense(rng, m, n, density=0.3):
@@ -119,6 +121,32 @@ class TestRref:
         if case == "rank_deficient":
             assert len(got_pivots) <= 8
 
+    @pytest.mark.parametrize("dl, dr, w", [(2, 3, 2), (2, 3, 3), (3, 6, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coupled_precode_rows_match_bitmask_reference(self, dl, dr, w, seed):
+        # The codec's checks, listed left to right along the chain: the order
+        # that ``rref`` inserts last row first.
+        params = EnsembleParams(dl=dl, dr=dr, dg=3, L=6, w=w, epsilon=0.0)
+        graph = sample_precode(params, 12, seed=seed)
+        rows = gf2.rows_from_support(graph.check_indptr, graph.check_indices, graph.num_bits)
+        got_rows, got_pivots = gf2.rref(rows, graph.num_bits)
+        want_rows, want_pivots = rref_masks(rows, graph.num_bits)
+        assert_rref_matches(got_rows, got_pivots, want_rows, want_pivots)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_order_does_not_change_the_result(self, seed):
+        # Lowest-bit pivots make the RREF of a row space unique, so any
+        # order of the same rows gives the same rows and pivots.
+        rng = np.random.default_rng(seed)
+        params = EnsembleParams(dl=2, dr=3, dg=3, L=5, w=2 + seed % 2, epsilon=0.0)
+        graph = sample_precode(params, 12, seed=seed)
+        checks = gf2.rows_from_support(graph.check_indptr, graph.check_indices, graph.num_bits)
+        dense = pack_dense(random_dense(rng, 20, 70, density=0.1))
+        for rows, n in ((checks, graph.num_bits), (dense, 70)):
+            want = gf2.rref(rows, n)
+            for order in (range(len(rows) - 1, -1, -1), rng.permutation(len(rows))):
+                assert gf2.rref([rows[i] for i in order], n) == want
+
     def test_input_not_modified(self):
         rng = np.random.default_rng(9)
         rows = pack_dense(random_dense(rng, 12, 90))
@@ -128,7 +156,9 @@ class TestRref:
 
     @pytest.mark.parametrize("n, bad", [(65, 65), (65, 127), (64, 64), (10, 63)])
     def test_bit_at_or_beyond_ncols_rejected(self, n, bad):
-        rows = gf2.rows_from_support(*csr([[0], [bad], []]), 128)
+        # Rows 1 and 3 are bad.  ``rref`` inserts rows last row first, but
+        # the message names the first bad row in input order.
+        rows = gf2.rows_from_support(*csr([[0], [bad], [], [2, bad]]), 128)
         with pytest.raises(ValueError, match="row 1 "):
             gf2.rref(rows, n)
 
