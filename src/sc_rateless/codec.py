@@ -28,7 +28,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -493,6 +492,8 @@ def pool_map(func, jobs: list, workers: int) -> list:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(jobs) <= 1:
         return [func(job) for job in jobs]
+    # Imported here, so that a serial run never loads the pool's machinery.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(func, jobs))
 

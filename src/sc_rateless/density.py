@@ -18,8 +18,11 @@ correlations return (the power once per half where dr != dg).  At w >= 3
 the inner averages of p and s stay two correlations, whose results are laid
 end to end for the rest of the step.  At L <= 512 a step's cost is numpy
 call overhead, not arithmetic, so it allocates little beyond those arrays,
-takes its constants as cached arrays, and the run loop steps a block of
-``_BLOCK`` steps before it looks at any of them (see ``_Lanes``).
+and every choice that depends only on the lane layout (the kernel, the
+constant operands, the offsets, the powers, the branch and the clamp) is
+bound once per layout into a stepper (``_stepper``), not made at every
+step.  The run loop steps a block of ``_BLOCK`` steps before it looks at
+any of them (see ``_Lanes``).
 
 The correlations fix the summation order, but not every bit on every CPU.
 ``np.correlate`` takes the first and last w - 1 entries of a full average
@@ -198,19 +201,20 @@ def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
     contract.  The upper clamp is applied only at widths whose kernel sums
     can round past one, so outside the contract the outputs may exceed one.
 
-    The step is the one ``_update`` of a lone lane of ``_Lanes``, with p
-    and s laid out as there.  At w >= 3 the bits depend on the BLAS
-    library: a full average's first and last w - 1 entries come from its
-    dot product, which may fuse a multiply-add (OpenBLAS's Haswell ``ddot``
-    does), and the other entries from numpy's unfused loop (see the module
-    docstring).
+    The step is the one a ``_stepper`` takes for a lone lane of ``_Lanes``,
+    with p and s laid out as there, so this function pins the bits of every
+    DE step: the tests check each lane of every layout against it.  At
+    w >= 3 the bits depend on the BLAS library: a full average's first and
+    last w - 1 entries come from its dot product, which may fuse a
+    multiply-add (OpenBLAS's Haswell ``ddot`` does), and the other entries
+    from numpy's unfused loop (see the module docstring).
     """
     if len(p) != params.L or len(s) != params.L:
         raise ValueError(f"p and s need {params.L} sections, got {len(p)} and {len(s)}")
     _check_beta(beta)
     x = np.zeros((2, params.L + params.w - 1 if _stackable(params) else params.L))
     x[0, :params.L], x[1, :params.L] = p, s
-    out = _update(params, -beta, x.ravel()).reshape(x.shape)
+    out = _stepper(params, x.size)(-beta, x.ravel()).reshape(x.shape)
     return out[0, :params.L], out[1, :params.L]
 
 
@@ -220,32 +224,22 @@ def _check_beta(beta: float) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _constants(m: int, n: int, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only operands of ``_update``: ones of lengths m and n, and
-    1 - epsilon as a 0-d array.  An array operand is converted once, where
-    a Python float is converted on every ufunc call; the bits are the
-    same."""
-    arrays = np.ones(m), np.ones(n), np.array(1.0 - epsilon)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+def _stepper(params: EnsembleParams, size: int):
+    """The update of ``de_step`` on a flat state of ``size`` elements, laid
+    out as the state of ``_Lanes``: the K p-lanes, then the K s-lanes, each
+    L sections and then its zeros.  Returns ``step(neg_beta, x, out=None)``,
+    which writes the next state, with that layout, into ``out`` (a new array
+    if None) and returns it; the caller must reset its zeros.  ``neg_beta``
+    is -beta, or one -beta per element of a half.  A state of another
+    length raises ValueError: it cannot broadcast against the step's
+    operands, which have this layout's lengths.
 
-
-# The clamp's bound, a read-only 0-d array for the reason ``_constants``
-# gives.
-_ONE = np.array(1.0)
-_ONE.flags.writeable = False
-
-
-def _update(params: EnsembleParams, neg_beta, x: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """The update of ``de_step`` on the flat state ``x`` of ``_Lanes``: the
-    K p-lanes, then the K s-lanes, each L sections and then its zeros.
-    Writes the next state, with that layout, into ``out`` (a new array if
-    None) and returns it; the caller must reset its zeros.  ``neg_beta`` is
-    -beta, or one -beta per element of a half.  Every ``1 - .`` and the
-    ``* (1 - eps)`` take array operands from ``_constants``, and the clamp
-    takes ``_ONE``.
+    Every choice that depends only on the layout is made here, once: the
+    kernel, the constant operands, the offsets of the halves, the powers,
+    which inner average the step takes and whether it clamps.  The step
+    itself makes only the numpy calls.  Its constants (ones, 1 - eps and
+    the clamp's bound) are arrays, which a ufunc converts once, where it
+    converts a Python float on every call; the bits are the same.
 
     At w <= 2 (``_stackable``) one full and one valid correlation serve
     both halves.  A full entry there is one product or the sum of two.  A
@@ -261,45 +255,59 @@ def _update(params: EnsembleParams, neg_beta, x: np.ndarray,
     dr == dg, else one per half.
     """
     kernel, clamp = _kernel(params.w)
-    n = len(x) // 2
-    # Inner average per check/channel section (length n+w-1, zero-extended),
-    # then the outer average back onto bit sections (length n).  The
-    # elementwise updates write into the arrays the correlations return.  A
-    # half shorter than the kernel goes second and reversed, the operand
+    n, w, dl = size // 2, params.w, params.dl
+    stackable = _stackable(params)
+    # A half shorter than the kernel goes second and reversed, the operand
     # order ``np.convolve`` takes there, so every sum runs in the order it
     # did with ``np.convolve``.
-    if _stackable(params):
-        y = np.correlate(x, kernel, "full")
-    elif n < params.w:
-        y = np.concatenate((np.correlate(kernel, x[n - 1::-1], "full"),
-                            np.correlate(kernel, x[:n - 1:-1], "full")))
-    else:
-        y = np.concatenate((np.correlate(x[:n], kernel, "full"),
-                            np.correlate(x[n:], kernel, "full")))
-    ones_y, ones_n, keep = _constants(len(y), n, params.epsilon)
-    s = y[len(y) // 2:]
-    np.subtract(ones_y, y, out=y)
-    if params.dr == params.dg:
-        y **= params.dr - 1
-    else:
-        y[:len(y) // 2] **= params.dr - 1
-        s **= params.dg - 1
-    s *= keep
-    np.subtract(ones_y, y, out=y)
-    outer = np.correlate(y, kernel, "valid")
-    a, gf = outer[:n], outer[-n:]
-    np.subtract(ones_n, gf, out=gf)
-    gf *= neg_beta
-    np.exp(gf, out=gf)
-    if out is None:
-        out = np.empty(2 * n)
-    # a ** 1 is a, so dl = 2 needs no power for p.
-    np.multiply(a if params.dl == 2 else a ** (params.dl - 1), gf, out=out[:n])
-    a **= params.dl
-    np.multiply(a, gf, out=out[n:])
-    if clamp:
-        np.minimum(out, _ONE, out=out)
-    return out
+    reverse = not stackable and n < w
+    inner = size + w - 1 if stackable else size + 2 * (w - 1)
+    ones_y, ones_n, keep, one = (np.ones(inner), np.ones(n),
+                                 np.array(1.0 - params.epsilon), np.array(1.0))
+    p_half, s_half, gf_half = slice(None, n), slice(n, None), slice(-n, None)
+    p_in, s_in = (slice(n - 1, None, -1), slice(None, n - 1, -1)) if reverse else (p_half, s_half)
+    p_y, s_y = slice(None, inner // 2), slice(inner // 2, None)
+    same_power, dr_power, dg_power = params.dr == params.dg, params.dr - 1, params.dg - 1
+    correlate, concatenate, subtract, multiply, exp, minimum, empty = (
+        np.correlate, np.concatenate, np.subtract, np.multiply, np.exp, np.minimum, np.empty)
+
+    def step(neg_beta, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # Inner average per check/channel section (zero-extended), then the
+        # outer average back onto bit sections.  The elementwise updates
+        # write into the arrays the correlations return.
+        if stackable:
+            y = correlate(x, kernel, "full")
+        elif reverse:
+            y = concatenate((correlate(kernel, x[p_in], "full"),
+                             correlate(kernel, x[s_in], "full")))
+        else:
+            y = concatenate((correlate(x[p_in], kernel, "full"),
+                             correlate(x[s_in], kernel, "full")))
+        s = y[s_y]
+        subtract(ones_y, y, out=y)
+        if same_power:
+            y **= dr_power
+        else:
+            y[p_y] **= dr_power
+            s **= dg_power
+        s *= keep
+        subtract(ones_y, y, out=y)
+        outer = correlate(y, kernel, "valid")
+        a, gf = outer[p_half], outer[gf_half]
+        subtract(ones_n, gf, out=gf)
+        gf *= neg_beta
+        exp(gf, out=gf)
+        if out is None:
+            out = empty(size)
+        # a ** 1 is a, so dl = 2 needs no power for p.
+        multiply(a if dl == 2 else a ** (dl - 1), gf, out=out[p_half])
+        a **= dl
+        multiply(a, gf, out=out[s_half])
+        if clamp:
+            minimum(out, one, out=out)
+        return out
+
+    return step
 
 
 # The failure certificate (see de_run): tried first at step 64, then each
@@ -315,7 +323,7 @@ _U = 2.0 ** -53
 def _stackable(params: EnsembleParams) -> bool:
     """Whether a full average over states laid end to end, with w - 1 zeros
     after each, gives each state the bits it gets alone: then p and s share
-    one (see ``_update``), and so do the lanes of ``_Lanes``.
+    one (see ``_stepper``), and so do the lanes of ``_Lanes``.
 
     At w <= 2 every entry of a flat full average that touches a state's
     edge is a single product, or one plus a zero product, which rounds the
@@ -332,15 +340,16 @@ def _failure_certificates(params: EnsembleParams, betas: list, pb_floor: float,
     ``prev`` and ``cur`` are (2, D, L) arrays of the runs' last two states,
     p above s, and ``betas`` the runs' betas.  Returns per run a state
     (p_y, s_y) that proves it never decodes, or None; then the number of
-    ``_update`` calls and of candidates stepped.
+    steps taken and of candidates stepped.
 
     The candidates of every slope are built as one block, with the bits of
     one slope at a time.  Those whose P_b is at least ``pb_floor`` are
-    stepped: in one ``_update``, laid out as the lanes of ``_Lanes``, where
-    ``_stackable``, else one at a time as ``de_step``.  A candidate y passes
-    when f~(y) >= y + ``_margin`` componentwise.  A run's first passing
-    candidate in slope order is returned, the one a search that stops at the
-    first passing slope returns.
+    stepped by a ``_stepper`` for their layout: in one step, laid out as the
+    lanes of ``_Lanes``, where ``_stackable``, else one at a time as
+    ``de_step``.  A candidate y passes when f~(y) >= y + ``_margin``
+    componentwise.  A run's first passing candidate in slope order is
+    returned, the one a search that stops at the first passing slope
+    returns.
     """
     L = params.L
     y = cur[:, :, None] + _CERTIFY_SLOPES[:, None] * (cur - prev)[:, :, None]
@@ -362,10 +371,11 @@ def _failure_certificates(params: EnsembleParams, betas: list, pb_floor: float,
     if _stackable(params):
         flat = np.zeros((2, count, L + params.w - 1))
         flat[:, :, :L] = y
-        f = _update(params, np.repeat(neg_beta, flat.shape[2]), flat.ravel())
+        f = _stepper(params, flat.size)(np.repeat(neg_beta, flat.shape[2]), flat.ravel())
         f, batches = f.reshape(flat.shape)[:, :, :L], 1
     else:
-        f = np.array([_update(params, neg_beta[j], y[:, j].ravel()) for j in range(count)])
+        step = _stepper(params, 2 * L)
+        f = np.array([step(neg_beta[j], y[:, j].ravel()) for j in range(count)])
         f, batches = f.reshape(count, 2, L).swapaxes(0, 1), count
     for j in np.flatnonzero(np.all(f >= y + margin, axis=(0, 2))):
         if found[run[j]] is None:
@@ -461,13 +471,17 @@ def _margin(params: EnsembleParams, beta: float) -> float:
 # thresholds: at L = 8 and 16, 7 and 15 lanes
 # tie and 31 or 63 lanes are slower; at L = 64, 15 lanes (975 elements)
 # took 5.4 s, 7 lanes 6.3 s and one lane 8.7 s; at L = 128, 7 lanes (903
-# elements) took 7.5 s, 15 lanes 8.3 s and one lane 12.6 s; at L = 256
-# (cap 450k), 3 lanes (771 elements) took 29 and 37 s, one lane 35 and
-# 36 s.  At L = 512 a lockstep of 3 lanes costs 1.8 one-lane steps.  At
-# w = 2 the budget gives 15 lanes up to L = 65, 7 up to 141, 3 up to 332,
-# then one lane at a time.  A block of ``_BLOCK`` + 1 such vectors then
-# takes at most 2 * 17 * 1000 * 8 bytes, 0.27 MB.
-_LANE_BUDGET = 1000
+# elements) took 7.5 s, 15 lanes 8.3 s and one lane 12.6 s.  Measured again
+# with the step bound once per layout (``_stepper``), on the same machine:
+# six alternating pairs of the dg = 3 L-grid sweep (L = 4 to 512, 450k
+# cap) with budgets of 1,000 and 1,800, the larger faster in 6 of 6, with
+# medians of 57.7 and 52.9 CPU s.  Its L = 512 row took 31.2 s with one
+# lane and 25.9 s with 3 (6 of 6); its L = 256 row 14.1 s with 3 lanes and
+# 14.3 s with 7 (a tie, 4 of 6).  At w = 2 the budget gives 15 lanes up to
+# L = 119, 7 up to 256, 3 up to 599, then one lane at a time.  A block of
+# ``_BLOCK`` + 1 such vectors then takes at most 2 * 17 * 1800 * 8 bytes,
+# 0.49 MB.
+_LANE_BUDGET = 1800
 _MAX_LANE_DEPTH = 4
 
 # ``_Lanes`` steps its lanes this many locksteps at a time before it screens
@@ -502,7 +516,7 @@ class _Lanes:
     The state of K lanes is one flat vector of 2K (L + w - 1) elements:
     the K p-lanes, then the K s-lanes, each lane's L sections and then
     w - 1 zeros, so one correlation serves every lane of both halves (see
-    ``_update``).  A lone lane keeps its zeros at w <= 2 and runs with none
+    ``_stepper``).  A lone lane keeps its zeros at w <= 2 and runs with none
     at w >= 3; either way its step is ``de_step``'s.  Beside its key, each
     lane keeps its beta, the lockstep it joined at and the iteration of its
     next failure certificate.  The stall floor and the P_b floor depend only
@@ -510,8 +524,11 @@ class _Lanes:
 
     The lanes step ``_BLOCK`` locksteps at a time in a buffer of
     ``_BLOCK`` + 1 such vectors, which the engine owns: row 0 holds the
-    state, and each step writes the next row (``_update``'s ``out``), whose
+    state, and each step writes the next row (the step's ``out``), whose
     zeros are then reset through a view made when the lanes were laid out.
+    Laying the lanes out (``_Lanes._regroup``) fetches the stepper and
+    lists each lockstep's row, next row and zero reset, so a lockstep is
+    one step call and one fill.
     One ``np.add.reduce`` over the block's (``_BLOCK``, K, L) view of p then
     gives every step's P_b, each with the bits of the 1-D reduce of its
     lane's p.  The stop rules run only after a lockstep where one could
@@ -525,15 +542,15 @@ class _Lanes:
     a lane ends at row j, the rows after j are thrown away and row j becomes
     the state.  The failure certificates of every lane due at a lockstep are
     tried together, before any stall test overwrites a lane's previous state
-    (``_failure_certificates``: one ``_update`` at w <= 2).
+    (``_failure_certificates``: one step at w <= 2).
 
     A lane joins with ``start`` at the all-ones state and leaves when it
     ends or is stopped.  ``locksteps``, ``row_steps`` and ``retired`` count
     the locksteps up to the last stop, the lane steps and the lanes that
     ended on a verdict; ``discarded`` counts the locksteps stepped past a
     stop and thrown away.  ``certificate_batches`` and
-    ``certificate_candidates`` count the certificates' ``_update`` calls and
-    the candidates they stepped.
+    ``certificate_candidates`` count the certificates' step calls and the
+    candidates they stepped.
     """
 
     def __init__(self, params: EnsembleParams, config: DEConfig, depth: int):
@@ -556,7 +573,8 @@ class _Lanes:
         self._betas: list[float] = []
         self._joined: list[int] = []
         self._certify: list[int] = []
-        self._rows, self._pads, self._width = [np.empty(0)], None, params.L
+        self._rows, self._width = [np.empty(0)], params.L
+        self._step, self._steps = None, []
         self._pb = np.empty((1, 0))
         self._p_sections = np.empty((0, 0, 0))
         self._neg_beta = np.empty(0)
@@ -602,8 +620,11 @@ class _Lanes:
         pb = np.empty((_BLOCK + 1, count))
         pb[0] = [self._pb[0, k] for k in rows] + [1.0] * len(joining)
         self._rows, self._width, self._pb = list(block.reshape(_BLOCK + 1, -1)), width, pb
-        pads = block.reshape(_BLOCK + 1, 2 * count, width)[:, :, L:]
-        self._pads = list(pads) if width > L else None
+        # Lockstep j reads row j, writes row j + 1 and resets that row's
+        # zeros (an empty view where width == L).
+        pads = block.reshape(_BLOCK + 1, 2 * count, width)[1:, :, L:]
+        self._steps = list(zip(self._rows, self._rows[1:], [pad.fill for pad in pads]))
+        self._step = _stepper(self.params, self._rows[0].size)
         self._p_sections = block[1:, 0, :, :L]
         self._neg_beta = np.repeat([-beta for beta in self._betas], width)
         self._joining, self._leaving = {}, set()
@@ -614,8 +635,8 @@ class _Lanes:
         the lanes that ended, or the ``NonMonotoneRun`` a lane raised."""
         if self._joining or self._leaving:
             self._regroup()
-        params, neg_beta, L = self.params, self._neg_beta, self.params.L
-        rows, pads, pb, p_sections = self._rows, self._pads, self._pb, self._p_sections
+        step, steps, neg_beta, L = self._step, self._steps, self._neg_beta, self.params.L
+        rows, pb, p_sections = self._rows, self._pb, self._p_sections
         count, next_check = len(self._keys), self._next_check
         stall_floor = self.stall_floor
         target = self.config.success_target
@@ -623,10 +644,9 @@ class _Lanes:
         pb_next = pb[1:]
         start = t = self.locksteps
         while True:
-            for j in range(_BLOCK):
-                _update(params, neg_beta, rows[j], rows[j + 1])
-                if pads is not None:
-                    pads[j + 1].fill(0.0)
+            for x, x_next, reset in steps:
+                step(neg_beta, x, x_next)
+                reset(0.0)
             # Each P_b is the same pairwise sum as the 1-D reduce of the lane's
             # p, then one division.
             np.add.reduce(p_sections, axis=2, out=pb_next)

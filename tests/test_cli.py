@@ -189,15 +189,20 @@ class TestValidation:
         # Every DE run's second step jumps back to the all-ones state.
         import sc_rateless.density as density
 
-        real_update = density._update
+        real_stepper = density._stepper
 
-        def faulty_update(params, neg_beta, x, out=None):
-            if np.all(x[:params.L] == 1.0):
-                return real_update(params, neg_beta, x, out)
-            out[:] = 1.0
-            return out
+        def faulty_stepper(params, size):
+            real_step = real_stepper(params, size)
 
-        monkeypatch.setattr(density, "_update", faulty_update)
+            def faulty_step(neg_beta, x, out=None):
+                if np.all(x[:params.L] == 1.0):
+                    return real_step(neg_beta, x, out)
+                out[:] = 1.0
+                return out
+
+            return faulty_step
+
+        monkeypatch.setattr(density, "_stepper", faulty_stepper)
         code, _ = run(tmp_path, "threshold", "--dg", "3", "--L", "8")
         assert code == 3
         assert "P_b rose" in capsys.readouterr().err

@@ -225,6 +225,66 @@ class TestStep:
                 assert out.tobytes() == np.minimum(out, 1.0).tobytes()
 
 
+# (params, lanes): every branch a stepper can bind.  Lanes lie side by
+# side only where they are stackable (w <= 2); a lone lane at w >= 3 has no
+# zeros, and at L < w it takes the reversed inner average.
+STEPPER_LAYOUTS = {
+    "dr4-dg3": (params(dr=4, dg=3, L=16, w=2), 3),
+    "dl3": (params(dl=3, dr=6, dg=3, L=16, w=2), 7),
+    "w1": (params(L=8, w=1), 3),
+    "w2-L1": (params(L=1, w=2), 7),
+    "w3": (params(L=12, w=3), 1),
+    "w3-L2-reversed": (params(L=2, w=3), 1),
+    "w9-clamp": (params(L=20, w=9), 1),
+}
+
+
+def stepper_input(p, lanes, rng):
+    """A flat state of ``lanes`` lanes laid out as in _Lanes, with the
+    per-lane betas and the per-element -beta a step takes.  The first lane
+    is the all-ones state at beta = 0, where the w = 9 clamp binds (see
+    test_upper_clamp_binds_at_width_nine); the others are random."""
+    width = p.L + p.w - 1 if p.w <= 2 or lanes > 1 else p.L
+    x = np.zeros((2, lanes, width))
+    x[:, 0, :p.L] = 1.0
+    x[:, 1:, :p.L] = rng.uniform(0, 1, (2, lanes - 1, p.L))
+    betas = np.concatenate(([0.0], rng.uniform(0, 4, lanes - 1)))
+    return x, betas, np.repeat(-betas, width)
+
+
+class TestStepper:
+    @pytest.mark.parametrize("p, lanes", STEPPER_LAYOUTS.values(), ids=STEPPER_LAYOUTS)
+    def test_every_lane_gets_de_steps_bits(self, p, lanes):
+        rng = np.random.default_rng(p.L * 31 + p.w)
+        for _ in range(5):
+            x, betas, neg_beta = stepper_input(p, lanes, rng)
+            step = density._stepper(p, x.size)
+            got = step(neg_beta, x.ravel())
+            given = np.full(x.size, np.nan)
+            assert step(neg_beta, x.ravel(), given) is given
+            assert given.tobytes() == got.tobytes()
+            got = got.reshape(x.shape)
+            for k, beta in enumerate(betas):
+                want = de_step(p, beta, x[0, k, :p.L], x[1, k, :p.L])
+                assert got[0, k, :p.L].tobytes() == want[0].tobytes(), (p, k)
+                assert got[1, k, :p.L].tobytes() == want[1].tobytes(), (p, k)
+
+    @pytest.mark.parametrize("p, lanes", STEPPER_LAYOUTS.values(), ids=STEPPER_LAYOUTS)
+    def test_state_of_another_length_raises(self, p, lanes):
+        # The step's operands have the layout's length, so a state of
+        # another length cannot broadcast against them.
+        x, _, neg_beta = stepper_input(p, lanes, np.random.default_rng(1))
+        step = density._stepper(p, x.size)
+        for size in {x.size - 2, x.size - 1, x.size + 1, x.size + 2, 2 * x.size} - {0}:
+            with pytest.raises(ValueError):
+                step(neg_beta[0], np.ones(size))
+
+    def test_one_stepper_per_layout(self):
+        p = params(L=16, w=2)
+        assert density._stepper(p, 34) is density._stepper(p, 34)
+        assert density._stepper(p, 34) is not density._stepper(p, 102)
+
+
 class TestConfig:
     @pytest.mark.parametrize("name", ["fixed_point_tol", "success_target", "bisection_tol"])
     @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
@@ -291,17 +351,22 @@ class TestRun:
         # declared error, also under ``python -O``: here the third step
         # jumps back to the all-ones state.  The steps after it in its block
         # are stepped too, and thrown away.
-        real_update = density._update
+        real_stepper = density._stepper
         calls = []
 
-        def faulty_update(params, neg_beta, x, out=None):
-            calls.append(1)
-            if len(calls) < 3:
-                return real_update(params, neg_beta, x, out)
-            out[:] = 1.0
-            return out
+        def faulty_stepper(params, size):
+            real_step = real_stepper(params, size)
 
-        monkeypatch.setattr(density, "_update", faulty_update)
+            def faulty_step(neg_beta, x, out=None):
+                calls.append(1)
+                if len(calls) < 3:
+                    return real_step(neg_beta, x, out)
+                out[:] = 1.0
+                return out
+
+            return faulty_step
+
+        monkeypatch.setattr(density, "_stepper", faulty_stepper)
         with pytest.raises(NonMonotoneRun, match="at iteration 3"):
             de_run(FIG2, beta_from_alpha(FIG2, 0.5))
         assert len(calls) == density._BLOCK
@@ -533,7 +598,7 @@ def failure_certificate_one_slope_at_a_time(p, beta, success_target, prev, cur):
 
 def certify_together(p, config, betas, prevs, curs):
     """_failure_certificates on one batch of runs: their certificates and the
-    number of _update calls it made."""
+    number of steps it made."""
     found, batches, _ = density._failure_certificates(
         p, betas, density._Lanes(p, config, 1).pb_floor, np.array(prevs).swapaxes(0, 1),
         np.array(curs).swapaxes(0, 1))
@@ -576,7 +641,7 @@ def test_batched_certificate_equals_one_slope_at_a_time_on_every_run():
 
 @pytest.mark.parametrize("w", [1, 2])
 def test_batched_certificate_equals_one_slope_at_a_time_across_runs(w):
-    # Runs at mixed betas and iterations certified in one _update, as the
+    # Runs at mixed betas and iterations certified in one step, as the
     # due lanes of one lockstep are: each verdict and certificate is the one
     # a run alone gets, so no candidate leaks into its neighbours.  Runs
     # still at the all-ones start fail only at the chain's edges, where the
@@ -803,17 +868,22 @@ class TestLanes:
     def test_a_rising_lane_returns_de_runs_error(self, monkeypatch):
         # A step that jumps back to the all-ones state on its third call:
         # every lane ends with the NonMonotoneRun de_run raises.
-        real_update = density._update
+        real_stepper = density._stepper
         calls = []
 
-        def faulty_update(p, neg_beta, x, out=None):
-            calls.append(1)
-            if len(calls) < 3:
-                return real_update(p, neg_beta, x, out)
-            out[:] = 1.0
-            return out
+        def faulty_stepper(p, size):
+            real_step = real_stepper(p, size)
 
-        monkeypatch.setattr(density, "_update", faulty_update)
+            def faulty_step(neg_beta, x, out=None):
+                calls.append(1)
+                if len(calls) < 3:
+                    return real_step(neg_beta, x, out)
+                out[:] = 1.0
+                return out
+
+            return faulty_step
+
+        monkeypatch.setattr(density, "_stepper", faulty_stepper)
         lanes = density._Lanes(FIG2, DEConfig(), depth=2)
         for k, beta in enumerate([2.0, 2.5, 3.0]):
             lanes.start(k, beta)
@@ -833,17 +903,22 @@ class TestLanes:
         p, config = params(L=16, w=2), DEConfig(max_iterations=1500)
         betas = [beta_from_alpha(p, a) for a in (0.02, 0.15, 0.4)]
         refs = [de_run(p, beta, config) for beta in betas]
-        width, real_update, calls = p.L + p.w - 1, density._update, []
+        width, real_stepper, calls = p.L + p.w - 1, density._stepper, []
 
-        def faulty_update(p, neg_beta, x, out=None):
-            x_next = real_update(p, neg_beta, x, out)
-            if len(x) == 2 * 3 * width:
-                calls.append(1)
-                if len(calls) == 3:
-                    x_next.reshape(2, 3, width)[:, 1, :p.L] = 1.0
-            return x_next
+        def faulty_stepper(p, size):
+            real_step = real_stepper(p, size)
 
-        monkeypatch.setattr(density, "_update", faulty_update)
+            def faulty_step(neg_beta, x, out=None):
+                x_next = real_step(neg_beta, x, out)
+                if len(x) == 2 * 3 * width:
+                    calls.append(1)
+                    if len(calls) == 3:
+                        x_next.reshape(2, 3, width)[:, 1, :p.L] = 1.0
+                return x_next
+
+            return faulty_step
+
+        monkeypatch.setattr(density, "_stepper", faulty_stepper)
         lanes = density._Lanes(p, config, depth=2)
         for k, beta in enumerate(betas):
             lanes.start(k, beta)
@@ -866,17 +941,23 @@ class TestLanes:
         # At w = 2 the full average's entry that straddles the p- and s-lanes
         # lands on the last p-lane's last zero, so the lanes are bit-equal to
         # de_run only if every padding slot of both halves is zero whenever
-        # _update reads it: at every lockstep and in every certificate block.
+        # a step of _stepper reads it: at every lockstep and in every
+        # certificate block.
         p, config = params(L=16, w=2), DEConfig(max_iterations=1500)
-        width, real_update, lanes_read = p.L + p.w - 1, density._update, collections.Counter()
+        width, real_stepper, lanes_read = p.L + p.w - 1, density._stepper, collections.Counter()
 
-        def checking_update(q, neg_beta, x, out=None):
-            rows = x.reshape(-1, width)
-            assert len(rows) % 2 == 0 and np.all(rows[:, q.L:] == 0.0)
-            lanes_read[len(rows) // 2] += 1
-            return real_update(q, neg_beta, x, out)
+        def checking_stepper(q, size):
+            real_step = real_stepper(q, size)
 
-        monkeypatch.setattr(density, "_update", checking_update)
+            def checking_step(neg_beta, x, out=None):
+                rows = x.reshape(-1, width)
+                assert len(rows) % 2 == 0 and np.all(rows[:, q.L:] == 0.0)
+                lanes_read[len(rows) // 2] += 1
+                return real_step(neg_beta, x, out)
+
+            return checking_step
+
+        monkeypatch.setattr(density, "_stepper", checking_stepper)
         betas = [beta_from_alpha(p, a) for a in (0.02, 0.15, 0.4)]
         lanes, outcomes = density._Lanes(p, config, depth=2), {}
         for k, beta in enumerate(betas):
@@ -957,12 +1038,15 @@ class TestLanes:
         rng, p = np.random.default_rng(L), params(L=L)
         width, written = L + p.w - 1, []
 
-        def random_update(q, neg_beta, x, out=None):
-            out[:] = rng.random(len(out))
-            written.append(out.reshape(2, -1, width)[0, :, :L].copy())
-            return out
+        def random_stepper(q, size):
+            def random_step(neg_beta, x, out=None):
+                out[:] = rng.random(len(out))
+                written.append(out.reshape(2, -1, width)[0, :, :L].copy())
+                return out
 
-        monkeypatch.setattr(density, "_update", random_update)
+            return random_step
+
+        monkeypatch.setattr(density, "_stepper", random_stepper)
         for depth in (1, 2, 3):
             written.clear()
             lanes = density._Lanes(p, DEConfig(max_iterations=density._BLOCK), depth)
@@ -976,12 +1060,12 @@ class TestLanes:
     @pytest.mark.parametrize("w, depth", [(2, 3), (2, 1), (3, 1)])
     def test_certificates_take_one_update_per_lockstep_at_widths_up_to_two(
             self, monkeypatch, w, depth):
-        # Every lane due at a lockstep is certified in one _update at w <= 2,
+        # Every lane due at a lockstep is certified in one step at w <= 2,
         # and each candidate in its own at w >= 3; the counters see each call.
         p = params(L=16, w=w)
         lanes = density._Lanes(p, DEConfig(max_iterations=1500), depth)
         width = p.L + p.w - 1 if w <= 2 else p.L
-        real_update, real_certificates = density._update, density._failure_certificates
+        real_stepper, real_certificates = density._stepper, density._failure_certificates
         certifying, calls = [], []
 
         def counting_certificates(*args):
@@ -991,13 +1075,18 @@ class TestLanes:
             finally:
                 certifying.pop()
 
-        def counting_update(p, neg_beta, x, out=None):
-            if certifying:
-                calls.append((certifying[-1], len(x) // (2 * width)))
-            return real_update(p, neg_beta, x, out)
+        def counting_stepper(p, size):
+            real_step = real_stepper(p, size)
+
+            def counting_step(neg_beta, x, out=None):
+                if certifying:
+                    calls.append((certifying[-1], len(x) // (2 * width)))
+                return real_step(neg_beta, x, out)
+
+            return counting_step
 
         monkeypatch.setattr(density, "_failure_certificates", counting_certificates)
-        monkeypatch.setattr(density, "_update", counting_update)
+        monkeypatch.setattr(density, "_stepper", counting_stepper)
         alphas = [-0.2, 0.02, 0.05, 0.1, 0.2, 0.4, 1.5, 0.03, 0.07, 0.3]
         pending = [p.dg / (1.0 - p.epsilon) * (1.0 - p.dl / p.dr) * (1.0 + a) for a in alphas]
         while pending or lanes.keys():
@@ -1020,7 +1109,7 @@ class TestLanes:
                 assert depth == 1 or (2 ** depth - 1) * width <= density._LANE_BUDGET
                 assert (depth == density._MAX_LANE_DEPTH
                         or (2 ** (depth + 1) - 1) * width > density._LANE_BUDGET)
-        assert density._lane_depth(params(L=512)) == 1
+        assert density._lane_depth(params(L=512)) == 2
         assert density._lane_depth(params(L=16)) == density._MAX_LANE_DEPTH
         for w in (3, 4, 9):
             assert density._lane_depth(params(L=4, w=w)) == 1

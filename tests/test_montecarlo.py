@@ -1,6 +1,9 @@
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +58,15 @@ class TestMonteCarlo:
             SMALL, 12, grid, trials=8, seed=5, zero_codeword=True, workers=2
         )
         assert serial == parallel
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # pool_map imports the pool only to start one, so a serial run never
+        # loads it.
+        code = "import sys, sc_rateless.cli; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(codec.__file__).resolve().parent.parent)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "False\n"
 
     def test_success_monotone_in_alpha(self):
         # more received symbols cannot hurt on average; allow 2 sigma of
