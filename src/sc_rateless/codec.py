@@ -104,85 +104,165 @@ class PrecodeGraph:
         return int(parities.sum())
 
 
-def _double_edge_sockets(sock_bit, dr):
+def _repeat_sockets(values, dr, ties=None):
+    """Positions whose value (>= 0) also sits on another position of the
+    same row of dr, all but the first of each such value in (tie, position)
+    order; listed in (row, value, tie, position) order.  ``ties``, of the
+    shape of ``values``, ranks equal values when given.
+
+    Rows with a repeat are found by dr*(dr-1)/2 column comparisons; only
+    those rows are sorted.
+    """
+    rows = values.reshape(-1, dr)
+    repeats = np.zeros(len(rows), dtype=bool)
+    for i in range(1, dr):
+        real = rows[:, i] >= 0
+        for j in range(i):
+            repeats |= (rows[:, i] == rows[:, j]) & real
+    flagged = np.flatnonzero(repeats)
+    keys = (rows[flagged],)
+    if ties is not None:
+        keys = (ties.reshape(-1, dr)[flagged],) + keys
+    order = np.lexsort(keys, axis=1)
+    ordered = np.take_along_axis(keys[-1], order, axis=1)
+    dup = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
+    return (flagged[:, None] * dr + order)[:, 1:][dup]
+
+
+def _check_sockets(sockets, dr, num_checks):
+    """Every socket of each check that holds one of ``sockets``, check by
+    check: check q owns the dr consecutive sockets [q*dr, (q+1)*dr)."""
+    hit = np.zeros(num_checks, dtype=bool)
+    hit[sockets // dr] = True
+    return (np.flatnonzero(hit)[:, None] * dr + np.arange(dr)).reshape(-1)
+
+
+def _double_edge_sockets(sock_bit, dr, swapped=None):
     """Sockets whose bit already sits on an earlier socket of the same check,
     in (check, bit, socket) order.
 
-    Check q owns the dr consecutive sockets [q*dr, (q+1)*dr), so the sockets
-    are the rows of a (checks, dr) array.  Rows with a repeat are found by
-    dr*(dr-1)/2 column comparisons; only those rows are sorted.
+    With ``swapped``, the sockets swapped since the last scan, only their
+    checks are scanned: a repeat elsewhere would have been there, and
+    flagged, at the last scan, and its flagged socket was swapped.
     """
-    rows = sock_bit.reshape(-1, dr)
-    repeats = np.zeros(len(rows), dtype=bool)
-    for i in range(1, dr):
-        for j in range(i):
-            repeats |= (rows[:, i] == rows[:, j]) & (rows[:, i] >= 0)
-    checks = np.flatnonzero(repeats)
-    order = np.argsort(rows[checks], axis=1, kind="stable")
-    bits = rows[checks[:, None], order]
-    dup = (bits[:, 1:] == bits[:, :-1]) & (bits[:, 1:] >= 0)
-    return (checks[:, None] * dr + order)[:, 1:][dup]
+    if swapped is None:
+        return _repeat_sockets(sock_bit, dr)
+    sockets = _check_sockets(swapped, dr, sock_bit.size // dr)
+    return sockets[_repeat_sockets(sock_bit[sockets], dr)]
 
 
-def _parallel_pair_sockets(sock_bit, num_bits, dr):
+def _parallel_pair_sockets(sock_bit, pairs, dr, swapped=None):
     """One socket per surplus bit sharing an identical check pair, in
     (check pair, bit) order; the socket is the bit's first one.
+
+    ``pairs`` is the socket table: row b holds bit b's two sockets, lower
+    first (see ``_socket_pairs``).  Two bits share their check pair exactly
+    when their lower sockets lie in one check and their upper sockets in
+    another, so each lower socket is labelled with its partner's check
+    (every other socket with -1) and the labels go through the same column
+    comparisons as ``_double_edge_sockets``; only the flagged checks are
+    sorted, by (partner check, bit).
+
+    With ``swapped``, the sockets swapped since the last scan, only the
+    checks holding the lower socket of a bit now on one of them are
+    scanned: a shared pair elsewhere would have been flagged at the last
+    scan, and its surplus bit's socket swapped.
 
     Only meaningful for dl = 2, where such pairs defeat even ML decoding
     unless a channel node happens to split them.
     """
-    size = sock_bit.size
-    # Sorting bit*size + socket groups each bit's two sockets in increasing
-    # order, bits ascending; filler keys are negative and sort first.
-    keyed = np.sort(sock_bit * size + np.arange(size))[size - 2 * num_bits:]
-    sockets = (keyed % size).reshape(num_bits, 2)
-    checks = sockets // dr  # non-decreasing along each row
-    num_checks = size // dr
-    pair = checks[:, 0] * num_checks + checks[:, 1]
-    ordered = np.sort(pair)
-    shared = ordered[1:][ordered[1:] == ordered[:-1]]
-    bits = np.flatnonzero(np.isin(pair, shared))
-    bits = bits[np.argsort(pair[bits], kind="stable")]
-    surplus = bits[1:][pair[bits[1:]] == pair[bits[:-1]]]
-    return sockets[surplus, 0]
+    if swapped is None:
+        partner_check = np.full(sock_bit.size, -1, dtype=np.int64)
+        partner_check[pairs[:, 0]] = pairs[:, 1] // dr
+        return _repeat_sockets(partner_check, dr, ties=sock_bit)
+    moved = sock_bit[swapped]
+    sockets = _check_sockets(pairs[moved[moved >= 0], 0], dr, sock_bit.size // dr)
+    bits = sock_bit[sockets]
+    # Filler (-1) reads the last bit's row, whose lower socket is real, so
+    # never equal to the filler's socket.
+    lower, upper = pairs[bits].T
+    partner_check = np.where(lower == sockets, upper // dr, -1)
+    return sockets[_repeat_sockets(partner_check, dr, ties=bits)]
 
 
-def _bad_sockets(sock_bit, num_bits, dl, dr):
-    """Sockets to re-draw: repeated bits first, then (dl = 2 only, once
-    none repeat) surplus bits on a shared check pair."""
-    bad = _double_edge_sockets(sock_bit, dr)
-    if bad.size == 0 and dl == 2:
-        bad = _parallel_pair_sockets(sock_bit, num_bits, dr)
-    return bad
+def _socket_pairs(sock_stub, num_bits, dl):
+    """The socket table of a fresh matching (None unless dl = 2): row b
+    holds the two sockets of bit b, lower first.  ``sock_stub`` gives each
+    socket's stub id, or -1 for filler, where stub k belongs to bit k // dl;
+    one scatter of the sockets by stub id lists every bit's sockets without
+    a sort."""
+    if dl != 2:
+        return None
+    # The extra last slot takes the filler sockets' writes.
+    by_stub = np.empty(2 * num_bits + 1, dtype=np.int64)
+    by_stub[sock_stub] = np.arange(sock_stub.size)
+    pairs = by_stub[:-1].reshape(num_bits, 2)
+    lower = np.minimum(pairs[:, 0], pairs[:, 1])
+    np.maximum(pairs[:, 0], pairs[:, 1], out=pairs[:, 1])
+    pairs[:, 0] = lower
+    return pairs
 
 
-def _condition_matching(sock_bit, stubs, num_bits, dl, dr, rng):
+def _move_socket(pairs, bit, old, new):
+    """Bit ``bit`` (skipped when filler, -1) moves from socket ``old`` to
+    ``new``; keeps its socket-table row lower first."""
+    if bit < 0:
+        return
+    lower, upper = pairs[bit]
+    other = upper if lower == old else lower
+    pairs[bit] = (other, new) if other < new else (new, other)
+
+
+def _condition_matching(sock_bit, pairs, stubs, dl, dr, rng):
     """Swap stubs (within their check section) until no check repeats a bit
     and, for dl = 2, no two bits share the same pair of checks.
 
     Repeated bits cancel mod 2 (leaving dl = 2 bits disconnected from the
     precode) and identical check pairs are undecodable two-bit cores, so the
     socket matching is conditioned to exclude both, as usual in finite-length
-    constructions.  Swaps stay inside one section and preserve its stub
-    multiset, so degrees and socket counts are untouched; check section c
-    owns sockets [c*stubs, (c+1)*stubs).  Raises ConditioningFailed if the
-    matching is still bad after the last round.
+    constructions.  Each round re-draws the sockets of the first scan that
+    finds any: repeated bits, then (dl = 2 only, once none repeat) surplus
+    bits on a shared check pair.  Swaps stay inside one section and
+    preserve its stub multiset, so degrees and socket counts are untouched;
+    check section c owns sockets [c*stubs, (c+1)*stubs).
+
+    ``pairs`` is the socket table of ``_socket_pairs`` (None unless
+    dl = 2).  A swap moves at most two bits, and their rows are updated in
+    place, so the table stays current without a rebuild.  Each scan after
+    the first of its kind looks only where the swaps since its last run can
+    have made a repeat or a shared pair, and finds what a full scan finds.
+    Raises ConditioningFailed if the matching is still bad after the last
+    round.
     """
-    for _ in range(CONDITIONING_ROUNDS):
-        bad = _bad_sockets(sock_bit, num_bits, dl, dr)
+    # The sockets swapped since the last scan of each kind; None scans every
+    # check.
+    edge_swapped = pair_swapped = None
+    for round_ in range(CONDITIONING_ROUNDS + 1):
+        bad = _double_edge_sockets(sock_bit, dr, edge_swapped)
+        if bad.size == 0 and dl == 2:
+            bad = _parallel_pair_sockets(sock_bit, pairs, dr, pair_swapped)
+            pair_swapped = bad[:0]  # no swap since this scan
         if bad.size == 0:
             return
+        if round_ == CONDITIONING_ROUNDS:
+            break
+        partners = []
         for socket in bad:
-            section_start = socket // stubs * stubs
-            partner = section_start + int(rng.integers(stubs))
-            sock_bit[socket], sock_bit[partner] = sock_bit[partner], sock_bit[socket]
-    bad = _bad_sockets(sock_bit, num_bits, dl, dr)
-    if bad.size:
-        raise ConditioningFailed(
-            f"{bad.size} sockets still repeat a bit or a check pair after "
-            f"{CONDITIONING_ROUNDS} swap rounds; M = {stubs // dl} is too small "
-            "for this ensemble"
-        )
+            partner = socket // stubs * stubs + int(rng.integers(stubs))
+            bit, other = sock_bit[socket], sock_bit[partner]
+            sock_bit[socket], sock_bit[partner] = other, bit
+            if pairs is not None and bit != other:
+                _move_socket(pairs, bit, socket, partner)
+                _move_socket(pairs, other, partner, socket)
+            partners.append(partner)
+        edge_swapped = np.concatenate([bad, partners])
+        if pair_swapped is not None:
+            pair_swapped = np.concatenate([pair_swapped, edge_swapped])
+    raise ConditioningFailed(
+        f"{bad.size} sockets still repeat a bit or a check pair after "
+        f"{CONDITIONING_ROUNDS} swap rounds; M = {stubs // dl} is too small "
+        "for this ensemble"
+    )
 
 
 def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
@@ -191,6 +271,12 @@ def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
     Requires dr | M*dl (integral check count per section) and M >= dr.
     Raises ConditioningFailed when the socket matching cannot be conditioned
     (common at M = dr, not seen from M = 2*dr for the (2, 3) ensemble).
+
+    The draws permute stub ids, where stub k of the section's M*dl belongs
+    to bit k // dl.  A permutation or shuffle makes the same swaps whatever
+    the values, so this is the matching that permuting repeated bit ids
+    gives, and the stub ids also yield every bit's sockets (the socket
+    table of ``_socket_pairs``) without a sort.
     """
     dl, dr, L, w = params.dl, params.dr, params.L, params.w
     if (M * dl) % dr != 0:
@@ -205,32 +291,36 @@ def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
     shares[: stubs % w] += 1
     bounds = np.concatenate(([0], np.cumsum(shares)))
 
-    # Row w-1+s holds section s's stubs in a random order; the w-1 rows at
-    # either end are shortened filler (-1: occupies sockets, carries a known zero).
-    padded = np.full((L + 2 * (w - 1), stubs), -1, dtype=np.int64)
-    for s in range(L):
-        padded[w - 1 + s] = rng.permutation(np.repeat(np.arange(s * M, (s + 1) * M), dl))
-
-    # Check section c takes columns [bounds[j], bounds[j+1]) of section c-j's
-    # row for each offset j and permutes them.  It owns sockets
+    # Section s's stub ids, in a random order, are dealt to check sections
+    # s..s+w-1: check section c takes columns [bounds[j], bounds[j+1]) of
+    # section c-j for each offset j and permutes them.  Columns whose section
+    # c-j lies off the chain hold shortened filler (-1: occupies sockets,
+    # carries a known zero).  Check section c owns sockets
     # [c*stubs, (c+1)*stubs), dr per check node, so check q owns [q*dr, (q+1)*dr).
     num_sections = L + w - 1
     num_checks = num_sections * cps
-    layout = np.empty((num_sections, stubs), dtype=np.int64)
-    for j in range(w):
-        cols = slice(bounds[j], bounds[j + 1])
-        layout[:, cols] = padded[w - 1 - j:w - 1 - j + num_sections, cols]
+    layout = np.full((num_sections, stubs), -1, dtype=np.int64)
+    for s in range(L):
+        stub_ids = rng.permutation(np.arange(s * stubs, (s + 1) * stubs))
+        for j in range(w):
+            cols = slice(bounds[j], bounds[j + 1])
+            layout[s + j, cols] = stub_ids[cols]
     for row in layout:
         rng.shuffle(row)
-    sock_bit = layout.reshape(-1)
+    sock_stub = layout.reshape(-1)
+    pairs = _socket_pairs(sock_stub, num_bits, dl)
+    sock_bit = np.floor_divide(sock_stub, dl, out=sock_stub)  # filler stays -1
 
-    _condition_matching(sock_bit, stubs, num_bits, dl, dr, rng)
+    _condition_matching(sock_bit, pairs, stubs, dl, dr, rng)
 
     real = np.flatnonzero(sock_bit >= 0)
     # Conditioning left no check repeating a bit, so the sorted (check, bit)
     # keys are the supports, each sorted within its check.
-    keys = np.sort(real // dr * np.int64(num_bits) + sock_bit[real])
-    check_idx = keys // num_bits
+    keys = real // dr
+    keys *= num_bits
+    keys += sock_bit[real]
+    keys.sort()
+    check_idx, check_indices = np.divmod(keys, num_bits)
     indptr = np.concatenate(
         ([0], np.cumsum(np.bincount(check_idx, minlength=num_checks)))
     )
@@ -238,7 +328,7 @@ def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
         params=params,
         M=M,
         check_indptr=indptr,
-        check_indices=keys % num_bits,
+        check_indices=check_indices,
     )
 
 
@@ -306,9 +396,13 @@ def channel_stream(
     ref_sections = sections[:, None] - shifts
     in_chain = (ref_sections >= 0) & (ref_sections < L)
     bit_ids = np.where(in_chain, ref_sections * M + indices, -1)
-    values = (
-        (codeword[bit_ids] * in_chain).sum(axis=1, dtype=np.int64) & 1
-    ).astype(np.uint8)
+    # The parity is the low bit of the XOR of the dg columns, which costs
+    # several times less than a row sum over so narrow rows.
+    refs = codeword[bit_ids] * in_chain
+    values = refs[:, 0].copy()
+    for column in refs.T[1:]:
+        values ^= column
+    values &= 1
     erased = rng.random(n) < epsilon
     return ChannelStream(sections=sections, bit_ids=bit_ids, values=values, erased=erased)
 

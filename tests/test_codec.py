@@ -26,6 +26,7 @@ from sc_rateless import (
     peel,
     sample_precode,
 )
+from sc_rateless import codec
 from sc_rateless.codec import _double_edge_sockets, _parallel_pair_sockets
 
 
@@ -50,6 +51,21 @@ ORACLE_TOYS = [
     (params(dl=3, dr=6, L=5), 12),
     (params(dl=3, dr=4, L=6, w=3), 8),
 ]
+
+
+# dl = 2 toys for the parallel-pair oracle: ORACLE_TOYS' two at dr = 3,
+# plus checks of 4 and 6 sockets.
+PAIR_TOYS = [(p, M) for p, M in ORACLE_TOYS if p.dl == 2] + [
+    (params(dr=4, L=5), 8),
+    (params(dr=6, L=5, w=3), 12),
+]
+
+
+def socket_table(sock_bit, num_bits):
+    """Each bit's two sockets, lower first, rebuilt from the socket array:
+    row b lists the sockets holding bit b (every bit on exactly two)."""
+    order = np.argsort(sock_bit, kind="stable")
+    return order[np.count_nonzero(sock_bit < 0):].reshape(num_bits, 2)
 
 
 def raw_sockets(p, M, rng):
@@ -122,6 +138,18 @@ SAMPLER_DIGESTS = {
     (3, 6, 12, 4, 1): "4a9d203fbd9377d248d7b232e84347e1091f6154381bb672ad209c4706176a8c",
     (3, 6, 12, 5, 0): "8920f71bf3d4fca879090a25b74f5e630e8223af2b5cad0456b355e62cb782ae",
     (3, 6, 12, 5, 1): "070c4ecbe2417035e611ae441c35e3da7aa075a3029fa592a3d649affdab9497",
+}
+
+# The same digests for sample_precode(params(L=16), M, seed), keyed by (M,
+# seed): the graphs of the mc-peel (M = 2001) and mc-encode (M = 300)
+# benchmark workloads, where conditioning runs several rounds of swaps.
+LARGE_SAMPLER_DIGESTS = {
+    (2001, 0): "7fba405aee6169315e09fb03c3e560bbaef3f8b55d8bc5dbffa6256005d5e6c2",
+    (2001, 1): "822c13df4d8f713cbce9785ca93dd8296999094ee75fa4f77b0bee6462338988",
+    (2001, 2): "f95f85321374496373ec91caa57128c951b83660d839e16c5ad6b57fbd0c2e4c",
+    (300, 0): "3fa34629aa6da2108ab1c02c77d7402509832a7cab295bfad76b503bdc623022",
+    (300, 1): "42d06130072e99e369948f58c491c11400d43c577c37fc7e658f9ca58927f3b2",
+    (300, 2): "ac21b423c0441bc28dd4168bb2f1603484c87d73159a97562701fc84b9b1af1e",
 }
 
 
@@ -224,9 +252,7 @@ class TestSamplePrecode:
     def test_parallel_pair_sockets_match_loop_oracle(self):
         rng = np.random.default_rng(8)
         found = 0
-        for p, M in ORACLE_TOYS:
-            if p.dl != 2:
-                continue
+        for p, M in PAIR_TOYS:
             for _ in range(20):
                 # Every bit on exactly two sockets, as after sampling.
                 sock_bit, sock_check = raw_sockets(p, M, rng)
@@ -234,11 +260,63 @@ class TestSamplePrecode:
                 sock_bit[real] = rng.permutation(
                     np.repeat(np.arange(real.size // 2), 2)
                 )
-                got = _parallel_pair_sockets(sock_bit, real.size // 2, p.dr)
+                pairs = socket_table(sock_bit, real.size // 2)
+                got = _parallel_pair_sockets(sock_bit, pairs, p.dr)
                 want = parallel_pair_sockets_loops(sock_bit, sock_check)
                 assert got.tolist() == want
                 found += len(want)
         assert found > 0
+
+    @pytest.mark.parametrize("p, M, seeds", [
+        (params(L=16), 300, range(4)),
+        (params(dr=4, L=6, w=3), 12, range(6)),
+        (params(dr=6, L=5, w=3), 12, range(6)),
+        (params(dr=4), 4, range(2)),  # cannot be conditioned: every round runs
+        (params(dl=3, dr=6, L=5), 12, range(4)),
+    ], ids=["dr3-M300", "dr4-w3", "dr6-w3", "dr4-M4-fails", "dl3-dr6"])
+    def test_conditioning_keeps_the_table_and_every_scan_exact(self, monkeypatch, p, M, seeds):
+        # Every round starts with a repeated-bit scan; there the socket table
+        # must equal one rebuilt from the sockets, and each scan that looks
+        # only where the last swaps reached must find what a full scan finds.
+        tables = []
+        condition = codec._condition_matching
+        double_edges = codec._double_edge_sockets
+        parallel_pairs = codec._parallel_pair_sockets
+        checks = {"rounds": 0, "partial": 0}
+
+        def capture_table(sock_bit, pairs, *rest):
+            tables.append(pairs)
+            return condition(sock_bit, pairs, *rest)
+
+        def checked_double_edges(sock_bit, dr, swapped=None):
+            pairs = tables[-1]
+            if pairs is not None:
+                rebuilt = socket_table(sock_bit, len(pairs))
+                np.testing.assert_array_equal(pairs, rebuilt)
+            got = double_edges(sock_bit, dr, swapped)
+            if swapped is not None:
+                assert got.tolist() == double_edges(sock_bit, dr).tolist()
+                checks["partial"] += 1
+            checks["rounds"] += 1
+            return got
+
+        def checked_parallel_pairs(sock_bit, pairs, dr, swapped=None):
+            got = parallel_pairs(sock_bit, pairs, dr, swapped)
+            if swapped is not None:
+                assert got.tolist() == parallel_pairs(sock_bit, pairs, dr).tolist()
+                checks["partial"] += 1
+            return got
+
+        monkeypatch.setattr(codec, "_condition_matching", capture_table)
+        monkeypatch.setattr(codec, "_double_edge_sockets", checked_double_edges)
+        monkeypatch.setattr(codec, "_parallel_pair_sockets", checked_parallel_pairs)
+        for seed in seeds:
+            try:
+                sample_precode(p, M, seed)
+            except ConditioningFailed:
+                pass
+        assert checks["partial"] > 0
+        assert checks["rounds"] > 2 * len(seeds)
 
     def test_seed_determinism(self):
         a = sample_precode(TOY, 12, seed=99)
@@ -247,6 +325,12 @@ class TestSamplePrecode:
         np.testing.assert_array_equal(a.check_indptr, b.check_indptr)
         c = sample_precode(TOY, 12, seed=100)
         assert not np.array_equal(a.check_indices, c.check_indices)
+
+    @pytest.mark.parametrize("M, seed", list(LARGE_SAMPLER_DIGESTS))
+    def test_large_graph_digest_recorded(self, M, seed):
+        g = sample_precode(params(L=16), M, seed)
+        digest = hashlib.sha256(g.check_indptr.tobytes() + g.check_indices.tobytes())
+        assert digest.hexdigest() == LARGE_SAMPLER_DIGESTS[M, seed]
 
     @pytest.mark.parametrize("dl, dr, M, w, seed", list(SAMPLER_DIGESTS))
     def test_graph_digest_recorded(self, dl, dr, M, w, seed):
@@ -359,6 +443,15 @@ class TestChannelStream:
         stream, _ = stream_and_oracle(g, codeword, 400, 0.0, seed=17)
         assert not stream.erased.any()
         assert np.any(stream.values == 1) and np.any(stream.values == 0)
+
+    @pytest.mark.parametrize("dg", [1, 2, 5, 8])
+    def test_matches_oracle_at_other_channel_degrees(self, dg):
+        # Each value is the XOR of dg references: none at dg = 1, and even
+        # and odd widths besides TOY's dg = 3.
+        g, codeword, _ = toy_instance(5, M=12, p=params(dg=dg))
+        stream, _ = stream_and_oracle(g, codeword, 3000, 0.2, seed=29)
+        assert np.any(stream.values == 1) and np.any(stream.values == 0)
+        assert np.any(stream.bit_ids < 0)
 
     def test_erasure_rate_matches_epsilon(self):
         g, codeword, _ = toy_instance(1, M=12)
