@@ -1,7 +1,8 @@
 """Finite-length realization of the coupled rateless code.
 
 Samples a member of the coupled precode ensemble, encodes information bits
-through a systematic form computed once per graph by GF(2) elimination,
+through a systematic form computed once per graph by GF(2) forward
+elimination (echelon rows, one triangular solve per codeword),
 draws the endless channel-node stream truncated at n received symbols over
 BEC(eps), and runs the peeling decoder (sum-product reduces to iterative
 erasure filling on the BEC).  The Monte Carlo harness aggregates decoding
@@ -76,13 +77,18 @@ class PrecodeGraph:
 
     @functools.cached_property
     def _systematic_form(self):
+        """(echelon rows, pivot columns, free columns) of the checks.
+
+        The rows are ``gf2.rref(..., reduce=False)``'s: forward elimination
+        only, in ascending pivot order, since each ``encode`` solves for one
+        codeword and a full RREF would back-substitute the whole basis.
+        """
         rows = gf2.rows_from_support(self.check_indptr, self.check_indices, self.num_bits)
-        reduced, pivots = gf2.rref(rows, self.num_bits)
-        pivots = np.asarray(pivots, dtype=np.int64)
+        echelon, pivots = gf2.rref(rows, self.num_bits, reduce=False)
         is_pivot = np.zeros(self.num_bits, dtype=bool)
         is_pivot[pivots] = True
         free = np.flatnonzero(~is_pivot)
-        return reduced, pivots, free
+        return echelon, pivots, free
 
     def realized_dimension(self) -> int:
         """Actual code dimension L*M - rank; exceeds the design k by the
@@ -337,9 +343,12 @@ def encode(graph: PrecodeGraph, info_bits) -> np.ndarray:
 
     ``info_bits`` must have the realized dimension of the sampled graph; the
     free positions of the systematic form carry them and the pivot positions
-    are filled by back-substitution.
+    are solved for in two stages: one parity of the free bits per echelon
+    row (``gf2.dot_rows``), then a triangular solve in descending pivot
+    order (``gf2.solve_pivots``).  The free bits fix the pivot bits, so the
+    codeword is the one that a fully reduced form gives.
     """
-    reduced, pivots, free = graph._systematic_form
+    echelon, pivots, free = graph._systematic_form
     info_bits = np.asarray(info_bits, dtype=np.uint8)
     if info_bits.shape != (len(free),):
         raise ValueError(
@@ -347,8 +356,8 @@ def encode(graph: PrecodeGraph, info_bits) -> np.ndarray:
         )
     x = np.zeros(graph.num_bits, dtype=np.uint8)
     x[free] = info_bits & 1
-    # Each reduced row reads x[pivot] + sum of its free-column bits = 0.
-    x[pivots] = gf2.dot_rows(reduced, gf2.pack_vector(x))
+    # Each echelon row reads x[pivot] + its later pivot bits + its free bits = 0.
+    x[pivots] = gf2.solve_pivots(echelon, pivots, gf2.dot_rows(echelon, gf2.pack_vector(x)))
     return x
 
 

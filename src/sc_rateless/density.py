@@ -477,7 +477,12 @@ def _margin(params: EnsembleParams, beta: float) -> float:
 # cap) with budgets of 1,000 and 1,800, the larger faster in 6 of 6, with
 # medians of 57.7 and 52.9 CPU s.  Its L = 512 row took 31.2 s with one
 # lane and 25.9 s with 3 (6 of 6); its L = 256 row 14.1 s with 3 lanes and
-# 14.3 s with 7 (a tie, 4 of 6).  At w = 2 the budget gives 15 lanes up to
+# 14.3 s with 7 (a tie, 4 of 6).  Deeper look-ahead, measured again with
+# ``_stepper`` and ``_BLOCK`` on the same machine: ``sweep --dg 3 --L-grid
+# 8,16,24`` with ``_MAX_LANE_DEPTH`` 4, 5 and 6 (15, 31 and 63 lanes) made
+# 127,821, 114,427 and 109,068 locksteps with identical rows, in median
+# CPU times of 1.46, 1.48 and 1.77 s (five alternating rounds), so fewer
+# locksteps do not pay.  At w = 2 the budget gives 15 lanes up to
 # L = 119, 7 up to 256, 3 up to 599, then one lane at a time.  A block of
 # ``_BLOCK`` + 1 such vectors then takes at most 2 * 17 * 1800 * 8 bytes,
 # 0.49 MB.

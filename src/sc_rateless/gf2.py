@@ -5,9 +5,12 @@ eliminates on those ints, so its cost is the number of XORs of basis rows
 rather than a numpy pass per column, and a dot product is a popcount of an
 AND.  Rows are built from a CSR of column indices, the layout in which the
 codec stores its checks.  Enough for the systematic-form precode encoder at
-simulation sizes.  ``rref`` takes its rows last row first, which gives the
-same result with a third of the back-substitution XORs on the codec's
-checks (see ``rref``).
+simulation sizes: the encoder stops ``rref`` after its forward pass
+(``reduce=False``) and solves for one codeword's pivot bits with
+``dot_rows`` and ``solve_pivots``, so it never back-substitutes the whole
+basis.  ``rref`` takes its rows last row first, which gives the same result
+with a third of the back-substitution XORs on the codec's checks (see
+``rref``).
 """
 from __future__ import annotations
 
@@ -36,25 +39,30 @@ def rows_from_support(indptr, indices, ncols: int) -> list[int]:
     return rows
 
 
-def rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon form over GF(2).
+def rref(rows: list[int], ncols: int, *, reduce: bool = True) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon form over GF(2), or with ``reduce=False`` the
+    echelon form that the forward pass leaves.
 
-    Returns the rank rows in pivot order, as a new list, together with the
-    pivot column list (both have the rank's length).  Fully reduced: each
+    Returns the rank rows in ascending pivot order, as a new list, together
+    with the pivot column list (both have the rank's length).  A row's pivot
+    is its lowest set bit, and the pivots are those of the RREF either way.
+    With ``reduce=True`` (the default) the rows are fully reduced: each
     pivot column has a single 1, so solving for the pivot variables is a
-    direct read-off.  A set bit at or beyond ``ncols`` raises ``ValueError``
-    naming the first such row.
+    direct read-off.  With ``reduce=False`` a row may also hold the pivot
+    bits of later rows; ``solve_pivots`` solves such a system.  A set bit
+    at or beyond ``ncols`` raises ``ValueError`` naming the first such row.
 
     Rows are eliminated keyed by their lowest set bit, so the cost is the
     number of basis-row XORs, not a pass over every column of the matrix.
     Rows enter the basis last row first.  Lowest-bit pivots make the RREF
-    of a row space unique, so the order changes the work, not the output.
-    The back-substitution makes one XOR per pivot bit that an echelon row
-    holds besides its own, and on the codec's checks, listed along the
-    chain, the rows that the forward pass reduces come out sparser last row
-    first: 3.7k-3.9k such XORs per L=16, M=300 graph at (dl, dr, w) =
-    (2, 3, 2), against 9.8k-12.0k in row order, with ~3,335 forward XORs
-    either way.  At (3, 6, 2) the order gains nothing.
+    of a row space unique, so the order changes the work, not the RREF (the
+    echelon rows of ``reduce=False`` do depend on it).  With
+    ``reduce=True`` the back-substitution makes one XOR per pivot bit that
+    an echelon row holds besides its own, and on the codec's checks, listed
+    along the chain, the rows that the forward pass reduces come out
+    sparser last row first: 3.7k-3.9k such XORs per L=16, M=300 graph at
+    (dl, dr, w) = (2, 3, 2), against 9.8k-12.0k in row order, with ~3,335
+    forward XORs either way.  At (3, 6, 2) the order gains nothing.
     """
     for r, v in enumerate(rows):
         if v >> ncols:
@@ -69,6 +77,8 @@ def rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
                 break
             v ^= row
     pivots = sorted(basis)
+    if not reduce:
+        return [basis[p] for p in pivots], pivots
     is_pivot = np.zeros(ncols, dtype=np.uint8)
     is_pivot[pivots] = 1
     pivot_mask = pack_vector(is_pivot)
@@ -83,6 +93,30 @@ def rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
             others ^= low
         basis[p] = v
     return [basis[p] for p in pivots], pivots
+
+
+def solve_pivots(rows: list[int], pivots: list[int], rhs) -> np.ndarray:
+    """Pivot bits y with ``parity(rows[i] & Y) == rhs[i]`` for every ``i``,
+    as uint8 in the order of ``rows``, where ``Y`` packs ``y[j]`` at column
+    ``pivots[j]`` and every other column is 0.  Each entry's lowest bit of
+    ``rhs`` is read.
+
+    ``rows`` must be echelon rows in ascending pivot order, each with its
+    pivot as its lowest set bit (``rref(..., reduce=False)``).  A row then
+    holds no pivot bit below its own, so solving in descending pivot order
+    finds every bit it reads already solved.  The three must have one
+    length; ``ValueError`` otherwise.
+    """
+    rhs = (np.asarray(rhs, dtype=np.uint8) & 1).tolist()
+    out = []
+    solved = 0
+    for row, p, b in zip(reversed(rows), reversed(pivots), reversed(rhs), strict=True):
+        b ^= (row & solved).bit_count() & 1
+        if b:
+            solved |= 1 << p
+        out.append(b)
+    out.reverse()
+    return np.array(out, dtype=np.uint8)
 
 
 def dot_rows(rows: list[int], vector: int) -> np.ndarray:

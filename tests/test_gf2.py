@@ -26,6 +26,47 @@ def pack_dense(dense):
     return gf2.rows_from_support(*csr(dense_supports(dense)), np.shape(dense)[1])
 
 
+EDGE_CASES = ["ncols_65", "ncols_130", "tall", "zero_rows", "rank_deficient", "no_rows"]
+COUPLED = [(2, 3, 2), (2, 3, 3), (3, 6, 2)]
+
+
+def dense_case(seed):
+    """(rows, ncols, dense) of a random dense matrix of random shape."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 25))
+    n = int(rng.integers(1, 90))
+    dense = random_dense(rng, m, n)
+    return pack_dense(dense), n, dense
+
+
+def edge_case(case):
+    """(rows, ncols, supports) of a sparse matrix shaped for one edge case."""
+    rng = np.random.default_rng(len(case))
+    m, n = {"ncols_65": (20, 65), "ncols_130": (40, 130), "tall": (30, 10),
+            "zero_rows": (12, 70), "rank_deficient": (16, 100), "no_rows": (0, 50)}[case]
+    dense = random_dense(rng, m, n, density=0.1)
+    if case == "zero_rows":
+        dense[[0, 5, 6, 11]] = 0
+    if case == "rank_deficient":
+        # Rows 8.. are sums of pairs of rows 0..7, so the rank is at most 8.
+        dense[8:] = dense[:8] ^ np.roll(dense[:8], 1, axis=0)
+    supports = dense_supports(dense)
+    return gf2.rows_from_support(*csr(supports), n), n, supports
+
+
+def coupled_case(dl, dr, w, seed):
+    """(rows, ncols) of a sampled coupled precode's checks, listed left to
+    right along the chain: the order that ``rref`` inserts last row first."""
+    params = EnsembleParams(dl=dl, dr=dr, dg=3, L=6, w=w, epsilon=0.0)
+    graph = sample_precode(params, 12, seed=seed)
+    rows = gf2.rows_from_support(graph.check_indptr, graph.check_indices, graph.num_bits)
+    return rows, graph.num_bits
+
+
+def lowest_bits(rows):
+    return [(r & -r).bit_length() - 1 for r in rows]
+
+
 def assert_rref_matches(got_rows, got_pivots, want_rows, want_pivots):
     """``rref`` returns the rank rows only; the oracle keeps all m rows, and
     those past the rank must be zero."""
@@ -93,44 +134,26 @@ class TestPacking:
 class TestRref:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_bitmask_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 25))
-        n = int(rng.integers(1, 90))
-        dense = random_dense(rng, m, n)
-        got_rows, got_pivots = gf2.rref(pack_dense(dense), n)
+        rows, n, dense = dense_case(seed)
+        got_rows, got_pivots = gf2.rref(rows, n)
         want_rows, want_pivots = rref_masks(masks_from_supports(dense_supports(dense)), n)
         assert_rref_matches(got_rows, got_pivots, want_rows, want_pivots)
 
-    @pytest.mark.parametrize(
-        "case", ["ncols_65", "ncols_130", "tall", "zero_rows", "rank_deficient", "no_rows"]
-    )
+    @pytest.mark.parametrize("case", EDGE_CASES)
     def test_edge_cases_match_bitmask_reference(self, case):
-        rng = np.random.default_rng(len(case))
-        m, n = {"ncols_65": (20, 65), "ncols_130": (40, 130), "tall": (30, 10),
-                "zero_rows": (12, 70), "rank_deficient": (16, 100), "no_rows": (0, 50)}[case]
-        dense = random_dense(rng, m, n, density=0.1)
-        if case == "zero_rows":
-            dense[[0, 5, 6, 11]] = 0
-        if case == "rank_deficient":
-            # Rows 8.. are sums of pairs of rows 0..7, so the rank is at most 8.
-            dense[8:] = dense[:8] ^ np.roll(dense[:8], 1, axis=0)
-        supports = dense_supports(dense)
-        got_rows, got_pivots = gf2.rref(gf2.rows_from_support(*csr(supports), n), n)
+        rows, n, supports = edge_case(case)
+        got_rows, got_pivots = gf2.rref(rows, n)
         want_rows, want_pivots = rref_masks(masks_from_supports(supports), n)
         assert_rref_matches(got_rows, got_pivots, want_rows, want_pivots)
         if case == "rank_deficient":
             assert len(got_pivots) <= 8
 
-    @pytest.mark.parametrize("dl, dr, w", [(2, 3, 2), (2, 3, 3), (3, 6, 2)])
+    @pytest.mark.parametrize("dl, dr, w", COUPLED)
     @pytest.mark.parametrize("seed", range(3))
     def test_coupled_precode_rows_match_bitmask_reference(self, dl, dr, w, seed):
-        # The codec's checks, listed left to right along the chain: the order
-        # that ``rref`` inserts last row first.
-        params = EnsembleParams(dl=dl, dr=dr, dg=3, L=6, w=w, epsilon=0.0)
-        graph = sample_precode(params, 12, seed=seed)
-        rows = gf2.rows_from_support(graph.check_indptr, graph.check_indices, graph.num_bits)
-        got_rows, got_pivots = gf2.rref(rows, graph.num_bits)
-        want_rows, want_pivots = rref_masks(rows, graph.num_bits)
+        rows, n = coupled_case(dl, dr, w, seed)
+        got_rows, got_pivots = gf2.rref(rows, n)
+        want_rows, want_pivots = rref_masks(rows, n)
         assert_rref_matches(got_rows, got_pivots, want_rows, want_pivots)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -175,6 +198,103 @@ class TestRref:
         # Same rank both ways round implies equal row spaces here: each
         # original row must reduce to zero against the RREF rows.
         assert len(gf2.rref(reduced + rows, 30)[1]) == len(pivots)
+
+
+class TestEchelon:
+    """``rref(..., reduce=False)``: the forward pass alone."""
+
+    @staticmethod
+    def assert_echelon_of(rows, n, want_rows, want_pivots):
+        echelon, pivots = gf2.rref(rows, n, reduce=False)
+        assert pivots == want_pivots
+        assert lowest_bits(echelon) == pivots
+        # Reducing the echelon rows gives the oracle's RREF, so they span
+        # the same row space.
+        assert_rref_matches(*gf2.rref(echelon, n), want_rows, want_pivots)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_bitmask_reference(self, seed):
+        rows, n, dense = dense_case(seed)
+        self.assert_echelon_of(rows, n, *rref_masks(masks_from_supports(dense_supports(dense)), n))
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_cases_match_bitmask_reference(self, case):
+        rows, n, supports = edge_case(case)
+        self.assert_echelon_of(rows, n, *rref_masks(masks_from_supports(supports), n))
+
+    @pytest.mark.parametrize("dl, dr, w", COUPLED)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coupled_precode_rows_match_bitmask_reference(self, dl, dr, w, seed):
+        rows, n = coupled_case(dl, dr, w, seed)
+        self.assert_echelon_of(rows, n, *rref_masks(rows, n))
+
+    def test_input_not_modified(self):
+        rows = pack_dense(random_dense(np.random.default_rng(9), 12, 90))
+        before = list(rows)
+        gf2.rref(rows, 90, reduce=False)
+        assert rows == before
+
+    @pytest.mark.parametrize("n, bad", [(65, 65), (65, 127), (64, 64), (10, 63)])
+    def test_bit_at_or_beyond_ncols_rejected(self, n, bad):
+        rows = gf2.rows_from_support(*csr([[0], [bad], [], [2, bad]]), 128)
+        with pytest.raises(ValueError, match=f"row 1 has a set bit at or beyond column {n}"):
+            gf2.rref(rows, n, reduce=False)
+
+
+def random_echelon(rng, n, pivots):
+    """Echelon rows in ascending pivot order: row j holds pivot ``pivots[j]``
+    as its lowest set bit and random bits above it, below column ``n``."""
+    rows = []
+    for p in pivots:
+        above = int(pack_dense(random_dense(rng, 1, n, density=0.5))[0])
+        rows.append(((above >> (p + 1)) << (p + 1) | 1 << p) & ((1 << n) - 1))
+    return rows
+
+
+def parities(rows, vector):
+    return [(r & vector).bit_count() & 1 for r in rows]
+
+
+class TestSolvePivots:
+    @pytest.mark.parametrize("shape", ["rank_0", "full_rank", "free_columns", "one_column"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_row_parity_holds(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        n = {"rank_0": 40, "full_rank": 70, "free_columns": 130, "one_column": 1}[shape]
+        if shape == "free_columns":
+            pivots = sorted(rng.choice(n, 50, replace=False).tolist())
+        else:
+            pivots = [] if shape == "rank_0" else list(range(n))
+        rows = random_echelon(rng, n, pivots)
+        assert lowest_bits(rows) == pivots
+        rhs = rng.integers(0, 2, len(pivots), dtype=np.uint8)
+        y = gf2.solve_pivots(rows, pivots, rhs)
+        assert y.dtype == np.uint8 and y.shape == (len(pivots),)
+        solved = gf2.pack_vector(np.isin(np.arange(n), np.asarray(pivots, dtype=int)[y == 1]))
+        assert parities(rows, solved) == rhs.tolist()
+
+    @pytest.mark.parametrize("dl, dr, w", COUPLED)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_stage_solve_zeroes_every_check(self, dl, dr, w, seed):
+        # Stage 1 is one parity of the free bits per echelon row; the free
+        # bits plus the solved pivot bits then satisfy every original row.
+        rows, n = coupled_case(dl, dr, w, seed)
+        echelon, pivots = gf2.rref(rows, n, reduce=False)
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 2, n, dtype=np.uint8)
+        x[pivots] = 0
+        x[pivots] = gf2.solve_pivots(echelon, pivots, gf2.dot_rows(echelon, gf2.pack_vector(x)))
+        assert not any(parities(rows, gf2.pack_vector(x)))
+
+    def test_reads_the_lowest_bit_of_rhs(self):
+        rows = [0b011, 0b110]
+        assert gf2.solve_pivots(rows, [0, 1], [3, 2]).tolist() == [1, 0]
+
+    def test_lengths_must_agree(self):
+        rows = [0b011, 0b110]
+        for pivots, rhs in (([0, 1], [1]), ([0], [1, 0]), ([0, 1], [1, 0, 1])):
+            with pytest.raises(ValueError):
+                gf2.solve_pivots(rows, pivots, rhs)
 
 
 class TestDotRows:
