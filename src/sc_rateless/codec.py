@@ -79,12 +79,12 @@ class PrecodeGraph:
     def _systematic_form(self):
         """(echelon rows, pivot columns, free columns) of the checks.
 
-        The rows are ``gf2.rref(..., reduce=False)``'s: forward elimination
-        only, in ascending pivot order, since each ``encode`` solves for one
-        codeword and a full RREF would back-substitute the whole basis.
+        The rows are ``gf2.rref``'s: forward elimination only, in ascending
+        pivot order, since each ``encode`` solves for one codeword and a
+        reduced form would back-substitute the whole basis.
         """
         rows = gf2.rows_from_support(self.check_indptr, self.check_indices, self.num_bits)
-        echelon, pivots = gf2.rref(rows, self.num_bits, reduce=False)
+        echelon, pivots = gf2.rref(rows, self.num_bits)
         is_pivot = np.zeros(self.num_bits, dtype=bool)
         is_pivot[pivots] = True
         free = np.flatnonzero(~is_pivot)

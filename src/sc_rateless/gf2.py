@@ -5,12 +5,9 @@ eliminates on those ints, so its cost is the number of XORs of basis rows
 rather than a numpy pass per column, and a dot product is a popcount of an
 AND.  Rows are built from a CSR of column indices, the layout in which the
 codec stores its checks.  Enough for the systematic-form precode encoder at
-simulation sizes: the encoder stops ``rref`` after its forward pass
-(``reduce=False``) and solves for one codeword's pivot bits with
-``dot_rows`` and ``solve_pivots``, so it never back-substitutes the whole
-basis.  ``rref`` takes its rows last row first, which gives the same result
-with a third of the back-substitution XORs on the codec's checks (see
-``rref``).
+simulation sizes: ``rref`` runs the forward pass alone, and the encoder
+solves for one codeword's pivot bits with ``dot_rows`` and
+``solve_pivots``, so nothing back-substitutes the whole basis.
 """
 from __future__ import annotations
 
@@ -39,36 +36,25 @@ def rows_from_support(indptr, indices, ncols: int) -> list[int]:
     return rows
 
 
-def rref(rows: list[int], ncols: int, *, reduce: bool = True) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon form over GF(2), or with ``reduce=False`` the
-    echelon form that the forward pass leaves.
+def rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    """Row-echelon form over GF(2) by forward elimination.
 
     Returns the rank rows in ascending pivot order, as a new list, together
     with the pivot column list (both have the rank's length).  A row's pivot
-    is its lowest set bit, and the pivots are those of the RREF either way.
-    With ``reduce=True`` (the default) the rows are fully reduced: each
-    pivot column has a single 1, so solving for the pivot variables is a
-    direct read-off.  With ``reduce=False`` a row may also hold the pivot
-    bits of later rows; ``solve_pivots`` solves such a system.  A set bit
-    at or beyond ``ncols`` raises ``ValueError`` naming the first such row.
+    is its lowest set bit, and a row may also hold the pivot bits of later
+    rows: the form is not reduced, but its pivots and row space are those of
+    the RREF, and ``solve_pivots`` solves it.  A set bit at or beyond
+    ``ncols`` raises ``ValueError`` naming the first such row.
 
     Rows are eliminated keyed by their lowest set bit, so the cost is the
     number of basis-row XORs, not a pass over every column of the matrix.
-    Rows enter the basis last row first.  Lowest-bit pivots make the RREF
-    of a row space unique, so the order changes the work, not the RREF (the
-    echelon rows of ``reduce=False`` do depend on it).  With
-    ``reduce=True`` the back-substitution makes one XOR per pivot bit that
-    an echelon row holds besides its own, and on the codec's checks, listed
-    along the chain, the rows that the forward pass reduces come out
-    sparser last row first: 3.7k-3.9k such XORs per L=16, M=300 graph at
-    (dl, dr, w) = (2, 3, 2), against 9.8k-12.0k in row order, with ~3,335
-    forward XORs either way.  At (3, 6, 2) the order gains nothing.
+    The name ``rref`` is the one under which ``perfbench/tracing.py`` wraps
+    it; the result is not reduced.
     """
+    basis: dict[int, int] = {}
     for r, v in enumerate(rows):
         if v >> ncols:
             raise ValueError(f"row {r} has a set bit at or beyond column {ncols}")
-    basis: dict[int, int] = {}
-    for v in reversed(rows):
         while v:
             low = (v & -v).bit_length() - 1
             row = basis.get(low)
@@ -77,21 +63,6 @@ def rref(rows: list[int], ncols: int, *, reduce: bool = True) -> tuple[list[int]
                 break
             v ^= row
     pivots = sorted(basis)
-    if not reduce:
-        return [basis[p] for p in pivots], pivots
-    is_pivot = np.zeros(ncols, dtype=np.uint8)
-    is_pivot[pivots] = 1
-    pivot_mask = pack_vector(is_pivot)
-    # Descending pivots: every row XORed in already holds no other pivot bit,
-    # so clearing the pivot bits a row holds takes one pass.
-    for p in reversed(pivots):
-        v = basis[p]
-        others = (v & pivot_mask) ^ (1 << p)
-        while others:
-            low = others & -others
-            v ^= basis[low.bit_length() - 1]
-            others ^= low
-        basis[p] = v
     return [basis[p] for p in pivots], pivots
 
 
@@ -102,7 +73,7 @@ def solve_pivots(rows: list[int], pivots: list[int], rhs) -> np.ndarray:
     ``rhs`` is read.
 
     ``rows`` must be echelon rows in ascending pivot order, each with its
-    pivot as its lowest set bit (``rref(..., reduce=False)``).  A row then
+    pivot as its lowest set bit (``rref``'s output).  A row then
     holds no pivot bit below its own, so solving in descending pivot order
     finds every bit it reads already solved.  The three must have one
     length; ``ValueError`` otherwise.

@@ -90,10 +90,6 @@ def test_rref_counters():
     counters = TRACED[("gf2", "rref")]
     assert counters((rows, 3), {}, result) == {"cols": 3, "rank": 2}
     assert counters((rows,), {"ncols": 3}, result) == {"cols": 3, "rank": 2}
-    # The codec's call: the forward pass alone, with the same counters.
-    echelon = gf2.rref(rows, 3, reduce=False)
-    assert counters((rows, 3), {"reduce": False}, echelon) == {"cols": 3, "rank": 2}
-    assert counters((rows,), {"ncols": 3, "reduce": False}, echelon) == {"cols": 3, "rank": 2}
 
 
 def test_encode_calls_rref_and_dot_rows_through_gf2(monkeypatch):

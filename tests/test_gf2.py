@@ -56,7 +56,7 @@ def edge_case(case):
 
 def coupled_case(dl, dr, w, seed):
     """(rows, ncols) of a sampled coupled precode's checks, listed left to
-    right along the chain: the order that ``rref`` inserts last row first."""
+    right along the chain."""
     params = EnsembleParams(dl=dl, dr=dr, dg=3, L=6, w=w, epsilon=0.0)
     graph = sample_precode(params, 12, seed=seed)
     rows = gf2.rows_from_support(graph.check_indptr, graph.check_indices, graph.num_bits)
@@ -67,12 +67,15 @@ def lowest_bits(rows):
     return [(r & -r).bit_length() - 1 for r in rows]
 
 
-def assert_rref_matches(got_rows, got_pivots, want_rows, want_pivots):
-    """``rref`` returns the rank rows only; the oracle keeps all m rows, and
-    those past the rank must be zero."""
+def assert_echelon_of(got_rows, got_pivots, n, want_rows, want_pivots):
+    """``rref`` returns the echelon rank rows, each with its pivot as its
+    lowest bit; reducing them gives the oracle's RREF, so they span the same
+    row space.  The oracle keeps all m rows, and those past the rank must be
+    zero."""
     rank = len(want_pivots)
     assert got_pivots == want_pivots
-    assert got_rows == want_rows[:rank]
+    assert lowest_bits(got_rows) == got_pivots
+    assert rref_masks(got_rows, n) == (want_rows[:rank], want_pivots)
     assert not any(want_rows[rank:])
 
 
@@ -135,16 +138,14 @@ class TestRref:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_bitmask_reference(self, seed):
         rows, n, dense = dense_case(seed)
-        got_rows, got_pivots = gf2.rref(rows, n)
-        want_rows, want_pivots = rref_masks(masks_from_supports(dense_supports(dense)), n)
-        assert_rref_matches(got_rows, got_pivots, want_rows, want_pivots)
+        want = rref_masks(masks_from_supports(dense_supports(dense)), n)
+        assert_echelon_of(*gf2.rref(rows, n), n, *want)
 
     @pytest.mark.parametrize("case", EDGE_CASES)
     def test_edge_cases_match_bitmask_reference(self, case):
         rows, n, supports = edge_case(case)
         got_rows, got_pivots = gf2.rref(rows, n)
-        want_rows, want_pivots = rref_masks(masks_from_supports(supports), n)
-        assert_rref_matches(got_rows, got_pivots, want_rows, want_pivots)
+        assert_echelon_of(got_rows, got_pivots, n, *rref_masks(masks_from_supports(supports), n))
         if case == "rank_deficient":
             assert len(got_pivots) <= 8
 
@@ -152,23 +153,24 @@ class TestRref:
     @pytest.mark.parametrize("seed", range(3))
     def test_coupled_precode_rows_match_bitmask_reference(self, dl, dr, w, seed):
         rows, n = coupled_case(dl, dr, w, seed)
-        got_rows, got_pivots = gf2.rref(rows, n)
-        want_rows, want_pivots = rref_masks(rows, n)
-        assert_rref_matches(got_rows, got_pivots, want_rows, want_pivots)
+        assert_echelon_of(*gf2.rref(rows, n), n, *rref_masks(rows, n))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_row_order_does_not_change_the_result(self, seed):
-        # Lowest-bit pivots make the RREF of a row space unique, so any
-        # order of the same rows gives the same rows and pivots.
+        # The echelon rows depend on the order, but lowest-bit pivots make
+        # the RREF of a row space unique: any order of the same rows gives
+        # the same pivots and, reduced, the same rows.
         rng = np.random.default_rng(seed)
         params = EnsembleParams(dl=2, dr=3, dg=3, L=5, w=2 + seed % 2, epsilon=0.0)
         graph = sample_precode(params, 12, seed=seed)
         checks = gf2.rows_from_support(graph.check_indptr, graph.check_indices, graph.num_bits)
         dense = pack_dense(random_dense(rng, 20, 70, density=0.1))
         for rows, n in ((checks, graph.num_bits), (dense, 70)):
-            want = gf2.rref(rows, n)
+            want = rref_masks(gf2.rref(rows, n)[0], n)
             for order in (range(len(rows) - 1, -1, -1), rng.permutation(len(rows))):
-                assert gf2.rref([rows[i] for i in order], n) == want
+                echelon, pivots = gf2.rref([rows[i] for i in order], n)
+                assert pivots == want[1]
+                assert rref_masks(echelon, n) == want
 
     def test_input_not_modified(self):
         rng = np.random.default_rng(9)
@@ -179,10 +181,9 @@ class TestRref:
 
     @pytest.mark.parametrize("n, bad", [(65, 65), (65, 127), (64, 64), (10, 63)])
     def test_bit_at_or_beyond_ncols_rejected(self, n, bad):
-        # Rows 1 and 3 are bad.  ``rref`` inserts rows last row first, but
-        # the message names the first bad row in input order.
+        # Rows 1 and 3 are bad; the message names the first.
         rows = gf2.rows_from_support(*csr([[0], [bad], [], [2, bad]]), 128)
-        with pytest.raises(ValueError, match="row 1 "):
+        with pytest.raises(ValueError, match=f"row 1 has a set bit at or beyond column {n}"):
             gf2.rref(rows, n)
 
     def test_rank_identity_and_zero(self):
@@ -194,51 +195,10 @@ class TestRref:
     def test_rref_preserves_row_space(self):
         rng = np.random.default_rng(42)
         rows = pack_dense(random_dense(rng, 10, 30))
-        reduced, pivots = gf2.rref(rows, 30)
+        echelon, pivots = gf2.rref(rows, 30)
         # Same rank both ways round implies equal row spaces here: each
-        # original row must reduce to zero against the RREF rows.
-        assert len(gf2.rref(reduced + rows, 30)[1]) == len(pivots)
-
-
-class TestEchelon:
-    """``rref(..., reduce=False)``: the forward pass alone."""
-
-    @staticmethod
-    def assert_echelon_of(rows, n, want_rows, want_pivots):
-        echelon, pivots = gf2.rref(rows, n, reduce=False)
-        assert pivots == want_pivots
-        assert lowest_bits(echelon) == pivots
-        # Reducing the echelon rows gives the oracle's RREF, so they span
-        # the same row space.
-        assert_rref_matches(*gf2.rref(echelon, n), want_rows, want_pivots)
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_bitmask_reference(self, seed):
-        rows, n, dense = dense_case(seed)
-        self.assert_echelon_of(rows, n, *rref_masks(masks_from_supports(dense_supports(dense)), n))
-
-    @pytest.mark.parametrize("case", EDGE_CASES)
-    def test_edge_cases_match_bitmask_reference(self, case):
-        rows, n, supports = edge_case(case)
-        self.assert_echelon_of(rows, n, *rref_masks(masks_from_supports(supports), n))
-
-    @pytest.mark.parametrize("dl, dr, w", COUPLED)
-    @pytest.mark.parametrize("seed", range(3))
-    def test_coupled_precode_rows_match_bitmask_reference(self, dl, dr, w, seed):
-        rows, n = coupled_case(dl, dr, w, seed)
-        self.assert_echelon_of(rows, n, *rref_masks(rows, n))
-
-    def test_input_not_modified(self):
-        rows = pack_dense(random_dense(np.random.default_rng(9), 12, 90))
-        before = list(rows)
-        gf2.rref(rows, 90, reduce=False)
-        assert rows == before
-
-    @pytest.mark.parametrize("n, bad", [(65, 65), (65, 127), (64, 64), (10, 63)])
-    def test_bit_at_or_beyond_ncols_rejected(self, n, bad):
-        rows = gf2.rows_from_support(*csr([[0], [bad], [], [2, bad]]), 128)
-        with pytest.raises(ValueError, match=f"row 1 has a set bit at or beyond column {n}"):
-            gf2.rref(rows, n, reduce=False)
+        # original row must reduce to zero against the echelon rows.
+        assert len(gf2.rref(echelon + rows, 30)[1]) == len(pivots)
 
 
 def random_echelon(rng, n, pivots):
@@ -279,7 +239,7 @@ class TestSolvePivots:
         # Stage 1 is one parity of the free bits per echelon row; the free
         # bits plus the solved pivot bits then satisfy every original row.
         rows, n = coupled_case(dl, dr, w, seed)
-        echelon, pivots = gf2.rref(rows, n, reduce=False)
+        echelon, pivots = gf2.rref(rows, n)
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 2, n, dtype=np.uint8)
         x[pivots] = 0
