@@ -2,51 +2,40 @@
 
 Tracks per-section erasure probabilities p_i (bit -> precode check messages)
 and s_i (bit -> channel node messages) for sections i in [0, L-1]; sections
-outside the chain are pinned to 0 (shortening) and never stored.  One update
-reads
+outside the chain are pinned to 0 (shortening).  One update reads
 
     A_i = (1/w) sum_j [ 1 - (1 - (1/w) sum_k p_{i+j-k})^(dr-1) ]
     B_i = (1/w) sum_j [ 1 - (1-eps) (1 - (1/w) sum_k s_{i+j-k})^(dg-1) ]
     p_i <- A_i^(dl-1) * gf(B_i),     s_i <- A_i^dl * gf(B_i)
 
 with gf the Poisson generating function (node and edge perspectives agree).
-Both sliding averages are plain correlations with the symmetric ones(w)/w
-kernel.  p and s lie end to end in one state vector, so one step is two
-``np.correlate`` calls at w <= 2, one per average over both halves, and
-every elementwise update runs once over both, in place in the arrays the
-correlations return (the power once per half where dr != dg).  At w >= 3
-the inner averages of p and s stay two correlations, whose results are laid
-end to end for the rest of the step.  At L <= 512 a step's cost is numpy
+Both sliding averages are correlations with the symmetric ones(w)/w kernel.
+The states of K runs (the lanes of ``_Lanes``) lie in one flat vector: w - 1
+zeros, then the K p-lanes and the K s-lanes, each L sections followed by
+w - 1 zeros, which stand for the shortened sections.  Each average is one
+"valid" ``np.correlate`` over that vector, so one step is two correlations
+and a few elementwise updates over every lane of both halves, in place in
+the arrays the correlations return (the power once per half where
+dr != dg).  Every valid entry sums its w products in the same loop, in an
+order fixed by w alone, so each lane gets the bits it gets alone at any
+offset: up to w = 11 numpy sums them left to right, and from w = 12 an
+entry's bits are the BLAS ``ddot``'s.  At L <= 512 a step's cost is numpy
 call overhead, not arithmetic, so it allocates little beyond those arrays,
 and every choice that depends only on the lane layout (the kernel, the
-constant operands, the offsets, the powers, the branch and the clamp) is
-bound once per layout into a stepper (``_stepper``), not made at every
-step.  The run loop steps a block of ``_BLOCK`` steps before it looks at
-any of them (see ``_Lanes``).
-
-The correlations fix the summation order, but not every bit on every CPU.
-``np.correlate`` takes the first and last w - 1 entries of a full average
-from the BLAS dot product and the others from numpy's own unfused loop.
-OpenBLAS's Haswell ``ddot`` fuses a multiply-add: at w = 3, all of 2,000
-sampled right-edge entries a k + b k equal fma(b, k, a k), and only 1,722
-equal the unfused sum.  So the bits of a step at w >= 3 (the recorded runs
-at w = 3 and 9 in the tests, for one) are those of this BLAS kernel.  At
-w <= 2 every edge entry is a single product, which rounds the same in
-either loop.  So p and s share their inner average, and a bisection runs
-several DE runs as lanes of one correlation (``_Lanes``), only at w <= 2.
-An outer (valid) average has no edge entries: every entry sums w terms in
-the same loop, so at any w it serves both halves at once.
+constant operands, the offsets, the powers and the clamp) is bound once
+per layout into a stepper (``_stepper``), not made at every step.  The run
+loop steps a block of ``_BLOCK`` steps before it looks at any of them (see
+``_Lanes``).
 
 The update is clamped to [0, 1] from above only, and only at the widths
 where that clamp can bind.  For states in [0, 1] every factor above is
->= 0, so a lower clamp never binds.  The upper one binds where a sum of the
-kernel's rounded 1/w terms exceeds one: with w = 9 nine of them sum to
+>= 0, so a lower clamp never binds.  The upper one binds where the sum of
+the kernel's w rounded 1/w terms exceeds one: with w = 9 it is
 1.0000000000000002, so from the all-ones state A_i exceeds one.  Rounding
-is monotone and ``np.correlate`` sums a given number of terms in one order,
-so for states in [0, 1] every correlation entry is at most the partial sum
-of as many kernel terms taken on ones, and every later factor stays in
-[0, 1].  A width whose partial sums on ones all stay <= 1 (every w in 1..12
-but 9 and 11 on x86-64) needs no clamp, and skipping it changes no bit.
+is monotone and every correlation entry sums its w products in one order,
+so for states in [0, 1] every entry is at most the same sum taken on ones,
+and every later factor stays in [0, 1].  A width whose sum on ones stays
+<= 1 needs no clamp, and skipping it changes no bit (see ``_kernel``).
 
 A run decodes when P_b, the mean of p, falls below a configured target, and
 fails on a stall or on a failure certificate (see ``de_run``).  Every run,
@@ -184,10 +173,28 @@ class SweepRow:
 def _kernel(w: int) -> tuple[np.ndarray, bool]:
     """The ones(w)/w averaging kernel, built once per width and read-only,
     and whether a correlation with it can round past one on states in
-    [0, 1]: whether any entry of its full correlation with ones exceeds one."""
+    [0, 1]: whether a valid correlation of one all-ones lane, laid out as
+    in ``_Lanes``, has an entry above one.  With numpy 2.4 and OpenBLAS on
+    x86-64 that holds at w = 9 and 11 of the widths 1..16 (and at 20 and
+    21 of 17..24)."""
     kernel = np.full(w, 1.0 / w)
     kernel.flags.writeable = False
-    return kernel, bool(np.any(np.correlate(np.ones(w), kernel, "full") > 1.0))
+    return kernel, bool(np.any(np.correlate(np.pad(np.ones(w), w - 1), kernel, "valid") > 1.0))
+
+
+def _sections(params: EnsembleParams, x: np.ndarray) -> np.ndarray:
+    """The lane sections of flat states laid out as in ``_Lanes`` along the
+    last axis of ``x``: a (..., 2, K, L) view, p-lanes above s-lanes."""
+    width = params.L + params.w - 1
+    return x[..., params.w - 1:].reshape(*x.shape[:-1], 2, -1, width)[..., :params.L]
+
+
+def _layout(params: EnsembleParams, lanes: np.ndarray) -> np.ndarray:
+    """A new flat state laid out as in ``_Lanes``, whose sections are the
+    (2, K, L) ``lanes`` and whose other elements are zeros."""
+    x = np.zeros(params.w - 1 + 2 * lanes.shape[1] * (params.L + params.w - 1))
+    _sections(params, x)[...] = lanes
+    return x
 
 
 def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
@@ -202,20 +209,16 @@ def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
     can round past one, so outside the contract the outputs may exceed one.
 
     The step is the one a ``_stepper`` takes for a lone lane of ``_Lanes``,
-    with p and s laid out as there, so this function pins the bits of every
-    DE step: the tests check each lane of every layout against it.  At
-    w >= 3 the bits depend on the BLAS library: a full average's first and
-    last w - 1 entries come from its dot product, which may fuse a
-    multiply-add (OpenBLAS's Haswell ``ddot`` does), and the other entries
-    from numpy's unfused loop (see the module docstring).
+    and every lane of every layout gets its bits (see the module
+    docstring), so this function pins the bits of every DE step: the tests
+    check each lane of several layouts against it.
     """
     if len(p) != params.L or len(s) != params.L:
         raise ValueError(f"p and s need {params.L} sections, got {len(p)} and {len(s)}")
     _check_beta(beta)
-    x = np.zeros((2, params.L + params.w - 1 if _stackable(params) else params.L))
-    x[0, :params.L], x[1, :params.L] = p, s
-    out = _stepper(params, x.size)(-beta, x.ravel()).reshape(x.shape)
-    return out[0, :params.L], out[1, :params.L]
+    x = _layout(params, np.array((p, s))[:, None])
+    p_next, s_next = _sections(params, _stepper(params, x.size)(-beta, x))[:, 0]
+    return p_next, s_next
 
 
 def _check_beta(beta: float) -> None:
@@ -226,63 +229,46 @@ def _check_beta(beta: float) -> None:
 @functools.lru_cache(maxsize=64)
 def _stepper(params: EnsembleParams, size: int):
     """The update of ``de_step`` on a flat state of ``size`` elements, laid
-    out as the state of ``_Lanes``: the K p-lanes, then the K s-lanes, each
-    L sections and then its zeros.  Returns ``step(neg_beta, x, out=None)``,
-    which writes the next state, with that layout, into ``out`` (a new array
-    if None) and returns it; the caller must reset its zeros.  ``neg_beta``
-    is -beta, or one -beta per element of a half.  A state of another
-    length raises ValueError: it cannot broadcast against the step's
-    operands, which have this layout's lengths.
+    out as the state of ``_Lanes``: w - 1 zeros, then the K p-lanes and the
+    K s-lanes, each L sections and then w - 1 zeros.  Returns
+    ``step(neg_beta, x, out=None)``, which writes the next state's sections
+    into ``out`` (a new array if None) and returns it.  The zeros after
+    every lane but the last of each half it overwrites with entries that
+    mix two lanes, and the others it leaves as they are, so the caller must
+    reset the zeros of a state before the next step reads it.  ``neg_beta``
+    is -beta, or one -beta per entry of a half of the outer average: its
+    K (L + w - 1) - (w - 1) entries, lane k's L sections from k (L + w - 1)
+    on.  A state of another length raises ValueError: it cannot broadcast
+    against the step's operands, which have this layout's lengths.
 
     Every choice that depends only on the layout is made here, once: the
-    kernel, the constant operands, the offsets of the halves, the powers,
-    which inner average the step takes and whether it clamps.  The step
-    itself makes only the numpy calls.  Its constants (ones, 1 - eps and
-    the clamp's bound) are arrays, which a ufunc converts once, where it
-    converts a Python float on every call; the bits are the same.
-
-    At w <= 2 (``_stackable``) one full and one valid correlation serve
-    both halves.  A full entry there is one product or the sum of two.  A
-    sum of two nonzero products lies inside a lane, where every layout
-    takes it from numpy's loop; any other entry is one product plus at most
-    a zero product, which rounds the same in either loop.  So every entry
-    has the bits it has in a half's own correlation, but the one that
-    straddles the halves: it adds a zero product to s's first product, so
-    it equals s's first entry, and as p's entry it reaches only the last
-    p-lane's last zero.  At w >= 3 each half has its own full correlation,
-    for its BLAS edge bits, and the valid one drops the w - 1 entries
-    between the halves.  The power is one call over both halves where
+    kernel, the constant operands, the offsets of the halves, the powers
+    and whether it clamps.  The step itself makes only the numpy calls.
+    Its constants (ones, 1 - eps and the clamp's bound) are arrays, which
+    a ufunc converts once, where it converts a Python float on every call;
+    the bits are the same.  Both averages are one valid correlation over
+    both halves.  The inner one has K (L + w - 1) entries per half, lane
+    k's from k (L + w - 1) on, and the outer one lands lane k's L sections
+    at the same offsets.  The power is one call over both halves where
     dr == dg, else one per half.
     """
     kernel, clamp = _kernel(params.w)
-    n, w, dl = size // 2, params.w, params.dl
-    stackable = _stackable(params)
-    # A half shorter than the kernel goes second and reversed, the operand
-    # order ``np.convolve`` takes there, so every sum runs in the order it
-    # did with ``np.convolve``.
-    reverse = not stackable and n < w
-    inner = size + w - 1 if stackable else size + 2 * (w - 1)
-    ones_y, ones_n, keep, one = (np.ones(inner), np.ones(n),
+    lead, dl = params.w - 1, params.dl
+    n = (size - lead) // 2
+    ones_y, ones_a, keep, one = (np.ones(2 * n), np.ones(n - lead),
                                  np.array(1.0 - params.epsilon), np.array(1.0))
-    p_half, s_half, gf_half = slice(None, n), slice(n, None), slice(-n, None)
-    p_in, s_in = (slice(n - 1, None, -1), slice(None, n - 1, -1)) if reverse else (p_half, s_half)
-    p_y, s_y = slice(None, inner // 2), slice(inner // 2, None)
+    p_y, s_y = slice(None, n), slice(n, None)
+    a_half, gf_half = slice(None, n - lead), slice(n, None)
+    p_out, s_out = slice(lead, n), slice(n + lead, 2 * n)
     same_power, dr_power, dg_power = params.dr == params.dg, params.dr - 1, params.dg - 1
-    correlate, concatenate, subtract, multiply, exp, minimum, empty = (
-        np.correlate, np.concatenate, np.subtract, np.multiply, np.exp, np.minimum, np.empty)
+    correlate, subtract, multiply, exp, minimum, empty = (
+        np.correlate, np.subtract, np.multiply, np.exp, np.minimum, np.empty)
 
     def step(neg_beta, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # Inner average per check/channel section (zero-extended), then the
-        # outer average back onto bit sections.  The elementwise updates
-        # write into the arrays the correlations return.
-        if stackable:
-            y = correlate(x, kernel, "full")
-        elif reverse:
-            y = concatenate((correlate(kernel, x[p_in], "full"),
-                             correlate(kernel, x[s_in], "full")))
-        else:
-            y = concatenate((correlate(x[p_in], kernel, "full"),
-                             correlate(x[s_in], kernel, "full")))
+        # Inner average per check/channel section, then the outer average
+        # back onto bit sections.  The elementwise updates write into the
+        # arrays the correlations return.
+        y = correlate(x, kernel, "valid")
         s = y[s_y]
         subtract(ones_y, y, out=y)
         if same_power:
@@ -293,16 +279,16 @@ def _stepper(params: EnsembleParams, size: int):
         s *= keep
         subtract(ones_y, y, out=y)
         outer = correlate(y, kernel, "valid")
-        a, gf = outer[p_half], outer[gf_half]
-        subtract(ones_n, gf, out=gf)
+        a, gf = outer[a_half], outer[gf_half]
+        subtract(ones_a, gf, out=gf)
         gf *= neg_beta
         exp(gf, out=gf)
         if out is None:
             out = empty(size)
         # a ** 1 is a, so dl = 2 needs no power for p.
-        multiply(a if dl == 2 else a ** (dl - 1), gf, out=out[p_half])
+        multiply(a if dl == 2 else a ** (dl - 1), gf, out=out[p_out])
         a **= dl
-        multiply(a, gf, out=out[s_half])
+        multiply(a, gf, out=out[s_out])
         if clamp:
             minimum(out, one, out=out)
         return out
@@ -320,19 +306,6 @@ _CERTIFY_SHRINK = 1e-9
 _U = 2.0 ** -53
 
 
-def _stackable(params: EnsembleParams) -> bool:
-    """Whether a full average over states laid end to end, with w - 1 zeros
-    after each, gives each state the bits it gets alone: then p and s share
-    one (see ``_stepper``), and so do the lanes of ``_Lanes``.
-
-    At w <= 2 every entry of a flat full average that touches a state's
-    edge is a single product, or one plus a zero product, which rounds the
-    same in either loop.  At w >= 3 the entries at the inner edges would
-    come from numpy's unfused loop, where a state alone takes them from the
-    BLAS dot product, which may fuse (see ``de_step``)."""
-    return params.w <= 2
-
-
 def _failure_certificates(params: EnsembleParams, betas: list, pb_floor: float,
                           prev: np.ndarray, cur: np.ndarray):
     """Try the failure certificate (see ``de_run``) of D runs at once.
@@ -340,12 +313,11 @@ def _failure_certificates(params: EnsembleParams, betas: list, pb_floor: float,
     ``prev`` and ``cur`` are (2, D, L) arrays of the runs' last two states,
     p above s, and ``betas`` the runs' betas.  Returns per run a state
     (p_y, s_y) that proves it never decodes, or None; then the number of
-    steps taken and of candidates stepped.
+    candidates stepped.
 
     The candidates of every slope are built as one block, with the bits of
     one slope at a time.  Those whose P_b is at least ``pb_floor`` are
-    stepped by a ``_stepper`` for their layout: in one step, laid out as the
-    lanes of ``_Lanes``, where ``_stackable``, else one at a time as
+    stepped together, laid out as the lanes of ``_Lanes``, with the bits of
     ``de_step``.  A candidate y passes when f~(y) >= y + ``_margin``
     componentwise.  A run's first passing candidate in slope order is
     returned, the one a search that stops at the first passing slope
@@ -365,22 +337,22 @@ def _failure_certificates(params: EnsembleParams, betas: list, pb_floor: float,
     count = len(run)
     found = [None] * len(betas)
     if count == 0:
-        return found, 0, 0
-    neg_beta = -np.array(betas)[run]
+        return found, 0
     margin = np.array([_margin(params, beta) for beta in betas])[run, None]
-    if _stackable(params):
-        flat = np.zeros((2, count, L + params.w - 1))
-        flat[:, :, :L] = y
-        f = _stepper(params, flat.size)(np.repeat(neg_beta, flat.shape[2]), flat.ravel())
-        f, batches = f.reshape(flat.shape)[:, :, :L], 1
-    else:
-        step = _stepper(params, 2 * L)
-        f = np.array([step(neg_beta[j], y[:, j].ravel()) for j in range(count)])
-        f, batches = f.reshape(count, 2, L).swapaxes(0, 1), count
+    x = _layout(params, y)
+    neg_beta = _lane_betas(params, -np.array(betas)[run])
+    f = _sections(params, _stepper(params, x.size)(neg_beta, x))
     for j in np.flatnonzero(np.all(f >= y + margin, axis=(0, 2))):
         if found[run[j]] is None:
             found[run[j]] = (y[0, j], y[1, j])
-    return found, batches, count
+    return found, count
+
+
+def _lane_betas(params: EnsembleParams, neg_betas) -> np.ndarray:
+    """The per-entry ``neg_beta`` of a ``_stepper`` step from one -beta per
+    lane."""
+    width = params.L + params.w - 1
+    return np.repeat(neg_betas, width)[:len(neg_betas) * width - params.w + 1]
 
 
 def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -> DERun:
@@ -463,9 +435,10 @@ def _margin(params: EnsembleParams, beta: float) -> float:
 
 
 # Lanes of one lockstep share a flat vector of K (L + w - 1) elements per
-# message type, p and s.  A bisection runs the largest K = 2^d - 1 lanes, at
-# most 15, that fit this budget: a lockstep's cost grows with that vector
-# and the lane count, while each added level saves fewer locksteps.
+# message type, p and s, after w - 1 leading zeros.  A bisection runs the
+# largest K = 2^d - 1 lanes, at most 15, that fit this budget: a lockstep's
+# cost grows with that vector and the lane count, while each added level
+# saves fewer locksteps.
 # Measured before p and s shared one vector and before lanes stepped in
 # blocks (``_BLOCK``), on a shared 2-core x86-64 machine with dg = 3
 # thresholds: at L = 8 and 16, 7 and 15 lanes
@@ -482,10 +455,10 @@ def _margin(params: EnsembleParams, beta: float) -> float:
 # 8,16,24`` with ``_MAX_LANE_DEPTH`` 4, 5 and 6 (15, 31 and 63 lanes) made
 # 127,821, 114,427 and 109,068 locksteps with identical rows, in median
 # CPU times of 1.46, 1.48 and 1.77 s (five alternating rounds), so fewer
-# locksteps do not pay.  At w = 2 the budget gives 15 lanes up to
-# L = 119, 7 up to 256, 3 up to 599, then one lane at a time.  A block of
-# ``_BLOCK`` + 1 such vectors then takes at most 2 * 17 * 1800 * 8 bytes,
-# 0.49 MB.
+# locksteps do not pay.  The budget holds at every width: 15 lanes while
+# L + w - 1 <= 120 (L = 119 at w = 2), 7 up to 257, 3 up to 600, then one
+# lane at a time.  A block of ``_BLOCK`` + 1 such vectors then takes about
+# 2 * 17 * 1800 * 8 bytes, 0.49 MB.
 _LANE_BUDGET = 1800
 _MAX_LANE_DEPTH = 4
 
@@ -502,9 +475,7 @@ _BLOCK = 16
 def _lane_depth(params: EnsembleParams) -> int:
     """How many levels of a bisection run as lanes of one lockstep: the
     largest d up to ``_MAX_LANE_DEPTH`` whose 2^d - 1 lanes fit
-    ``_LANE_BUDGET``, and 1 where lanes are not ``_stackable`` (w >= 3)."""
-    if not _stackable(params):
-        return 1
+    ``_LANE_BUDGET``."""
     lane = params.L + params.w - 1
     depth = 1
     while depth < _MAX_LANE_DEPTH and (2 ** (depth + 1) - 1) * lane <= _LANE_BUDGET:
@@ -515,14 +486,13 @@ def _lane_depth(params: EnsembleParams) -> int:
 class _Lanes:
     """DE runs of one ensemble at several betas in lockstep, each bit-equal
     to a run alone at its beta, and the one owner of their stop rules (see
-    ``de_run``).  ``de_run`` is one lane; several run together only where
-    ``_stackable`` (w <= 2).
+    ``de_run``).  ``de_run`` is one lane.
 
-    The state of K lanes is one flat vector of 2K (L + w - 1) elements:
-    the K p-lanes, then the K s-lanes, each lane's L sections and then
-    w - 1 zeros, so one correlation serves every lane of both halves (see
-    ``_stepper``).  A lone lane keeps its zeros at w <= 2 and runs with none
-    at w >= 3; either way its step is ``de_step``'s.  Beside its key, each
+    The state of K lanes is one flat vector of w - 1 + 2K (L + w - 1)
+    elements: w - 1 zeros, then the K p-lanes and the K s-lanes, each
+    lane's L sections and then w - 1 zeros, so one correlation serves every
+    lane of both halves at every width, and each lane's step is
+    ``de_step``'s (see ``_stepper``).  Beside its key, each
     lane keeps its beta, the lockstep it joined at and the iteration of its
     next failure certificate.  The stall floor and the P_b floor depend only
     on L and the config, so the engine holds one of each.
@@ -530,10 +500,11 @@ class _Lanes:
     The lanes step ``_BLOCK`` locksteps at a time in a buffer of
     ``_BLOCK`` + 1 such vectors, which the engine owns: row 0 holds the
     state, and each step writes the next row (the step's ``out``), whose
-    zeros are then reset through a view made when the lanes were laid out.
-    Laying the lanes out (``_Lanes._regroup``) fetches the stepper and
-    lists each lockstep's row, next row and zero reset, so a lockstep is
-    one step call and one fill.
+    lane zeros are then reset through a view made when the lanes were laid
+    out (no step writes the leading zeros).  Laying the lanes out
+    (``_Lanes._regroup``) fetches the stepper and lists each lockstep's
+    row, next row and zero reset, so a lockstep is one step call and one
+    fill.
     One ``np.add.reduce`` over the block's (``_BLOCK``, K, L) view of p then
     gives every step's P_b, each with the bits of the 1-D reduce of its
     lane's p.  The stop rules run only after a lockstep where one could
@@ -543,11 +514,12 @@ class _Lanes:
     rule can stop a lane, since a fall above the floor rules out a stall.
     That screen runs once per block on (``_BLOCK``, K) arrays; then the
     rules run at each lockstep it picked, in order, on that lockstep's two
-    rows, as they would if the lanes stepped one lockstep at a time.  Once
+    rows' sections, as they would if the lanes stepped one lockstep at a
+    time.  Once
     a lane ends at row j, the rows after j are thrown away and row j becomes
     the state.  The failure certificates of every lane due at a lockstep are
-    tried together, before any stall test overwrites a lane's previous state
-    (``_failure_certificates``: one step at w <= 2).
+    tried together, in one step, before any stall test overwrites a lane's
+    previous state (``_failure_certificates``).
 
     A lane joins with ``start`` at the all-ones state and leaves when it
     ends or is stopped.  ``locksteps``, ``row_steps`` and ``retired`` count
@@ -578,10 +550,10 @@ class _Lanes:
         self._betas: list[float] = []
         self._joined: list[int] = []
         self._certify: list[int] = []
-        self._rows, self._width = [np.empty(0)], params.L
+        self._rows = [np.empty(0)]
         self._step, self._steps = None, []
         self._pb = np.empty((1, 0))
-        self._p_sections = np.empty((0, 0, 0))
+        self._sections = self._p_sections = np.empty((1, 2, 0, params.L))
         self._neg_beta = np.empty(0)
         self._next_check = math.inf
         self._joining: dict = {}
@@ -611,27 +583,27 @@ class _Lanes:
     def _regroup(self) -> None:
         """Drop the lanes that left, append the joining ones at the all-ones
         state, and lay the block out for the new lane count."""
-        L, joining = self.params.L, self._joining
+        params, joining = self.params, self._joining
         rows = [k for k, key in enumerate(self._keys) if key not in self._leaving]
         self._keys = [self._keys[k] for k in rows] + list(joining)
         self._betas = [self._betas[k] for k in rows] + list(joining.values())
         self._joined = [self._joined[k] for k in rows] + [self.locksteps] * len(joining)
         self._certify = [self._certify[k] for k in rows] + [_CERTIFY_FIRST] * len(joining)
-        count = len(self._keys)
-        width = L + self.params.w - 1 if _stackable(self.params) or count > 1 else L
-        block = np.zeros((_BLOCK + 1, 2, count, width))
-        block[0, :, :len(rows), :L] = self._rows[0].reshape(2, -1, self._width)[:, rows, :L]
-        block[0, :, len(rows):, :L] = 1.0
+        count, width = len(self._keys), params.L + params.w - 1
+        block = np.zeros((_BLOCK + 1, params.w - 1 + 2 * count * width))
+        sections = _sections(params, block)
+        sections[0, :, :len(rows)] = self._sections[0][:, rows]
+        sections[0, :, len(rows):] = 1.0
         pb = np.empty((_BLOCK + 1, count))
         pb[0] = [self._pb[0, k] for k in rows] + [1.0] * len(joining)
-        self._rows, self._width, self._pb = list(block.reshape(_BLOCK + 1, -1)), width, pb
-        # Lockstep j reads row j, writes row j + 1 and resets that row's
-        # zeros (an empty view where width == L).
-        pads = block.reshape(_BLOCK + 1, 2 * count, width)[1:, :, L:]
+        self._rows, self._sections, self._pb = list(block), sections, pb
+        # Lockstep j reads row j, writes row j + 1 and resets the zeros after
+        # that row's lanes (an empty view at w = 1).
+        pads = block[1:, params.w - 1:].reshape(_BLOCK, 2 * count, width)[:, :, params.L:]
         self._steps = list(zip(self._rows, self._rows[1:], [pad.fill for pad in pads]))
-        self._step = _stepper(self.params, self._rows[0].size)
-        self._p_sections = block[1:, 0, :, :L]
-        self._neg_beta = np.repeat([-beta for beta in self._betas], width)
+        self._step = _stepper(params, block.shape[1])
+        self._p_sections = sections[1:, 0]
+        self._neg_beta = _lane_betas(params, [-beta for beta in self._betas])
         self._joining, self._leaving = {}, set()
         self._next_check = self._check_at()
 
@@ -641,7 +613,7 @@ class _Lanes:
         if self._joining or self._leaving:
             self._regroup()
         step, steps, neg_beta, L = self._step, self._steps, self._neg_beta, self.params.L
-        rows, pb, p_sections = self._rows, self._pb, self._p_sections
+        rows, sections, pb, p_sections = self._rows, self._sections, self._pb, self._p_sections
         count, next_check = len(self._keys), self._next_check
         stall_floor = self.stall_floor
         target = self.config.success_target
@@ -665,7 +637,8 @@ class _Lanes:
             while (at := min(t + row, next_check)) <= end:
                 j = at - t
                 self.locksteps = at
-                ended = self._check(rows[j - 1], pb[j - 1].tolist(), rows[j], pb[j].tolist())
+                ended = self._check(sections[j - 1], pb[j - 1].tolist(), sections[j],
+                                    pb[j].tolist())
                 if ended:
                     self.row_steps += (at - start) * count
                     self.discarded += end - at
@@ -677,21 +650,21 @@ class _Lanes:
             rows[0][:], pb[0] = rows[_BLOCK], pb[_BLOCK]
             t = end
 
-    def _check(self, x, pb, x_next, pb_next) -> dict:
+    def _check(self, lanes, pb, lanes_next, pb_next) -> dict:
         """Apply every lane's stop rules after this lockstep (see
-        ``de_run``); the lanes that end leave, and their outcomes are
-        returned.  The stall test overwrites a lane's state in ``x``, which
-        is dead once stepped from."""
-        config, L, t, width = self.config, self.params.L, self.locksteps, self._width
-        lanes, lanes_next = x.reshape(2, -1, width), x_next.reshape(2, -1, width)
+        ``de_run``), given the (2, K, L) sections of its two states; the
+        lanes that end leave, and their outcomes are returned.  The stall
+        test overwrites a lane's state in ``lanes``, which is dead once
+        stepped from."""
+        config, t = self.config, self.locksteps
         due = [k for k, (joined, certify) in enumerate(zip(self._joined, self._certify))
                if t - joined == certify]
         certified = set()
         if due:
-            found, batches, candidates = _failure_certificates(
+            found, candidates = _failure_certificates(
                 self.params, [self._betas[k] for k in due], self.pb_floor,
-                lanes[:, due, :L], lanes_next[:, due, :L])
-            self.certificate_batches += batches
+                lanes[:, due], lanes_next[:, due])
+            self.certificate_batches += candidates > 0
             self.certificate_candidates += candidates
             certified = {k for k, y in zip(due, found) if y is not None}
             for k in due:
@@ -704,7 +677,7 @@ class _Lanes:
                                             f"at iteration {it}")
                 self._leaving.add(key)
                 continue
-            lane, lane_next = lanes[:, k, :L], lanes_next[:, k, :L]
+            lane, lane_next = lanes[:, k], lanes_next[:, k]
             failed = k in certified
             if not failed and pb[k] - pb_next[k] <= self.stall_floor:
                 np.abs(np.subtract(lane_next, lane, out=lane), out=lane)
@@ -810,7 +783,7 @@ def overhead_threshold(
     of one lockstep DE batch (``_Lanes``, from ``_probes``): the probe at the
     midpoint runs together with the untested midpoints of the next levels
     of the bisection tree, up to 2^d - 1 lanes, where d is ``_lane_depth``
-    (see ``_LANE_BUDGET``; d = 1 at w >= 3).  Each lane is bit-equal to
+    (see ``_LANE_BUDGET``).  Each lane is bit-equal to
     ``de_run``, and a verdict stops every lane it makes moot, so the
     bisection probes the same alphas with the same verdicts as one
     ``de_run`` call at a time, and the result is the same to the bit.  The

@@ -39,6 +39,37 @@ def de_step_loops(dl, dr, dg, w, L, eps, beta, p, s):
     return p_next, s_next
 
 
+def sliding_sums_sequential(x, w):
+    """The sliding averages of ``x`` zero-padded by w - 1 on each side, each
+    summed left to right: every one of a window's w terms is multiplied by
+    fl(1/w), and the products are added one at a time to a sum that starts
+    at 0.0.  Returns the len(x) + w - 1 averages as a list of floats."""
+    padded = [0.0] * (w - 1) + [float(v) for v in x] + [0.0] * (w - 1)
+    tap = 1.0 / w
+    sums = []
+    for start in range(len(padded) - w + 1):
+        total = 0.0
+        for k in range(w):
+            total += padded[start + k] * tap
+        sums.append(total)
+    return sums
+
+
+def de_step_sequential(dl, dr, dg, w, L, eps, beta, p, s):
+    """The density-evolution update pair with each sliding average summed
+    left to right over its zero-padded window (``sliding_sums_sequential``),
+    then clamped to at most one.  The elementwise operations are numpy's,
+    in the order the update is written; only the sums are loops, so this
+    is bit-exact for any averaging loop that sums in the same order."""
+    inner = np.array(sliding_sums_sequential(p, w))
+    a = np.array(sliding_sums_sequential(1.0 - (1.0 - inner) ** (dr - 1), w)[w - 1:w - 1 + L])
+    inner = np.array(sliding_sums_sequential(s, w))
+    inner = 1.0 - (1.0 - inner) ** (dg - 1) * (1.0 - eps)
+    b = np.array(sliding_sums_sequential(inner, w)[w - 1:w - 1 + L])
+    gf = np.exp((1.0 - b) * -beta)
+    return np.minimum(a ** (dl - 1) * gf, 1.0), np.minimum(a ** dl * gf, 1.0)
+
+
 def precode_de_step_loops(dl, dr, w, L, channel, p):
     """One update of the plain coupled-LDPC recursion over BEC(channel)."""
 

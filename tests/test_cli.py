@@ -195,9 +195,12 @@ class TestValidation:
             real_step = real_stepper(params, size)
 
             def faulty_step(neg_beta, x, out=None):
-                if np.all(x[:params.L] == 1.0):
+                # The lanes' sections follow w - 1 leading zeros, and each is
+                # followed by w - 1 zeros of its own.
+                lead, width = params.w - 1, params.L + params.w - 1
+                if np.all(x[lead:lead + params.L] == 1.0):
                     return real_step(neg_beta, x, out)
-                out[:] = 1.0
+                out[lead:].reshape(-1, width)[:, :params.L] = 1.0
                 return out
 
             return faulty_step

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import sc_rateless.density as density
-from reference import de_step_loops, precode_de_step_loops
+from reference import (
+    de_step_loops,
+    de_step_sequential,
+    precode_de_step_loops,
+    sliding_sums_sequential,
+)
 from sc_rateless import (
     DEConfig,
     DERun,
@@ -36,6 +41,12 @@ FIG2 = params(2, 3, 3, L=16, w=2, eps=0.5)
 
 def ones(L):
     return np.ones(L), np.ones(L)
+
+
+def lane_sections(p, x):
+    """The (2, K, L) sections of a flat state laid out as in _Lanes: w - 1
+    zeros, then K p-lanes and K s-lanes of L sections and w - 1 zeros each."""
+    return x[p.w - 1:].reshape(2, -1, p.L + p.w - 1)[:, :, :p.L]
 
 
 class TestStep:
@@ -163,37 +174,38 @@ class TestStep:
         assert np.all(nxt_s[interior] == 1.0)
         assert nxt_p.max() == 1.0 and nxt_s.max() == 1.0
 
-    def test_bit_equal_to_convolve_formulation(self):
-        # de_step averages with np.correlate; the step written with
-        # np.convolve (which swaps its operands where L < w in "full" mode)
-        # must give the same bits, clamp included.
+    def test_bit_equal_to_sequential_sums(self):
+        # Up to w = 11 every average of de_step sums its w products left to
+        # right over the zero-padded window, so the step equals, to the bit,
+        # the oracle that sums in Python loops and always clamps: where
+        # de_step skips the clamp, it cannot bind.  At the chain's edges the
+        # window reads zeros; a short chain (L < w) is all edge.
         rng = np.random.default_rng(12)
-        for w, L in itertools.product(range(1, 13), range(1, 40)):
+        for w, L in itertools.product(range(1, 12), range(1, 40)):
             dl = int(rng.integers(2, 4))
             p = params(dl=dl, dr=dl + int(rng.integers(1, 5)), dg=int(rng.integers(1, 5)),
                        L=L, w=w, eps=float(rng.uniform(0, 0.9)))
             beta = float(rng.uniform(0, 4))
             p_in, s_in = rng.uniform(0, 1, (2, L))
-            kernel, clamp = density._kernel(w)
-            inner = 1.0 - (1.0 - np.convolve(p_in, kernel, "full")) ** (p.dr - 1)
-            a = np.convolve(inner, kernel, "valid")
-            inner = 1.0 - ((1.0 - np.convolve(s_in, kernel, "full")) ** (p.dg - 1)
-                           * (1.0 - p.epsilon))
-            gf = np.exp((1.0 - np.convolve(inner, kernel, "valid")) * -beta)
-            want = (a ** (p.dl - 1) * gf, a ** p.dl * gf)
-            if clamp:
-                want = tuple(np.minimum(x, 1.0) for x in want)
+            want = de_step_sequential(p.dl, p.dr, p.dg, w, L, p.epsilon, beta, p_in, s_in)
             got = de_step(p, beta, p_in, s_in)
             for g, x in zip(got, want):
                 assert g.tobytes() == x.tobytes(), (w, L, p)
 
-    @pytest.mark.parametrize("w", range(1, 13))
+    @pytest.mark.parametrize("w", range(1, 17))
     def test_clamp_flag_matches_kernel_sums_on_ones(self, w):
+        # The clamp is kept where the sum of the kernel's w terms on ones
+        # rounds past one: summed left to right up to w = 11, and by the BLAS
+        # dot product (np.dot on 1-D arrays) from w = 12.
         kernel, clamp = density._kernel(w)
         assert kernel.tobytes() == np.full(w, 1.0 / w).tobytes()
-        assert clamp == bool(np.any(np.convolve(np.ones(w), kernel, "full") > 1.0))
+        if w <= 11:
+            total = sliding_sums_sequential(np.ones(w), w)[w - 1]
+        else:
+            total = float(np.dot(np.ones(w), kernel))
+        assert clamp == (total > 1.0)
 
-    @pytest.mark.parametrize("w", [w for w in range(1, 13) if not density._kernel(w)[1]])
+    @pytest.mark.parametrize("w", [w for w in range(1, 17) if not density._kernel(w)[1]])
     def test_unclamped_widths_stay_at_most_one(self, w):
         # Where the flag is clear de_step skips the upper clamp; for states in
         # [0, 1] the clamp would not have changed a bit.
@@ -225,49 +237,59 @@ class TestStep:
                 assert out.tobytes() == np.minimum(out, 1.0).tobytes()
 
 
-# (params, lanes): every branch a stepper can bind.  Lanes lie side by
-# side only where they are stackable (w <= 2); a lone lane at w >= 3 has no
-# zeros, and at L < w it takes the reversed inner average.
+# (params, lanes): every choice a stepper binds (the powers, the clamp),
+# and lanes side by side at every width: where numpy sums left to right
+# (w <= 11, the clamp binding at w = 9), where the BLAS dot product sums
+# (w = 12 and 13), and where a lane is shorter than the kernel.
 STEPPER_LAYOUTS = {
     "dr4-dg3": (params(dr=4, dg=3, L=16, w=2), 3),
     "dl3": (params(dl=3, dr=6, dg=3, L=16, w=2), 7),
     "w1": (params(L=8, w=1), 3),
     "w2-L1": (params(L=1, w=2), 7),
     "w3": (params(L=12, w=3), 1),
-    "w3-L2-reversed": (params(L=2, w=3), 1),
+    "w3-lanes": (params(L=12, w=3), 5),
+    "w3-dl3-lanes": (params(dl=3, dr=6, dg=3, L=16, w=3), 3),
+    "w5-L2-lanes": (params(L=2, w=5), 5),
     "w9-clamp": (params(L=20, w=9), 1),
+    "w9-clamp-lanes": (params(dl=3, dr=6, L=20, w=9), 5),
+    "w12-ddot-lanes": (params(L=16, w=12), 5),
+    "w13-ddot-lanes": (params(dr=4, dg=3, L=30, w=13), 3),
+    "w13-L5-lanes": (params(L=5, w=13), 5),
 }
 
 
 def stepper_input(p, lanes, rng):
     """A flat state of ``lanes`` lanes laid out as in _Lanes, with the
-    per-lane betas and the per-element -beta a step takes.  The first lane
-    is the all-ones state at beta = 0, where the w = 9 clamp binds (see
+    per-lane betas and the per-entry -beta a step takes.  The first lane is
+    the all-ones state at beta = 0, where the w = 9 clamp binds (see
     test_upper_clamp_binds_at_width_nine); the others are random."""
-    width = p.L + p.w - 1 if p.w <= 2 or lanes > 1 else p.L
-    x = np.zeros((2, lanes, width))
-    x[:, 0, :p.L] = 1.0
-    x[:, 1:, :p.L] = rng.uniform(0, 1, (2, lanes - 1, p.L))
+    width = p.L + p.w - 1
+    x = np.zeros(p.w - 1 + 2 * lanes * width)
+    sections = lane_sections(p, x)
+    sections[:, 0] = 1.0
+    sections[:, 1:] = rng.uniform(0, 1, (2, lanes - 1, p.L))
     betas = np.concatenate(([0.0], rng.uniform(0, 4, lanes - 1)))
-    return x, betas, np.repeat(-betas, width)
+    return x, betas, np.repeat(-betas, width)[:lanes * width - p.w + 1]
 
 
 class TestStepper:
     @pytest.mark.parametrize("p, lanes", STEPPER_LAYOUTS.values(), ids=STEPPER_LAYOUTS)
     def test_every_lane_gets_de_steps_bits(self, p, lanes):
+        # Each lane sits at its own offset in the flat state, so equal bits
+        # for every lane mean that no sum depends on where its lane lies.
         rng = np.random.default_rng(p.L * 31 + p.w)
         for _ in range(5):
             x, betas, neg_beta = stepper_input(p, lanes, rng)
             step = density._stepper(p, x.size)
-            got = step(neg_beta, x.ravel())
+            got = lane_sections(p, step(neg_beta, x))
             given = np.full(x.size, np.nan)
-            assert step(neg_beta, x.ravel(), given) is given
-            assert given.tobytes() == got.tobytes()
-            got = got.reshape(x.shape)
+            assert step(neg_beta, x, given) is given
+            assert lane_sections(p, given).tobytes() == got.tobytes()
+            sections = lane_sections(p, x)
             for k, beta in enumerate(betas):
-                want = de_step(p, beta, x[0, k, :p.L], x[1, k, :p.L])
-                assert got[0, k, :p.L].tobytes() == want[0].tobytes(), (p, k)
-                assert got[1, k, :p.L].tobytes() == want[1].tobytes(), (p, k)
+                want = de_step(p, beta, sections[0, k], sections[1, k])
+                assert got[0, k].tobytes() == want[0].tobytes(), (p, k)
+                assert got[1, k].tobytes() == want[1].tobytes(), (p, k)
 
     @pytest.mark.parametrize("p, lanes", STEPPER_LAYOUTS.values(), ids=STEPPER_LAYOUTS)
     def test_state_of_another_length_raises(self, p, lanes):
@@ -281,8 +303,8 @@ class TestStepper:
 
     def test_one_stepper_per_layout(self):
         p = params(L=16, w=2)
-        assert density._stepper(p, 34) is density._stepper(p, 34)
-        assert density._stepper(p, 34) is not density._stepper(p, 102)
+        assert density._stepper(p, 35) is density._stepper(p, 35)
+        assert density._stepper(p, 35) is not density._stepper(p, 103)
 
 
 class TestConfig:
@@ -361,7 +383,7 @@ class TestRun:
                 calls.append(1)
                 if len(calls) < 3:
                     return real_step(neg_beta, x, out)
-                out[:] = 1.0
+                lane_sections(params, out)[...] = 1.0
                 return out
 
             return faulty_step
@@ -407,7 +429,7 @@ RECORDED_RUNS = [
                  "0f4d44ecc17128dfe879b2148e9ba5fa1b58848e3f7b35729021c03a8cf1fe0f",
                  id="w3-dl2-decodes"),
     pytest.param(params(dl=3, dr=6, L=16, w=3), 3.0, 300, 300, False, True,
-                 "d808a2399f2fe5f9740de0e9847162182653e90d24775cce9e60670423bc7da2",
+                 "98770edabbc38a810a8a62d030d6d3982194ddc5381716b582193d1f67014bfd",
                  id="w3-dl3-capped"),
     pytest.param(params(dl=3, dr=6, L=20, w=9), 1.0, 100_000, 37, False, False,
                  "0c20f9f3b50899f645382e0ceffb3bf515f8cff598e396993a7c6b0af6adcca9",
@@ -479,7 +501,7 @@ def de_run_testing_change_every_step(p, beta, config, certify=True):
         certificate = None
         if certify and it == next_certify:
             next_certify = math.ceil(it * density._CERTIFY_GROWTH)
-            (certificate,), _, _ = density._failure_certificates(
+            (certificate,), _ = density._failure_certificates(
                 p, [beta], density._Lanes(p, config, 1).pb_floor, np.array((pv, sv))[:, None],
                 np.array((nxt_p, nxt_s))[:, None])
         change = max(float(np.abs(nxt_p - pv).max()), float(np.abs(nxt_s - sv).max()))
@@ -597,12 +619,12 @@ def failure_certificate_one_slope_at_a_time(p, beta, success_target, prev, cur):
 
 
 def certify_together(p, config, betas, prevs, curs):
-    """_failure_certificates on one batch of runs: their certificates and the
-    number of steps it made."""
-    found, batches, _ = density._failure_certificates(
+    """_failure_certificates on one batch of runs, in one step: their
+    certificates."""
+    found, _ = density._failure_certificates(
         p, betas, density._Lanes(p, config, 1).pb_floor, np.array(prevs).swapaxes(0, 1),
         np.array(curs).swapaxes(0, 1))
-    return found, batches
+    return found
 
 
 def assert_certificates_agree(case, p, config, betas, prevs, curs, found):
@@ -632,14 +654,14 @@ def test_batched_certificate_equals_one_slope_at_a_time_on_every_run():
     verdicts, widths = set(), set()
     for case, p, beta, config in random_runs():
         for prev, cur in certificate_points(p, beta, config, every_step=p.L < p.w):
-            found, _ = certify_together(p, config, [beta], [prev], [cur])
+            found = certify_together(p, config, [beta], [prev], [cur])
             assert_certificates_agree(case, p, config, [beta], [prev], [cur], found)
             verdicts.add(found[0] is not None)
             widths.add("short" if p.L < p.w else "w >= 3" if p.w >= 3 else "w <= 2")
     assert verdicts == {True, False} and widths == {"short", "w >= 3", "w <= 2"}
 
 
-@pytest.mark.parametrize("w", [1, 2])
+@pytest.mark.parametrize("w", [1, 2, 3, 9, 13])
 def test_batched_certificate_equals_one_slope_at_a_time_across_runs(w):
     # Runs at mixed betas and iterations certified in one step, as the
     # due lanes of one lockstep are: each verdict and certificate is the one
@@ -660,8 +682,7 @@ def test_batched_certificate_equals_one_slope_at_a_time_across_runs(w):
             points = list(certificate_points(p, beta, DEConfig(max_iterations=400), True))
             lanes.append((beta, *points[rng.integers(len(points))]))
         betas, prevs, curs = zip(*lanes)
-        found, batches = certify_together(p, config, betas, prevs, curs)
-        assert batches <= 1, L
+        found = certify_together(p, config, betas, prevs, curs)
         assert_certificates_agree((w, L), p, config, betas, prevs, curs, found)
         verdicts.update(y is not None for y in found)
     assert verdicts == {True, False}
@@ -831,9 +852,9 @@ class TestLanes:
         real_certificates = density._failure_certificates
 
         def recording_certificates(p, betas, *args):
-            found, batches, candidates = real_certificates(p, betas, *args)
+            found, candidates = real_certificates(p, betas, *args)
             certified.update(beta for beta, y in zip(betas, found) if y is not None)
-            return found, batches, candidates
+            return found, candidates
 
         monkeypatch.setattr(density, "_failure_certificates", recording_certificates)
         kinds = set()
@@ -853,14 +874,16 @@ class TestLanes:
             assert lanes.row_steps == sum(run.state.iteration for run in outcomes.values())
         assert kinds == {"decoded", "capped", "stalled", "certified"}
 
-    @pytest.mark.parametrize("w, L", [(3, 12), (3, 2), (9, 20), (9, 5)])
-    def test_one_lane_is_de_run_at_any_width(self, w, L):
-        # Alone, a lane is laid out with no zeros, so its step is de_step's.
+    @pytest.mark.parametrize("w, L", [(3, 12), (3, 2), (9, 20), (9, 5), (12, 16), (13, 7)])
+    def test_lanes_are_de_run_at_any_width(self, w, L):
+        # The lanes lie side by side at every width, with the last lanes
+        # joining once the first ends; each is still bit-equal to de_run.
         p = params(L=L, w=w)
-        for beta in (1.9, 2.5, 3.0):
-            config = DEConfig(max_iterations=400)
-            _, outcomes = run_lanes(p, config, [beta])
-            run, ref = outcomes[0], de_run(p, beta, config)
+        config = DEConfig(max_iterations=400)
+        betas = [1.9, 2.5, 3.0, 1.2, 4.0]
+        _, outcomes = run_lanes(p, config, betas)
+        for k, beta in enumerate(betas):
+            run, ref = outcomes[k], de_run(p, beta, config)
             assert (run.state.iteration, run.converged_to_zero, run.hit_iteration_cap) == (
                 ref.state.iteration, ref.converged_to_zero, ref.hit_iteration_cap)
             assert state_digest(run.state.p, run.state.s) == state_digest(ref.state.p, ref.state.s)
@@ -878,7 +901,7 @@ class TestLanes:
                 calls.append(1)
                 if len(calls) < 3:
                     return real_step(neg_beta, x, out)
-                out[:] = 1.0
+                lane_sections(p, out)[...] = 1.0
                 return out
 
             return faulty_step
@@ -910,10 +933,10 @@ class TestLanes:
 
             def faulty_step(neg_beta, x, out=None):
                 x_next = real_step(neg_beta, x, out)
-                if len(x) == 2 * 3 * width:
+                if len(x) == p.w - 1 + 2 * 3 * width:
                     calls.append(1)
                     if len(calls) == 3:
-                        x_next.reshape(2, 3, width)[:, 1, :p.L] = 1.0
+                        lane_sections(p, x_next)[:, 1] = 1.0
                 return x_next
 
             return faulty_step
@@ -937,20 +960,22 @@ class TestLanes:
         assert refs[0].state.iteration > 3 and refs[2].state.iteration > 3
         assert {refs[0].converged_to_zero, refs[2].converged_to_zero} == {False, True}
 
-    def test_every_update_input_holds_zeros_in_every_padding_slot(self, monkeypatch):
-        # At w = 2 the full average's entry that straddles the p- and s-lanes
-        # lands on the last p-lane's last zero, so the lanes are bit-equal to
-        # de_run only if every padding slot of both halves is zero whenever
-        # a step of _stepper reads it: at every lockstep and in every
-        # certificate block.
-        p, config = params(L=16, w=2), DEConfig(max_iterations=1500)
+    @pytest.mark.parametrize("w", [2, 5])
+    def test_every_update_input_holds_zeros_in_every_padding_slot(self, monkeypatch, w):
+        # A step writes entries that mix two lanes into the zeros after a
+        # lane, and an average near a lane's edge reads the zeros before it,
+        # so the lanes are bit-equal to de_run only if the leading zeros and
+        # every lane's zeros hold zero whenever a step of _stepper reads
+        # them: at every lockstep and in every certificate block.
+        p, config = params(L=16, w=w), DEConfig(max_iterations=1500)
         width, real_stepper, lanes_read = p.L + p.w - 1, density._stepper, collections.Counter()
 
         def checking_stepper(q, size):
             real_step = real_stepper(q, size)
 
             def checking_step(neg_beta, x, out=None):
-                rows = x.reshape(-1, width)
+                rows = x[q.w - 1:].reshape(-1, width)
+                assert np.all(x[:q.w - 1] == 0.0)
                 assert len(rows) % 2 == 0 and np.all(rows[:, q.L:] == 0.0)
                 lanes_read[len(rows) // 2] += 1
                 return real_step(neg_beta, x, out)
@@ -1040,8 +1065,9 @@ class TestLanes:
 
         def random_stepper(q, size):
             def random_step(neg_beta, x, out=None):
-                out[:] = rng.random(len(out))
-                written.append(out.reshape(2, -1, width)[0, :, :L].copy())
+                sections = lane_sections(q, out)
+                sections[...] = rng.random(sections.shape)
+                written.append(sections[0].copy())
                 return out
 
             return random_step
@@ -1057,14 +1083,13 @@ class TestLanes:
             assert lanes._pb[1:].tolist() == [
                 [float(np.add.reduce(lane)) / L for lane in step] for step in written]
 
-    @pytest.mark.parametrize("w, depth", [(2, 3), (2, 1), (3, 1)])
-    def test_certificates_take_one_update_per_lockstep_at_widths_up_to_two(
-            self, monkeypatch, w, depth):
-        # Every lane due at a lockstep is certified in one step at w <= 2,
-        # and each candidate in its own at w >= 3; the counters see each call.
+    @pytest.mark.parametrize("w, depth", [(2, 3), (2, 1), (3, 3), (3, 1)])
+    def test_certificates_take_one_update_per_lockstep(self, monkeypatch, w, depth):
+        # Every lane due at a lockstep is certified in one step at every
+        # width; the counters see each call.
         p = params(L=16, w=w)
         lanes = density._Lanes(p, DEConfig(max_iterations=1500), depth)
-        width = p.L + p.w - 1 if w <= 2 else p.L
+        width = p.L + p.w - 1
         real_stepper, real_certificates = density._stepper, density._failure_certificates
         certifying, calls = [], []
 
@@ -1080,7 +1105,7 @@ class TestLanes:
 
             def counting_step(neg_beta, x, out=None):
                 if certifying:
-                    calls.append((certifying[-1], len(x) // (2 * width)))
+                    calls.append((certifying[-1], (len(x) - p.w + 1) // (2 * width)))
                 return real_step(neg_beta, x, out)
 
             return counting_step
@@ -1094,15 +1119,15 @@ class TestLanes:
                 lanes.start(len(pending), pending.pop())
             lanes.advance()
         per_lockstep = collections.Counter(t for t, _ in calls)
-        assert max(per_lockstep.values()) == (1 if w <= 2 else 4)
+        assert max(per_lockstep.values()) == 1
         # With several lanes one update steps the candidates of several.
         most = max(n for _, n in calls)
-        assert most > 4 if depth > 1 else most <= (4 if w <= 2 else 1)
+        assert most > 4 if depth > 1 else most <= 4
         assert lanes.certificate_batches == len(calls)
         assert lanes.certificate_candidates == sum(n for _, n in calls)
 
     def test_lane_depth_fits_the_budget(self):
-        for w in (1, 2):
+        for w in (1, 2, 3, 9, 13):
             for L in (1, 8, 16, 24, 64, 128, 256, 512, 2000):
                 depth = density._lane_depth(params(L=L, w=w))
                 width = L + w - 1
@@ -1112,7 +1137,8 @@ class TestLanes:
         assert density._lane_depth(params(L=512)) == 2
         assert density._lane_depth(params(L=16)) == density._MAX_LANE_DEPTH
         for w in (3, 4, 9):
-            assert density._lane_depth(params(L=4, w=w)) == 1
+            assert density._lane_depth(params(L=4, w=w)) == density._MAX_LANE_DEPTH
+        assert density._lane_depth(params(L=512, w=3)) == 2
 
 
 class FakeLanes:
@@ -1303,19 +1329,25 @@ class TestLookAhead:
         assert with_lanes == sequential
 
     @pytest.mark.parametrize("w", [3, 9])
-    def test_one_lane_at_widths_of_three_and_more(self, monkeypatch, w):
+    def test_lanes_at_widths_of_three_and_more(self, monkeypatch, w):
+        # At w >= 3 a bisection runs its probes as lanes too, and gets the
+        # threshold of one probe at a time.
+        config = DEConfig(bisection_tol=0.01)
         engines = record_engines(monkeypatch)
-        result = overhead_threshold(params(L=12, w=w), DEConfig(bisection_tol=0.01))
+        result = overhead_threshold(params(L=12, w=w), config)
         assert result.bracket[1] - result.bracket[0] <= 0.01
-        assert [engine.depth for engine in engines] == [1]
-        assert 0 < engines[0].row_steps == engines[0].locksteps
+        assert [engine.depth for engine in engines] == [density._MAX_LANE_DEPTH]
+        assert 0 < engines[0].locksteps < engines[0].row_steps
+        monkeypatch.setattr(density, "_lane_depth", lambda p: 1)
+        assert overhead_threshold(params(L=12, w=w), config) == result
+        assert engines[1].depth == 1 and engines[1].row_steps == engines[1].locksteps
 
     @pytest.mark.parametrize("p, tol", [(params(L=8), 1e-4), (params(L=12, w=3), 0.01)])
     def test_threshold_equals_bisection_on_every_step_loop(self, p, tol):
         # The loop that tests for a stall on every step is the reference for
         # whole thresholds: its verdicts, through the same zero and expansion
-        # probes and a plain bisection, give overhead_threshold's bracket, at
-        # w = 2 with lanes and at w = 3 with one lane.
+        # probes and a plain bisection, give overhead_threshold's bracket,
+        # with lanes at w = 2 and at w = 3.
         config = DEConfig(bisection_tol=tol)
 
         def verdict(alpha):
@@ -1332,7 +1364,7 @@ class TestLookAhead:
         assert result.bracket == (lo, hi)
         assert result.alpha_star == 0.5 * (lo + hi)
         assert result.iterations_at_threshold == iterations
-        assert (density._lane_depth(p) > 1) is (p.w == 2) and len(path) > 3
+        assert density._lane_depth(p) > 1 and len(path) > 3
 
 
 def record_engines(monkeypatch) -> list:
