@@ -359,9 +359,10 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     """Iterate from the all-ones start until the mean erasure probability
     drops below the success target, the run fails, or the iteration cap.
     Every step's P_b is computed, and a rise by over 1e-12 raises
-    ``NonMonotoneRun``.  The run is one lane of ``_Lanes``, which applies
-    these stop rules after each block of steps at the step where they fire,
-    so the run ends there as if they ran at every step.
+    ``NonMonotoneRun``.  The run is the one lane of a ``_Lanes`` engine
+    (``advance({None: beta})``), which applies these stop rules after each
+    block of steps at the step where they fire, so the run ends there as if
+    they ran at every step.
 
     A run fails on a stall or on a failure certificate.  It stalls when no
     entry of p or s moves by ``fixed_point_tol`` in one step.  That test
@@ -415,9 +416,7 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     ``_margin`` adds 2u to 2e for the rounding of y + margin.
     """
     _check_beta(beta)
-    lanes = _Lanes(params, config, 1)
-    lanes.start(None, beta)
-    run = lanes.advance()[None]
+    run = _Lanes(params, config, 1).advance({None: beta})[None]
     if isinstance(run, NonMonotoneRun):
         raise run
     return run
@@ -521,11 +520,13 @@ class _Lanes:
     tried together, in one step, before any stall test overwrites a lane's
     previous state (``_failure_certificates``).
 
-    A lane joins with ``start`` at the all-ones state and leaves when it
-    ends or is stopped.  ``locksteps``, ``row_steps`` and ``retired`` count
-    the locksteps up to the last stop, the lane steps and the lanes that
-    ended on a verdict; ``discarded`` counts the locksteps stepped past a
-    stop and thrown away.  ``certificate_batches`` and
+    Each ``advance`` names the lanes that run: a lane it does not name
+    leaves, a new key joins at the all-ones state, and a lane that ended
+    runs no more.  ``advance`` returns as soon as a lane ends, so every
+    call lays the lanes out anew.  ``locksteps``, ``row_steps`` and
+    ``retired`` count the locksteps up to the last stop, the lane steps and
+    the lanes that ended on a verdict; ``discarded`` counts the locksteps
+    stepped past a stop and thrown away.  ``certificate_batches`` and
     ``certificate_candidates`` count the certificates' step calls and the
     candidates they stepped.
     """
@@ -556,37 +557,24 @@ class _Lanes:
         self._sections = self._p_sections = np.empty((1, 2, 0, params.L))
         self._neg_beta = np.empty(0)
         self._next_check = math.inf
-        self._joining: dict = {}
-        self._leaving: set = set()
-
-    def keys(self) -> list:
-        """The keys of the lanes that run or will join."""
-        return [key for key in self._keys if key not in self._leaving] + list(self._joining)
-
-    def start(self, key, beta: float) -> None:
-        """A lane at ``beta`` joins before the next lockstep; ``key`` must
-        not be one of ``keys()``."""
-        self._joining[key] = beta
-
-    def stop(self, key) -> None:
-        if self._joining.pop(key, None) is None:
-            self._leaving.add(key)
+        self._ended: dict = {}
 
     def _check_at(self) -> float:
-        """The first lockstep at which a staying lane's certificate or cap
-        is due."""
+        """The first lockstep at which a lane's certificate or cap is due."""
         cap = self.config.max_iterations
-        return min((joined + min(certify, cap) for key, joined, certify
-                    in zip(self._keys, self._joined, self._certify)
-                    if key not in self._leaving), default=math.inf)
+        return min((joined + min(certify, cap)
+                    for joined, certify in zip(self._joined, self._certify)), default=math.inf)
 
-    def _regroup(self) -> None:
-        """Drop the lanes that left, append the joining ones at the all-ones
-        state, and lay the block out for the new lane count."""
-        params, joining = self.params, self._joining
-        rows = [k for k, key in enumerate(self._keys) if key not in self._leaving]
-        self._keys = [self._keys[k] for k in rows] + list(joining)
-        self._betas = [self._betas[k] for k in rows] + list(joining.values())
+    def _regroup(self, wanted: dict) -> None:
+        """Keep the running lanes that ``wanted`` names, with their betas
+        and states, append its other lanes at the all-ones state, and lay
+        the block out for the new lane count."""
+        params = self.params
+        rows = [k for k, key in enumerate(self._keys) if key in wanted and key not in self._ended]
+        kept = [self._keys[k] for k in rows]
+        joining = [key for key in wanted if key not in kept]
+        self._keys = kept + joining
+        self._betas = [self._betas[k] for k in rows] + [wanted[key] for key in joining]
         self._joined = [self._joined[k] for k in rows] + [self.locksteps] * len(joining)
         self._certify = [self._certify[k] for k in rows] + [_CERTIFY_FIRST] * len(joining)
         count, width = len(self._keys), params.L + params.w - 1
@@ -604,14 +592,15 @@ class _Lanes:
         self._step = _stepper(params, block.shape[1])
         self._p_sections = sections[1:, 0]
         self._neg_beta = _lane_betas(params, [-beta for beta in self._betas])
-        self._joining, self._leaving = {}, set()
         self._next_check = self._check_at()
 
-    def advance(self) -> dict:
-        """Step every lane until at least one ends; return {key: DERun} for
-        the lanes that ended, or the ``NonMonotoneRun`` a lane raised."""
-        if self._joining or self._leaving:
-            self._regroup()
+    def advance(self, wanted: dict) -> dict:
+        """Run exactly the lanes that ``wanted`` = {key: beta} names: the
+        others leave, and a key that is not running joins at the all-ones
+        state (a lane that ended is not running).  Step every lane until at
+        least one ends; return {key: DERun} for the lanes that ended, or the
+        ``NonMonotoneRun`` a lane raised."""
+        self._regroup(wanted)
         step, steps, neg_beta, L = self._step, self._steps, self._neg_beta, self.params.L
         rows, sections, pb, p_sections = self._rows, self._sections, self._pb, self._p_sections
         count, next_check = len(self._keys), self._next_check
@@ -643,6 +632,7 @@ class _Lanes:
                     self.row_steps += (at - start) * count
                     self.discarded += end - at
                     rows[0][:], pb[0] = rows[j], pb[j]
+                    self._ended = ended
                     return ended
                 next_check = self._next_check
                 while row <= j:
@@ -652,8 +642,8 @@ class _Lanes:
 
     def _check(self, lanes, pb, lanes_next, pb_next) -> dict:
         """Apply every lane's stop rules after this lockstep (see
-        ``de_run``), given the (2, K, L) sections of its two states; the
-        lanes that end leave, and their outcomes are returned.  The stall
+        ``de_run``), given the (2, K, L) sections of its two states, and
+        return the outcomes of the lanes that end.  The stall
         test overwrites a lane's state in ``lanes``, which is dead once
         stepped from."""
         config, t = self.config, self.locksteps
@@ -675,7 +665,6 @@ class _Lanes:
             if pb_next[k] > pb[k] + 1e-12:
                 ended[key] = NonMonotoneRun(f"P_b rose from {pb[k]} to {pb_next[k]} "
                                             f"at iteration {it}")
-                self._leaving.add(key)
                 continue
             lane, lane_next = lanes[:, k], lanes_next[:, k]
             failed = k in certified
@@ -687,7 +676,6 @@ class _Lanes:
                 state = DEState(p=lane_next[0].copy(), s=lane_next[1].copy(), iteration=it)
                 ended[key] = DERun(state=state, converged_to_zero=decoded,
                                    hit_iteration_cap=not (decoded or failed))
-                self._leaving.add(key)
                 self.retired += 1
         self._next_check = self._check_at()
         return ended
@@ -724,29 +712,28 @@ def _untested(lo: float, hi: float, tol: float, outcomes: dict, count: int) -> l
 def _bisect(lo: float, hi: float, success_iters: int, tol: float, beta_of, probes):
     """Bisect [lo, hi] down to ``tol``; returns (lo, hi, success_iters).
 
-    The probe at the bracket's midpoint runs together with the untested
-    midpoints below it in the bisection tree, level by level (see
-    ``_untested``), up to 2^``probes.depth`` - 1 at a time.  Each verdict on
-    the path moves the bracket as a plain bisection would and stops every
-    probe whose bracket no longer lies inside it.  So the bracket walks
-    through the same probes with the same verdicts as one probe at a time,
-    and the probe on that path steps at every lockstep.  A probe that raised
-    ``NonMonotoneRun`` raises it only once it is on the path.
+    Whenever the bisection needs a verdict, the engine runs exactly the
+    first 2^d - 1 untested midpoints below the bracket in the bisection
+    tree, level by level (see ``_untested``), where d is ``probes.depth``:
+    the probe at the bracket's midpoint and the look-ahead below it.  A
+    verdict, on the path or off it, rules out half of its bracket, and the
+    lanes in that half, which it makes moot, leave at the next ``advance``.
+    Each verdict on the path moves the bracket as a plain bisection would,
+    so the bracket walks through the same probes with the same verdicts as
+    one probe at a time.  At most 2^d - 1 brackets lie in the first d
+    levels, so a lane there runs until a verdict ends it or makes it moot;
+    each probe on the path thus runs from its start to its verdict, and the
+    locksteps never exceed the sequential bisection's steps.  A probe that
+    raised ``NonMonotoneRun`` raises it only once it is on the path.
     """
     lanes = 2 ** probes.depth - 1
     outcomes: dict = {}
     while hi - lo > tol:
-        if (lo, hi) not in outcomes:
-            running = set(probes.keys())
-            for key in _untested(lo, hi, tol, outcomes, lanes):
-                if len(running) >= lanes:
-                    break
-                if key not in running:
-                    probes.start(key, beta_of(0.5 * (key[0] + key[1])))
-                    running.add(key)
-            outcomes.update(probes.advance())
-            continue
-        run = outcomes.pop((lo, hi))
+        while (lo, hi) not in outcomes:
+            wanted = _untested(lo, hi, tol, outcomes, lanes)
+            outcomes.update(probes.advance({key: beta_of(0.5 * (key[0] + key[1]))
+                                            for key in wanted}))
+        run = outcomes[lo, hi]
         if isinstance(run, NonMonotoneRun):
             raise run
         mid = 0.5 * (lo + hi)
@@ -755,10 +742,6 @@ def _bisect(lo: float, hi: float, success_iters: int, tol: float, beta_of, probe
             success_iters = run.state.iteration
         else:
             lo = mid
-        for key in probes.keys():
-            if not lo <= key[0] < key[1] <= hi:
-                probes.stop(key)
-        outcomes = {key: run for key, run in outcomes.items() if lo <= key[0] < key[1] <= hi}
     return lo, hi, success_iters
 
 
@@ -783,12 +766,12 @@ def overhead_threshold(
     of one lockstep DE batch (``_Lanes``, from ``_probes``): the probe at the
     midpoint runs together with the untested midpoints of the next levels
     of the bisection tree, up to 2^d - 1 lanes, where d is ``_lane_depth``
-    (see ``_LANE_BUDGET``).  Each lane is bit-equal to
-    ``de_run``, and a verdict stops every lane it makes moot, so the
-    bisection probes the same alphas with the same verdicts as one
-    ``de_run`` call at a time, and the result is the same to the bit.  The
-    probe on the bisection's path steps at every lockstep, so the locksteps
-    never exceed the steps of the sequential bisection.
+    (see ``_LANE_BUDGET``); a verdict drops the lanes it makes moot at the
+    next ``_Lanes.advance`` (see ``_bisect``).  Each lane is bit-equal
+    to ``de_run``, so the bisection probes the same alphas with the same
+    verdicts as one ``de_run`` call at a time, and the result is the same
+    to the bit.  The probe on the bisection's path steps at every lockstep,
+    so the locksteps never exceed the steps of the sequential bisection.
     """
     if params.dg == 1 and not allow_dg1:
         raise ValueError(

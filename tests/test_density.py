@@ -832,18 +832,29 @@ def lane_cases():
                 yield (w, L, K), p, config, betas
 
 
+def advance_to_the_end(lanes, betas: dict, outcomes=None, width=None) -> dict:
+    """Advance ``lanes`` until every lane of ``betas`` = {key: beta} has
+    ended, each time wanting the first ``width`` (all if None) that have
+    not, in key order; returns ``outcomes`` (a new dict if None) updated
+    with every lane's outcome."""
+    outcomes = {} if outcomes is None else outcomes
+    while len(outcomes) < len(betas):
+        pending = [key for key in betas if key not in outcomes][:width]
+        outcomes.update(lanes.advance({key: betas[key] for key in pending}))
+    return outcomes
+
+
+def running(lanes) -> list:
+    """The keys of the lanes that run on if the next ``advance`` names them."""
+    return [key for key in lanes._keys if key not in lanes._ended]
+
+
 def run_lanes(p, config, betas):
     """Every lane's outcome; the second half joins once the first lane ends."""
     lanes = density._Lanes(p, config, depth=4)
     first = max(1, len(betas) // 2)
-    for k in range(first):
-        lanes.start(k, betas[k])
-    outcomes = lanes.advance()
-    for k in range(first, len(betas)):
-        lanes.start(k, betas[k])
-    while lanes.keys():
-        outcomes.update(lanes.advance())
-    return lanes, outcomes
+    outcomes = lanes.advance({k: betas[k] for k in range(first)})
+    return lanes, advance_to_the_end(lanes, dict(enumerate(betas)), outcomes)
 
 
 class TestLanes:
@@ -908,10 +919,8 @@ class TestLanes:
 
         monkeypatch.setattr(density, "_stepper", faulty_stepper)
         lanes = density._Lanes(FIG2, DEConfig(), depth=2)
-        for k, beta in enumerate([2.0, 2.5, 3.0]):
-            lanes.start(k, beta)
-        outcomes = lanes.advance()
-        assert lanes.keys() == [] and lanes.retired == 0
+        outcomes = lanes.advance(dict(enumerate([2.0, 2.5, 3.0])))
+        assert running(lanes) == [] and lanes.retired == 0
         calls.clear()
         with pytest.raises(NonMonotoneRun) as raised:
             de_run(FIG2, 2.5)
@@ -943,14 +952,11 @@ class TestLanes:
 
         monkeypatch.setattr(density, "_stepper", faulty_stepper)
         lanes = density._Lanes(p, config, depth=2)
-        for k, beta in enumerate(betas):
-            lanes.start(k, beta)
-        outcomes = lanes.advance()
-        assert list(outcomes) == [1] and lanes.keys() == [0, 2]
+        outcomes = lanes.advance(dict(enumerate(betas)))
+        assert list(outcomes) == [1] and running(lanes) == [0, 2]
         assert isinstance(outcomes[1], NonMonotoneRun)
         assert str(outcomes[1]).endswith("to 1.0 at iteration 3")
-        while lanes.keys():
-            outcomes.update(lanes.advance())
+        advance_to_the_end(lanes, dict(enumerate(betas)), outcomes)
         assert lanes.retired == 2
         for k in (0, 2):
             run, ref = outcomes[k], refs[k]
@@ -984,11 +990,8 @@ class TestLanes:
 
         monkeypatch.setattr(density, "_stepper", checking_stepper)
         betas = [beta_from_alpha(p, a) for a in (0.02, 0.15, 0.4)]
-        lanes, outcomes = density._Lanes(p, config, depth=2), {}
-        for k, beta in enumerate(betas):
-            lanes.start(k, beta)
-        while lanes.keys():
-            outcomes.update(lanes.advance())
+        lanes = density._Lanes(p, config, depth=2)
+        outcomes = advance_to_the_end(lanes, dict(enumerate(betas)))
         assert lanes_read[3] >= 64 and lanes.certificate_batches > 0
         for k, beta in enumerate(betas):
             run, ref = outcomes[k], de_run(p, beta, config)
@@ -1010,8 +1013,7 @@ class TestLanes:
                 for k, beta in enumerate(betas):
                     ref = de_run_testing_change_every_step(p, beta, config)
                     alone = density._Lanes(p, config, 1)
-                    alone.start(None, beta)
-                    run = alone.advance()[None]
+                    run = alone.advance({None: beta})[None]
                     assert alone.discarded == -ref.iteration % block, (tol, cap, k)
                     for run in (run, together[k]):
                         assert (run.state.iteration, run.converged_to_zero,
@@ -1076,9 +1078,7 @@ class TestLanes:
         for depth in (1, 2, 3):
             written.clear()
             lanes = density._Lanes(p, DEConfig(max_iterations=density._BLOCK), depth)
-            for k in range(2 ** depth - 1):
-                lanes.start(k, 2.0)
-            lanes.advance()
+            lanes.advance({k: 2.0 for k in range(2 ** depth - 1)})
             assert len(written) == density._BLOCK
             assert lanes._pb[1:].tolist() == [
                 [float(np.add.reduce(lane)) / L for lane in step] for step in written]
@@ -1113,11 +1113,8 @@ class TestLanes:
         monkeypatch.setattr(density, "_failure_certificates", counting_certificates)
         monkeypatch.setattr(density, "_stepper", counting_stepper)
         alphas = [-0.2, 0.02, 0.05, 0.1, 0.2, 0.4, 1.5, 0.03, 0.07, 0.3]
-        pending = [p.dg / (1.0 - p.epsilon) * (1.0 - p.dl / p.dr) * (1.0 + a) for a in alphas]
-        while pending or lanes.keys():
-            while pending and len(lanes.keys()) < 2 ** depth - 1:
-                lanes.start(len(pending), pending.pop())
-            lanes.advance()
+        betas = [p.dg / (1.0 - p.epsilon) * (1.0 - p.dl / p.dr) * (1.0 + a) for a in alphas]
+        advance_to_the_end(lanes, dict(enumerate(reversed(betas))), width=2 ** depth - 1)
         per_lockstep = collections.Counter(t for t, _ in calls)
         assert max(per_lockstep.values()) == 1
         # With several lanes one update steps the candidates of several.
@@ -1125,6 +1122,23 @@ class TestLanes:
         assert most > 4 if depth > 1 else most <= 4
         assert lanes.certificate_batches == len(calls)
         assert lanes.certificate_candidates == sum(n for _, n in calls)
+
+    def test_advance_runs_exactly_the_wanted_lanes(self):
+        # A lane that the next advance does not name leaves, a new key joins
+        # at the all-ones state, and a lane that ended and is named again
+        # starts anew: every run that ends is still bit-equal to de_run.
+        p, config = params(L=16), DEConfig(max_iterations=1500)
+        betas = dict(enumerate(beta_from_alpha(p, a) for a in (1.5, 0.02, 0.15, 0.4)))
+        lanes = density._Lanes(p, config, depth=2)
+        first = lanes.advance({k: betas[k] for k in (0, 1, 2)})
+        assert list(first) == [0] and running(lanes) == [1, 2]
+        outcomes = advance_to_the_end(lanes, {k: betas[k] for k in (0, 1, 3)})
+        assert sorted(outcomes) == [0, 1, 3] and lanes.retired == 4
+        for beta, run in [(betas[0], first[0]), *((betas[k], run) for k, run in outcomes.items())]:
+            ref = de_run(p, beta, config)
+            assert (run.state.iteration, run.converged_to_zero, run.hit_iteration_cap) == (
+                ref.state.iteration, ref.converged_to_zero, ref.hit_iteration_cap)
+            assert state_digest(run.state.p, run.state.s) == state_digest(ref.state.p, ref.state.s)
 
     def test_lane_depth_fits_the_budget(self):
         for w in (1, 2, 3, 9, 13):
@@ -1144,10 +1158,10 @@ class TestLanes:
 class FakeLanes:
     """A lane engine whose lane at beta ends with ``verdict(beta)`` = (DERun
     or NonMonotoneRun, iterations) after that many locksteps.  ``path`` is
-    the plain bisection's probe sequence: at every ``advance`` each running
+    the plain bisection's probe sequence: at every ``advance`` each wanted
     lane must lie inside the first probe on it whose outcome is not back.
-    No lane may start in the half of a returned probe that its verdict
-    ruled out."""
+    No ``advance`` may want a lane that a returned probe made moot (see
+    ``moot``), and no key may start twice."""
 
     def __init__(self, verdict, depth, path=None):
         self.verdict, self.depth, self.path = verdict, depth, path
@@ -1156,26 +1170,18 @@ class FakeLanes:
         self.returned: dict = {}
         self.locksteps = 0
 
-    def keys(self):
-        return list(self.running)
-
-    def start(self, key, beta):
-        assert key not in self.started, f"{key} started twice"
-        for (a, b), run in self.returned.items():
-            if a <= key[0] < key[1] <= b and isinstance(run, DERun):
-                mid = 0.5 * (a + b)
-                assert key[1] <= mid if run.converged_to_zero else key[0] >= mid, key
-        self.running[key] = [beta, 0]
-        self.started[key] = beta
-
-    def stop(self, key):
-        del self.running[key]
-
-    def advance(self):
-        assert 0 < len(self.running) <= 2 ** self.depth - 1
+    def advance(self, wanted):
+        assert 0 < len(wanted) <= 2 ** self.depth - 1
+        for key in wanted:
+            assert not moot(key, self.returned), f"{key} is moot"
         if self.path is not None:
             lo, hi = next(key for key, _ in self.path if key not in self.returned)
-            assert all(lo <= a < b <= hi for a, b in self.running), "a moot lane runs"
+            assert all(lo <= a < b <= hi for a, b in wanted), "a lane off the path runs"
+        for key, beta in wanted.items():
+            if key not in self.running:
+                assert key not in self.started, f"{key} started twice"
+                self.started[key] = beta
+        self.running = {key: self.running.get(key, [beta, 0]) for key, beta in wanted.items()}
         while True:
             self.locksteps += 1
             ended = {}
@@ -1188,6 +1194,19 @@ class FakeLanes:
             if ended:
                 self.returned.update(ended)
                 return ended
+
+
+def moot(key, returned) -> bool:
+    """Whether an outcome in ``returned`` = {bracket: outcome} makes the
+    probe of bracket ``key`` moot: ``key`` lies below a bracket whose probe
+    raised, or in the half of one that its verdict ruled out."""
+    for (a, b), run in returned.items():
+        if a <= key[0] < key[1] <= b and (a, b) != key:
+            mid = 0.5 * (a + b)
+            if not isinstance(run, DERun) or (
+                    key[0] >= mid if run.converged_to_zero else key[1] <= mid):
+                return True
+    return False
 
 
 def fake_run(ok, iterations, capped=False):
@@ -1327,6 +1346,37 @@ class TestLookAhead:
         sequential = overhead_threshold(p, config)
         assert engines[1].depth == 1 and engines[1].row_steps == engines[1].locksteps
         assert with_lanes == sequential
+
+    def test_the_engine_runs_no_moot_lane(self, monkeypatch):
+        # A real bisection at dg = 3, L = 8, with 15 lanes: no advance wants a
+        # lane that an outcome returned before it made moot, no key starts
+        # twice, and the lanes take no more locksteps than the bisection one
+        # probe at a time takes steps.
+        calls, real_advance = [], density._Lanes.advance
+
+        def recording_advance(self, wanted):
+            outcomes = real_advance(self, wanted)
+            calls.append((self, list(wanted), outcomes))
+            return outcomes
+
+        monkeypatch.setattr(density._Lanes, "advance", recording_advance)
+        engines = record_engines(monkeypatch)
+        p = params(L=8)
+        result = overhead_threshold(p)
+        lanes = engines[0]
+        assert lanes.depth == density._MAX_LANE_DEPTH
+        returned, started, running_before = {}, [], set()
+        for engine, wanted, outcomes in calls:
+            if engine is lanes:
+                assert not [key for key in wanted if moot(key, returned)]
+                started += [key for key in wanted if key not in running_before]
+                returned.update(outcomes)
+                running_before = set(wanted) - set(outcomes)
+        assert len(started) == len(set(started)) > 2 ** lanes.depth
+        monkeypatch.setattr(density, "_lane_depth", lambda p: 1)
+        assert overhead_threshold(p) == result
+        assert engines[1].depth == 1 and engines[1].row_steps == engines[1].locksteps
+        assert lanes.locksteps <= engines[1].row_steps
 
     @pytest.mark.parametrize("w", [3, 9])
     def test_lanes_at_widths_of_three_and_more(self, monkeypatch, w):
