@@ -319,17 +319,13 @@ def sample_precode(params: EnsembleParams, M: int, seed) -> PrecodeGraph:
 
     _condition_matching(sock_bit, pairs, stubs, dl, dr, rng)
 
-    real = np.flatnonzero(sock_bit >= 0)
-    # Conditioning left no check repeating a bit, so the sorted (check, bit)
-    # keys are the supports, each sorted within its check.
-    keys = real // dr
-    keys *= num_bits
-    keys += sock_bit[real]
-    keys.sort()
-    check_idx, check_indices = np.divmod(keys, num_bits)
-    indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(check_idx, minlength=num_checks)))
-    )
+    # Check q owns sockets [q*dr, (q+1)*dr) and conditioning left no check
+    # repeating a bit, so each check's sockets, sorted, are its filler (-1)
+    # and then its support.
+    supports = np.sort(sock_bit.reshape(num_checks, dr), axis=1)
+    real = supports >= 0
+    check_indices = supports[real]
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(real, axis=1))))
     return PrecodeGraph(
         params=params,
         M=M,

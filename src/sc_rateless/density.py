@@ -359,17 +359,19 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     """Iterate from the all-ones start until the mean erasure probability
     drops below the success target, the run fails, or the iteration cap.
     Every step's P_b is computed, and a rise by over 1e-12 raises
-    ``NonMonotoneRun``.  The run is the one lane of a ``_Lanes`` engine
-    (``advance({None: beta})``), which applies these stop rules after each
-    block of steps at the step where they fire, so the run ends there as if
-    they ran at every step.
+    ``NonMonotoneRun``, in this run as in every lane.  The run is the one
+    lane of a ``_Lanes`` engine (``advance({None: beta})``), which applies
+    these stop rules after each block of steps at the step where they fire,
+    so the run ends there as if they ran at every step.
 
     A run fails on a stall or on a failure certificate.  It stalls when no
-    entry of p or s moves by ``fixed_point_tol`` in one step.  That test
-    takes passes over both states, so it runs only on steps where P_b fell by
-    no more than 2 * ``fixed_point_tol`` plus a round-off margin; a larger
-    fall proves that some entry of p moved by more than the tolerance, and
-    skipping the test changes no outcome.
+    entry of p or s moves by ``fixed_point_tol`` in one step.  The rules run
+    only at the steps where some lane's P_b fell by no more than
+    2 * ``fixed_point_tol`` plus a round-off margin, fell below the success
+    target, or where a certificate or the cap is due (see ``_Lanes``); there
+    the stall test runs on every lane, as one reduction that reads both
+    states.  A larger fall proves that some entry of p moved by more than the
+    tolerance, so skipping the test elsewhere changes no outcome.
 
     The failure certificate proves that the run never decodes.  The exact
     map f on x = (p, s) is monotone on [0, 1]^(2L) and the run starts at
@@ -416,10 +418,7 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     ``_margin`` adds 2u to 2e for the rounding of y + margin.
     """
     _check_beta(beta)
-    run = _Lanes(params, config, 1).advance({None: beta})[None]
-    if isinstance(run, NonMonotoneRun):
-        raise run
-    return run
+    return _Lanes(params, config, 1).advance({None: beta})[None]
 
 
 def _margin(params: EnsembleParams, beta: float) -> float:
@@ -516,9 +515,9 @@ class _Lanes:
     rows' sections, as they would if the lanes stepped one lockstep at a
     time.  Once
     a lane ends at row j, the rows after j are thrown away and row j becomes
-    the state.  The failure certificates of every lane due at a lockstep are
-    tried together, in one step, before any stall test overwrites a lane's
-    previous state (``_failure_certificates``).
+    the state.  The rules read the two rows and write neither.  The failure
+    certificates of every lane due at a lockstep are tried together, in one
+    step (``_failure_certificates``).
 
     Each ``advance`` names the lanes that run: a lane it does not name
     leaves, a new key joins at the all-ones state, and a lane that ended
@@ -598,8 +597,9 @@ class _Lanes:
         """Run exactly the lanes that ``wanted`` = {key: beta} names: the
         others leave, and a key that is not running joins at the all-ones
         state (a lane that ended is not running).  Step every lane until at
-        least one ends; return {key: DERun} for the lanes that ended, or the
-        ``NonMonotoneRun`` a lane raised."""
+        least one ends; return {key: DERun} for the lanes that ended.  A lane
+        whose P_b rises raises ``NonMonotoneRun`` at that step, whichever
+        lane it is."""
         self._regroup(wanted)
         step, steps, neg_beta, L = self._step, self._steps, self._neg_beta, self.params.L
         rows, sections, pb, p_sections = self._rows, self._sections, self._pb, self._p_sections
@@ -642,10 +642,9 @@ class _Lanes:
 
     def _check(self, lanes, pb, lanes_next, pb_next) -> dict:
         """Apply every lane's stop rules after this lockstep (see
-        ``de_run``), given the (2, K, L) sections of its two states, and
-        return the outcomes of the lanes that end.  The stall
-        test overwrites a lane's state in ``lanes``, which is dead once
-        stepped from."""
+        ``de_run``), given the (2, K, L) sections of its two states, which
+        it reads and does not write.  Returns {key: DERun} for the lanes
+        that end; a lane whose P_b rose raises ``NonMonotoneRun``."""
         config, t = self.config, self.locksteps
         due = [k for k, (joined, certify) in enumerate(zip(self._joined, self._certify))
                if t - joined == certify]
@@ -659,21 +658,17 @@ class _Lanes:
             certified = {k for k, y in zip(due, found) if y is not None}
             for k in due:
                 self._certify[k] = math.ceil(self._certify[k] * _CERTIFY_GROWTH)
+        # The largest change of each lane over both halves: the stall test.
+        change = np.maximum.reduce(np.abs(lanes_next - lanes), axis=(0, 2)).tolist()
         ended = {}
         for k, (key, joined) in enumerate(zip(self._keys, self._joined)):
             it = t - joined
             if pb_next[k] > pb[k] + 1e-12:
-                ended[key] = NonMonotoneRun(f"P_b rose from {pb[k]} to {pb_next[k]} "
-                                            f"at iteration {it}")
-                continue
-            lane, lane_next = lanes[:, k], lanes_next[:, k]
-            failed = k in certified
-            if not failed and pb[k] - pb_next[k] <= self.stall_floor:
-                np.abs(np.subtract(lane_next, lane, out=lane), out=lane)
-                failed = float(np.maximum.reduce(lane, axis=None)) < config.fixed_point_tol
+                raise NonMonotoneRun(f"P_b rose from {pb[k]} to {pb_next[k]} at iteration {it}")
+            failed = k in certified or change[k] < config.fixed_point_tol
             decoded = pb_next[k] < config.success_target
             if decoded or failed or it == config.max_iterations:
-                state = DEState(p=lane_next[0].copy(), s=lane_next[1].copy(), iteration=it)
+                state = DEState(p=lanes_next[0, k].copy(), s=lanes_next[1, k].copy(), iteration=it)
                 ended[key] = DERun(state=state, converged_to_zero=decoded,
                                    hit_iteration_cap=not (decoded or failed))
                 self.retired += 1
@@ -692,16 +687,15 @@ def _probes(params: EnsembleParams, config: DEConfig) -> _Lanes:
 def _untested(lo: float, hi: float, tol: float, outcomes: dict, count: int) -> list:
     """The first ``count`` brackets below [lo, hi] whose midpoint the
     bisection may still probe and whose verdict is not in ``outcomes``,
-    level by level.  A bracket whose verdict is in leads to one child only;
-    one that raised leads nowhere."""
+    level by level.  A bracket whose verdict is in leads to one child only."""
     found, level = [], [(lo, hi)]
     while level and len(found) < count:
         below = []
         for a, b in level:
-            while (a, b) in outcomes and b - a > tol and isinstance(outcomes[a, b], DERun):
+            while (a, b) in outcomes and b - a > tol:
                 mid = 0.5 * (a + b)
                 a, b = (a, mid) if outcomes[a, b].converged_to_zero else (mid, b)
-            if b - a > tol and (a, b) not in outcomes:
+            if b - a > tol:
                 found.append((a, b))
                 mid = 0.5 * (a + b)
                 below += [(a, mid), (mid, b)]
@@ -723,8 +717,8 @@ def _bisect(lo: float, hi: float, success_iters: int, tol: float, beta_of, probe
     one probe at a time.  At most 2^d - 1 brackets lie in the first d
     levels, so a lane there runs until a verdict ends it or makes it moot;
     each probe on the path thus runs from its start to its verdict, and the
-    locksteps never exceed the sequential bisection's steps.  A probe that
-    raised ``NonMonotoneRun`` raises it only once it is on the path.
+    locksteps never exceed the sequential bisection's steps.  A lane whose
+    P_b rises raises ``NonMonotoneRun`` at once, on the path or off it.
     """
     lanes = 2 ** probes.depth - 1
     outcomes: dict = {}
@@ -734,8 +728,6 @@ def _bisect(lo: float, hi: float, success_iters: int, tol: float, beta_of, probe
             outcomes.update(probes.advance({key: beta_of(0.5 * (key[0] + key[1]))
                                             for key in wanted}))
         run = outcomes[lo, hi]
-        if isinstance(run, NonMonotoneRun):
-            raise run
         mid = 0.5 * (lo + hi)
         if run.converged_to_zero:
             hi = mid
@@ -771,7 +763,9 @@ def overhead_threshold(
     to ``de_run``, so the bisection probes the same alphas with the same
     verdicts as one ``de_run`` call at a time, and the result is the same
     to the bit.  The probe on the bisection's path steps at every lockstep,
-    so the locksteps never exceed the steps of the sequential bisection.
+    so the locksteps never exceed the steps of the sequential bisection.  A
+    rise of P_b in any lane, a look-ahead lane's too, raises
+    ``NonMonotoneRun`` at once, so no lane's fault stays silent.
     """
     if params.dg == 1 and not allow_dg1:
         raise ValueError(

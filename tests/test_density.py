@@ -899,9 +899,10 @@ class TestLanes:
                 ref.state.iteration, ref.converged_to_zero, ref.hit_iteration_cap)
             assert state_digest(run.state.p, run.state.s) == state_digest(ref.state.p, ref.state.s)
 
-    def test_a_rising_lane_returns_de_runs_error(self, monkeypatch):
+    def test_a_rising_lane_raises_de_runs_error(self, monkeypatch):
         # A step that jumps back to the all-ones state on its third call:
-        # every lane ends with the NonMonotoneRun de_run raises.
+        # advance raises, for the first lane, the NonMonotoneRun de_run
+        # raises at that lane's beta, and no lane ends on a verdict.
         real_stepper = density._stepper
         calls = []
 
@@ -919,19 +920,18 @@ class TestLanes:
 
         monkeypatch.setattr(density, "_stepper", faulty_stepper)
         lanes = density._Lanes(FIG2, DEConfig(), depth=2)
-        outcomes = lanes.advance(dict(enumerate([2.0, 2.5, 3.0])))
-        assert running(lanes) == [] and lanes.retired == 0
+        with pytest.raises(NonMonotoneRun, match="at iteration 3") as lane_raised:
+            lanes.advance(dict(enumerate([2.0, 2.5, 3.0])))
+        assert lanes.retired == 0
         calls.clear()
         with pytest.raises(NonMonotoneRun) as raised:
-            de_run(FIG2, 2.5)
-        assert sorted(outcomes) == [0, 1, 2]
-        assert all(isinstance(run, NonMonotoneRun) for run in outcomes.values())
-        assert str(outcomes[1]) == str(raised.value)
+            de_run(FIG2, 2.0)
+        assert str(lane_raised.value) == str(raised.value)
 
-    def test_one_rising_lane_leaves_and_the_others_run_on(self, monkeypatch):
+    def test_one_rising_lane_raises_at_once(self, monkeypatch):
         # Once, the step resets only the middle lane of three to all ones: that
-        # lane ends with NonMonotoneRun, and the other two run on bit-equal to
-        # de_run.
+        # lane raises NonMonotoneRun at its third step, with its own P_b,
+        # while the other two, which end much later, are still running.
         p, config = params(L=16, w=2), DEConfig(max_iterations=1500)
         betas = [beta_from_alpha(p, a) for a in (0.02, 0.15, 0.4)]
         refs = [de_run(p, beta, config) for beta in betas]
@@ -951,20 +951,37 @@ class TestLanes:
             return faulty_step
 
         monkeypatch.setattr(density, "_stepper", faulty_stepper)
+        state = ones(p.L)
+        for _ in range(2):
+            state = de_step(p, betas[1], *state)
         lanes = density._Lanes(p, config, depth=2)
-        outcomes = lanes.advance(dict(enumerate(betas)))
-        assert list(outcomes) == [1] and running(lanes) == [0, 2]
-        assert isinstance(outcomes[1], NonMonotoneRun)
-        assert str(outcomes[1]).endswith("to 1.0 at iteration 3")
-        advance_to_the_end(lanes, dict(enumerate(betas)), outcomes)
-        assert lanes.retired == 2
-        for k in (0, 2):
-            run, ref = outcomes[k], refs[k]
-            assert (run.state.iteration, run.converged_to_zero, run.hit_iteration_cap) == (
-                ref.state.iteration, ref.converged_to_zero, ref.hit_iteration_cap)
-            assert state_digest(run.state.p, run.state.s) == state_digest(ref.state.p, ref.state.s)
+        with pytest.raises(NonMonotoneRun) as raised:
+            lanes.advance(dict(enumerate(betas)))
+        assert str(raised.value).endswith("to 1.0 at iteration 3")
+        assert str(raised.value).startswith(f"P_b rose from {np.add.reduce(state[0]) / p.L} ")
+        assert lanes.retired == 0 and len(calls) == density._BLOCK
         assert refs[0].state.iteration > 3 and refs[2].state.iteration > 3
         assert {refs[0].converged_to_zero, refs[2].converged_to_zero} == {False, True}
+
+    def test_check_writes_neither_state(self, monkeypatch):
+        # The dg = 2, L = 64 run at alpha = 0.085 stalls at iteration 6,285
+        # (see DEConfig), so the stall test passes at its last check.  Every
+        # check leaves both states it reads as they were.
+        real_check, changes = density._Lanes._check, []
+
+        def snapshot_check(self, lanes, pb, lanes_next, pb_next):
+            before = lanes.tobytes(), lanes_next.tobytes()
+            changes.append(float(np.abs(lanes_next - lanes).max()))
+            ended = real_check(self, lanes, pb, lanes_next, pb_next)
+            assert (lanes.tobytes(), lanes_next.tobytes()) == before, self.locksteps
+            return ended
+
+        monkeypatch.setattr(density._Lanes, "_check", snapshot_check)
+        p, config = params(dg=2, L=64), DEConfig()
+        run = de_run(p, beta_from_alpha(p, 0.085), config)
+        assert run.state.iteration == 6285
+        assert not run.converged_to_zero and not run.hit_iteration_cap
+        assert len(changes) > 1 and changes[-1] < config.fixed_point_tol
 
     @pytest.mark.parametrize("w", [2, 5])
     def test_every_update_input_holds_zeros_in_every_padding_slot(self, monkeypatch, w):
@@ -1078,7 +1095,10 @@ class TestLanes:
         for depth in (1, 2, 3):
             written.clear()
             lanes = density._Lanes(p, DEConfig(max_iterations=density._BLOCK), depth)
-            lanes.advance({k: 2.0 for k in range(2 ** depth - 1)})
+            # Random states make P_b rise, which raises once the block's P_b
+            # are in.
+            with pytest.raises(NonMonotoneRun):
+                lanes.advance({k: 2.0 for k in range(2 ** depth - 1)})
             assert len(written) == density._BLOCK
             assert lanes._pb[1:].tolist() == [
                 [float(np.add.reduce(lane)) / L for lane in step] for step in written]
@@ -1157,7 +1177,8 @@ class TestLanes:
 
 class FakeLanes:
     """A lane engine whose lane at beta ends with ``verdict(beta)`` = (DERun
-    or NonMonotoneRun, iterations) after that many locksteps.  ``path`` is
+    or NonMonotoneRun, iterations) after that many locksteps; a lane whose
+    outcome is a NonMonotoneRun raises it then, as _Lanes does.  ``path`` is
     the plain bisection's probe sequence: at every ``advance`` each wanted
     lane must lie inside the first probe on it whose outcome is not back.
     No ``advance`` may want a lane that a returned probe made moot (see
@@ -1189,6 +1210,8 @@ class FakeLanes:
                 lane[1] += 1
                 outcome, iterations = self.verdict(lane[0])
                 if lane[1] == iterations:
+                    if isinstance(outcome, NonMonotoneRun):
+                        raise outcome
                     ended[key] = outcome
                     del self.running[key]
             if ended:
@@ -1197,14 +1220,13 @@ class FakeLanes:
 
 
 def moot(key, returned) -> bool:
-    """Whether an outcome in ``returned`` = {bracket: outcome} makes the
-    probe of bracket ``key`` moot: ``key`` lies below a bracket whose probe
-    raised, or in the half of one that its verdict ruled out."""
+    """Whether a verdict in ``returned`` = {bracket: DERun} makes the probe
+    of bracket ``key`` moot: ``key`` lies in the half of a bracket that its
+    verdict ruled out."""
     for (a, b), run in returned.items():
         if a <= key[0] < key[1] <= b and (a, b) != key:
             mid = 0.5 * (a + b)
-            if not isinstance(run, DERun) or (
-                    key[0] >= mid if run.converged_to_zero else key[1] <= mid):
+            if key[0] >= mid if run.converged_to_zero else key[1] <= mid:
                 return True
     return False
 
@@ -1276,19 +1298,52 @@ class TestLookAhead:
         density._bisect(0.0, 1.0, 0, 1e-4, lambda alpha: alpha, lanes)
         assert lanes.locksteps < 0.6 * sum(iterations for _, (_, iterations) in path)
 
-    def test_an_off_path_error_stays_silent_and_an_on_path_one_raises(self):
-        # 0.75 is a look-ahead probe below the first verdict's other half;
-        # 0.125 is on the path.
+    def test_an_off_path_error_raises_as_an_on_path_one_does(self):
+        # 0.75 is a look-ahead probe below the first verdict's other half, so
+        # the plain bisection never probes it, yet its error raises; 0.125 is
+        # on the path.
         off_path = wave_verdict(0.17282, raises=(0.75,))
-        want, path = plain_bisection(0.0, 1.0, 0, 1e-4, off_path)
+        _, path = plain_bisection(0.0, 1.0, 0, 1e-4, off_path)
         lanes = FakeLanes(off_path, 3, path)
-        assert density._bisect(0.0, 1.0, 0, 1e-4, lambda alpha: alpha, lanes) == want
+        with pytest.raises(NonMonotoneRun, match="alpha = 0.75"):
+            density._bisect(0.0, 1.0, 0, 1e-4, lambda alpha: alpha, lanes)
         assert 0.75 in lanes.started.values()
         on_path = wave_verdict(0.17282, raises=(0.125,))
         with pytest.raises(NonMonotoneRun, match="alpha = 0.125"):
             plain_bisection(0.0, 1.0, 0, 1e-4, on_path)
         with pytest.raises(NonMonotoneRun, match="alpha = 0.125"):
             density._bisect(0.0, 1.0, 0, 1e-4, lambda alpha: alpha, FakeLanes(on_path, 3))
+
+    def test_a_rising_look_ahead_lane_raises_in_a_real_bisection(self, monkeypatch):
+        # A real bisection at dg = 3, L = 8, with 15 lanes, whose step resets
+        # the look-ahead lane at alpha = 0.75 to all ones at its third step.
+        # The first verdict on the path (alpha = 0.5 decodes) makes that lane
+        # moot, and the bisection one probe at a time never probes it, yet
+        # the rise raises at once.
+        p = params(L=8)
+        assert overhead_threshold(p).bracket[1] <= 0.5
+        neg_beta, width = -beta_from_alpha(p, 0.75), p.L + p.w - 1
+        real_stepper, steps = density._stepper, []
+
+        def faulty_stepper(q, size):
+            real_step = real_stepper(q, size)
+
+            def faulty_step(step_neg_beta, x, out=None):
+                out = real_step(step_neg_beta, x, out)
+                lane = np.flatnonzero(np.atleast_1d(step_neg_beta)[::width] == neg_beta)
+                if len(lane):
+                    steps.append(1)
+                    if len(steps) == 3:
+                        lane_sections(q, out)[:, lane] = 1.0
+                return out
+
+            return faulty_step
+
+        monkeypatch.setattr(density, "_stepper", faulty_stepper)
+        engines = record_engines(monkeypatch)
+        with pytest.raises(NonMonotoneRun, match="to 1.0 at iteration 3$"):
+            overhead_threshold(p)
+        assert engines[0].depth == density._MAX_LANE_DEPTH and engines[0].locksteps == 3
 
     @pytest.mark.parametrize("case", ["zero-decodes", "expansion", "capped-on-path"])
     def test_threshold_equals_plain_bisection(self, monkeypatch, case):
