@@ -12,6 +12,8 @@ spec (parameters, seed, tool version), or a single JSON document with the
 same content.  Identical inputs produce byte-identical output files.
 
 Exit codes: 0 success, 2 validation error (an unusable ``--out`` too), 3 computation error.
+``threshold``, ``sweep`` and ``simulate`` refuse dg = 1 with exit 2 before any
+work unless given ``--allow-dg1``.
 """
 from __future__ import annotations
 
@@ -75,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     dg1 = argparse.ArgumentParser(add_help=False)
     dg1.add_argument("--allow-dg1", action="store_true",
-                     help="let the threshold search / simulator run with dg = 1")
+                     help="compute dg = 1, which cannot reach capacity "
+                     "(refused by default)")
 
     deconf = argparse.ArgumentParser(add_help=False)
     deconf.add_argument("--max-iter", type=int, default=DEConfig.max_iterations)
@@ -150,7 +153,7 @@ def cmd_threshold(args):
     params = _ensemble(args, args.L)
     config = _deconfig(args)
     row = SweepRow(L=args.L)
-    fill_sweep_row(row, params, config, allow_dg1=args.allow_dg1)
+    fill_sweep_row(row, params, config)
     # A failed threshold raises, so no row reaches here with an error to drop.
     columns = {k: v for k, v in dataclasses.asdict(row).items() if k != "error"}
     spec = _spec_header(args, {"L": args.L, **dataclasses.asdict(config)})
@@ -170,8 +173,7 @@ def cmd_sweep(args):
     dr_grid = sorted(args.dr_grid or [args.dr])
     # threshold_sweep is looked up here, at call time, so a wrapper installed
     # on this module's name is the one the pool runs.
-    sweep = functools.partial(threshold_sweep, L_values=args.L_grid, config=config,
-                              allow_dg1=args.allow_dg1)
+    sweep = functools.partial(threshold_sweep, L_values=args.L_grid, config=config)
     curves = pool_map(sweep, [_ensemble(args, max(args.L_grid), dr) for dr in dr_grid],
                       args.workers)
     rows = [{"dr": dr, **dataclasses.asdict(entry)}
@@ -190,7 +192,6 @@ def cmd_simulate(args):
     results = monte_carlo(
         params, args.M, alphas, args.trials, args.seed,
         zero_codeword=args.zero_codeword,
-        allow_dg1=args.allow_dg1,
         workers=args.workers,
     )
     errors = sum(row.trial_errors for row in results)
@@ -260,6 +261,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # bounds has no --allow-dg1: the stability report takes dg = 1 as it is.
+    if args.dg == 1 and not getattr(args, "allow_dg1", True):
+        print("error: dg = 1 cannot reach capacity and is refused by default; "
+              "pass --allow-dg1 to compute it anyway", file=sys.stderr)
+        return 2
     out = None if args.out is None else Path(args.out)
     if out is not None and (not args.out or out.is_dir() or not out.parent.is_dir()):
         problem = ("the path is empty" if not args.out else

@@ -642,7 +642,6 @@ def monte_carlo(
     seed: int,
     *,
     zero_codeword: bool = False,
-    allow_dg1: bool = False,
     workers: int = 1,
 ) -> list[MonteCarloRow]:
     """Decoding-trial statistics over an overhead grid.
@@ -654,18 +653,16 @@ def monte_carlo(
     for the ensemble) is counted in the row's ``trial_errors`` and left out
     of its statistics.  Any other exception, including InvalidM for an M
     that fails the sampler preconditions, propagates; so does the
-    ValueError of an overhead too close to -1 to send one symbol.  An empty
-    or repeated alpha grid, an alpha whose largest symbol count n would not
-    fit in memory (``_max_symbols``), and ``workers < 1`` raise ValueError
-    before any trial runs.
+    ValueError of an overhead too close to -1 to send one symbol.
+    ``trials < 1``, a design rate <= 0 (``NonPositiveRate``, whichever
+    codeword path), an empty or repeated alpha grid, an alpha whose largest
+    symbol count n would not fit in memory (``_max_symbols``), and
+    ``workers < 1`` raise ValueError before any trial runs.  Every ensemble
+    is simulated alike, dg = 1 too.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if params.dg == 1 and not allow_dg1:
-        raise ValueError(
-            "dg = 1 cannot reach capacity and is excluded from simulation "
-            "by default; pass allow_dg1=True to simulate it anyway"
-        )
+    design_rate(params)
     alphas = sorted(float(a) for a in alpha_grid)
     if not alphas:
         raise ValueError("alpha_grid must be nonempty")

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stability
-from .ensemble import EnsembleParams, beta_from_alpha
+from .ensemble import EnsembleParams, NonPositiveRate, beta_from_alpha
 
 # The bisection's bracket never reaches past this alpha.  While the bracket
 # is wider than two float steps at the cap, its rounded midpoint lies strictly
@@ -741,8 +741,6 @@ def overhead_threshold(
     params: EnsembleParams,
     config: DEConfig = DEConfig(),
     upper: float = 1.0,
-    *,
-    allow_dg1: bool = False,
 ) -> ThresholdResult:
     """Bisection on alpha for the smallest decoding overhead.
 
@@ -766,12 +764,10 @@ def overhead_threshold(
     so the locksteps never exceed the steps of the sequential bisection.  A
     rise of P_b in any lane, a look-ahead lane's too, raises
     ``NonMonotoneRun`` at once, so no lane's fault stays silent.
+
+    Every ensemble is searched alike, dg = 1 too, whose threshold stays
+    above ``stability.dg1_overhead_bound``.
     """
-    if params.dg == 1 and not allow_dg1:
-        raise ValueError(
-            "dg = 1 cannot reach capacity and is excluded from the threshold "
-            "search by default; pass allow_dg1=True to analyze it anyway"
-        )
     if not upper > 0.0:
         raise ValueError(f"the upper starting point must be > 0, got {upper}")
 
@@ -814,7 +810,7 @@ def overhead_threshold(
 
 
 def fill_sweep_row(row: SweepRow, params: EnsembleParams, config: DEConfig,
-                   upper: float = 1.0, *, allow_dg1: bool) -> None:
+                   upper: float = 1.0) -> None:
     """Fill ``row`` with the stability lower bounds, then the overhead
     threshold (bisection from [0, upper]) of ``params`` at L = ``row.L``.
     A failure propagates and leaves the fields already filled, so a row
@@ -822,7 +818,7 @@ def fill_sweep_row(row: SweepRow, params: EnsembleParams, config: DEConfig,
     report = stability.threshold_lower_bounds(params)
     row.lower_bound_alpha = report.lower_bound_alpha
     row.lower_bound_beta = report.lower_bound_beta
-    result = overhead_threshold(params, config, upper, allow_dg1=allow_dg1)
+    result = overhead_threshold(params, config, upper)
     row.alpha_star = result.alpha_star
     row.beta_star = result.beta_star
     row.iterations = result.iterations_at_threshold
@@ -832,8 +828,6 @@ def threshold_sweep(
     params: EnsembleParams,
     L_values,
     config: DEConfig = DEConfig(),
-    *,
-    allow_dg1: bool = False,
 ) -> list[SweepRow]:
     """Overhead thresholds and stability lower bounds over a grid of chain
     lengths.
@@ -841,8 +835,11 @@ def threshold_sweep(
     Rows are ordered by L, and each bisection warm-starts from the previous
     row: the threshold shrinks with L in every regime of interest, so the
     previous estimate (plus margin) is the fresh bracket's upper end.  Per-row
-    failures land in the row's ``error`` field instead of aborting the sweep;
-    an empty grid or a repeated L raises ``ValueError`` before any row runs.
+    failures (``NoSuccessInBracket``, ``NonMonotoneBracket``, and
+    ``NonPositiveRate`` for an L too short for a positive design rate) land
+    in the row's ``error`` field instead of aborting the sweep; any other
+    exception propagates.  An empty grid or a repeated L raises
+    ``ValueError`` before any row runs.
     """
     L_sorted = sorted(L_values)
     if not L_sorted:
@@ -857,9 +854,9 @@ def threshold_sweep(
         p_l = dataclasses.replace(params, L=L)
         upper = prev_alpha + 0.02 if prev_alpha is not None else 1.0
         try:
-            fill_sweep_row(row, p_l, config, upper, allow_dg1=allow_dg1)
+            fill_sweep_row(row, p_l, config, upper)
             prev_alpha = row.alpha_star
-        except (NoSuccessInBracket, NonMonotoneBracket, ValueError) as exc:
+        except (NoSuccessInBracket, NonMonotoneBracket, NonPositiveRate) as exc:
             row.error = str(exc)
         rows.append(row)
     return rows

@@ -31,10 +31,10 @@ class EnsembleParams:
     """The (dl, dr, dg, L, w) code ensemble plus the channel erasure rate.
 
     dl, dr are the precode bit/check degrees, dg the channel-node degree,
-    L the number of coupled sections, w the coupling width.  dg = 1 is
-    accepted here (some analysis operations need it) even though it cannot
-    reach capacity; the threshold search and the simulator reject it unless
-    explicitly overridden.
+    L the number of coupled sections, w the coupling width.  dg = 1 cannot
+    reach capacity (its overhead threshold stays above
+    ``stability.dg1_overhead_bound``), but the library computes it like any
+    dg; only the CLI refuses it unless given ``--allow-dg1``.
     """
 
     dl: int

@@ -19,7 +19,7 @@ trivial capacity bound survives; the report flags that case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,7 +132,9 @@ def spectral_radius(m: BandMatrix, tol: float = 1e-10, max_iter: int = 100_000) 
         lam = float(x @ y)
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
-            return 0.0
+            # The scale is > 0, so y underflowed when its entries were
+            # squared; rho(cA) = c * rho(A) gives the radius from scale 1.
+            return m.scale * spectral_radius(replace(m, scale=1.0), tol, max_iter)
         x = y / norm
         if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
             return lam

@@ -79,12 +79,43 @@ class TestValidation:
         code, _ = run(tmp_path, "bounds", "--dg", "3", "--eps", "1.5", "--L", "8")
         assert code == 2
 
-    def test_dg1_without_override_exits_2(self, tmp_path):
-        code, _ = run(
-            tmp_path, "simulate", "--dg", "1", "--L", "4", "--M", "6",
-            "--trials", "1", "--alpha", "0.5", "--zero-codeword",
-        )
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--L", "8"],
+        ["sweep", "--L-grid", "4,8"],
+        ["simulate", "--L", "4", "--M", "6", "--trials", "1", "--alpha", "0.5",
+         "--zero-codeword"],
+    ], ids=lambda argv: argv[0])
+    def test_dg1_without_override_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        import sc_rateless.density as density
+        import sc_rateless.stability as stability
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a computation ran")
+
+        for module, name in [(density, "de_run"), (density, "_probes"),
+                             (stability, "threshold_lower_bounds"), (codec, "_run_trial")]:
+            monkeypatch.setattr(module, name, no_work)
+        code, text = run(tmp_path, *argv, "--dg", "1")
         assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: dg = 1 cannot reach capacity and is refused by default; "
+            "pass --allow-dg1 to compute it anyway\n")
+
+    def test_nonpositive_design_rate_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # Without --zero-codeword no trial reads the design rate, so the
+        # refusal must come before the trials.
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(codec, "_run_trial", no_trial)
+        code, text = run(tmp_path, "simulate", "--dg", "3", "--w", "3", "--L", "2",
+                         "--M", "30", "--trials", "3", "--alpha", "0.5")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: design rate -0.111111 <= 0 for dl=2, dr=3, w=3, L=2\n")
 
     def test_bad_M_divisibility_exits_2(self, tmp_path):
         code, _ = run(
@@ -342,11 +373,7 @@ class TestSweep:
         (["--dg", "2", "--w", "1", "--L-grid", "4", "--max-iter", "200"],
          '3,4,nan,nan,0.039720770839917874,1.3862943611198906,0,"density evolution fails '
          'up to alpha = 10 for EnsembleParams(dl=2, dr=3, dg=2, L=4, w=1, epsilon=0.5)"'),
-        (["--dg", "1", "--L-grid", "8"],
-         "3,8,nan,nan,1.6111436622160151,1.2572173188447482,0,dg = 1 cannot reach capacity "
-         "and is excluded from the threshold search by default; pass allow_dg1=True to "
-         "analyze it anyway"),
-    ], ids=["no-success-in-bracket", "dg1-guard"])
+    ], ids=["no-success-in-bracket"])
     def test_error_row_keeps_its_lower_bounds(self, tmp_path, argv, row):
         # Recorded output: the bounds are computed before the bisection fails.
         code, text = run(tmp_path, "sweep", *argv)

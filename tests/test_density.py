@@ -716,9 +716,13 @@ class TestThreshold:
         with pytest.raises(NoSuccessInBracket):
             overhead_threshold(params(dl=2, dr=3, dg=2, L=4, w=1))
 
-    def test_dg1_guard(self):
-        with pytest.raises(ValueError, match="dg = 1"):
-            overhead_threshold(params(dg=1))
+    def test_dg1_threshold_stays_above_its_bounds(self):
+        from sc_rateless import dg1_overhead_bound, threshold_lower_bounds
+
+        p = params(dg=1, L=8)
+        alpha_star = overhead_threshold(p).alpha_star
+        assert alpha_star >= dg1_overhead_bound(2, 3)
+        assert alpha_star >= threshold_lower_bounds(p).lower_bound_alpha
 
     def test_bad_bracket_rejected(self):
         for upper in (0.0, -0.5, float("nan")):
@@ -811,6 +815,16 @@ class TestSweep:
         monkeypatch.setattr(density, "overhead_threshold", no_threshold)
         with pytest.raises(ValueError, match="repeats L = 8"):
             threshold_sweep(FIG2, [8, 16, 8])
+
+    def test_a_fault_that_is_no_row_failure_propagates(self, monkeypatch):
+        # Only a row's own failures become its error; any other ValueError
+        # is a fault, not a row that exits 0 with an error cell.
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(density, "overhead_threshold", boom)
+        with pytest.raises(ValueError, match="boom"):
+            threshold_sweep(FIG2, [8])
 
 
 def lane_cases():

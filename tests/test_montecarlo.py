@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import sc_rateless.codec as codec
-from sc_rateless import ConditioningFailed, EnsembleParams, InvalidM, monte_carlo
+from sc_rateless import (
+    ConditioningFailed,
+    EnsembleParams,
+    InvalidM,
+    NonPositiveRate,
+    monte_carlo,
+)
 
 
 def params(dl=2, dr=3, dg=3, L=16, w=2, eps=0.5):
@@ -95,14 +101,33 @@ class TestMonteCarlo:
 
         assert rows[0].dimension == round(design_rate(SMALL) * SMALL.L * 12)
 
-    def test_dg1_guard_and_override(self):
-        with pytest.raises(ValueError, match="dg = 1"):
-            monte_carlo(params(dg=1, L=4), 6, [0.5], trials=1, seed=0)
-        rows = monte_carlo(
-            params(dg=1, L=4), 6, [0.5], trials=2, seed=0,
-            allow_dg1=True, zero_codeword=True,
-        )
+    def test_dg1_is_simulated_like_any_dg(self):
+        rows = monte_carlo(params(dg=1, L=4), 6, [0.5], trials=2, seed=0, zero_codeword=True)
         assert rows[0].trials == 2
+
+    def test_zero_trials_rejected_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(codec, "_run_trial", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            monte_carlo(SMALL, 12, [0.3], trials=0, seed=0)
+        assert ran == []
+
+    @pytest.mark.parametrize("zero_codeword", [False, True], ids=["encoder", "zero-codeword"])
+    @pytest.mark.parametrize("L, message", [
+        (2, "design rate -0.111111 <= 0 for dl=2, dr=3, w=3, L=2"),
+        (1, "design rate -0.555556 <= 0 for dl=2, dr=3, w=3, L=1"),
+    ], ids=["L2", "L1"])
+    def test_nonpositive_design_rate_rejected_before_any_trial(
+        self, monkeypatch, zero_codeword, L, message
+    ):
+        # Both codeword paths refuse the ensemble alike, before the full
+        # encoder could take a dimension from the graphs' rank deficiency.
+        ran = []
+        monkeypatch.setattr(codec, "_run_trial", lambda *args: ran.append(args))
+        with pytest.raises(NonPositiveRate, match=re.escape(message)):
+            monte_carlo(params(w=3, L=L), 30, [0.5], trials=3, seed=0,
+                        zero_codeword=zero_codeword)
+        assert ran == []
 
     def test_invalid_M_rejected_upfront(self):
         with pytest.raises(InvalidM):

@@ -91,6 +91,14 @@ class TestBandMatrix:
             with pytest.raises(ValueError, match="beta must be finite"):
                 build_jacobian(p, beta)
 
+    @pytest.mark.parametrize("size, half_width, message", [
+        (0, 1, "size must be >= 1, got 0"),
+        (4, -1, "half_width must be >= 0, got -1"),
+    ])
+    def test_rejects_empty_size_and_negative_half_width(self, size, half_width, message):
+        with pytest.raises(ValueError, match=message):
+            BandMatrix(size, half_width, 1.0)
+
     def test_rejects_negative_and_nan_scale(self):
         for scale_value in (-0.1, math.nan):
             with pytest.raises(ValueError, match="scale"):
@@ -131,6 +139,14 @@ class TestSpectralRadius:
         m = build_jacobian(params(dg=2, w=2, L=40), beta=0.5)
         with pytest.raises(NonConvergence):
             spectral_radius(m, tol=1e-14, max_iter=2)
+
+    def test_underflowing_scale_keeps_its_radius(self):
+        # At beta = 1400 the scale is ~2e-304: squaring the iterate's entries
+        # underflows its norm to 0, and the radius must still be scale * rho(A).
+        m = build_jacobian(params(dg=2, w=2, L=64), beta=1400.0)
+        assert 0.0 < m.scale < 1e-300
+        unit = spectral_radius(BandMatrix(m.size, m.half_width, 1.0))
+        assert spectral_radius(m) == m.scale * unit
 
     def test_rejects_nonpositive_and_nan_tol(self):
         m = build_jacobian(params(dg=2, w=2, L=40), beta=0.5)
@@ -228,6 +244,12 @@ class TestSandwich:
                     upper = norm_upper_bound(p, beta)
                     assert lower <= rho + 1e-10
                     assert rho <= upper + 1e-10
+
+    def test_sandwich_holds_at_an_underflowing_scale(self):
+        # dg = 2000 puts the marginal beta where the scale is ~8e-279.
+        report = threshold_lower_bounds(params(dg=2000, L=64))
+        assert report.rayleigh_lower > 0.0
+        assert report.rayleigh_lower <= report.spectral_radius <= report.norm_upper
 
     def test_bounds_pinch_at_large_L(self):
         p = params(dg=2, w=2, L=1000)
