@@ -80,11 +80,12 @@ class PrecodeGraph:
         """(echelon rows, pivot columns, free columns) of the checks.
 
         The rows are ``gf2.rref``'s: forward elimination only, in ascending
-        pivot order, since each ``encode`` solves for one codeword and a
-        reduced form would back-substitute the whole basis.
+        pivot order and each aligned at its pivot, since each ``encode``
+        solves for one codeword and a reduced form would back-substitute the
+        whole basis.
         """
-        rows = gf2.rows_from_support(self.check_indptr, self.check_indices, self.num_bits)
-        echelon, pivots = gf2.rref(rows, self.num_bits)
+        rows, lows = gf2.rows_from_support(self.check_indptr, self.check_indices, self.num_bits)
+        echelon, pivots = gf2.rref(rows, self.num_bits, lows)
         is_pivot = np.zeros(self.num_bits, dtype=bool)
         is_pivot[pivots] = True
         free = np.flatnonzero(~is_pivot)
@@ -353,7 +354,8 @@ def encode(graph: PrecodeGraph, info_bits) -> np.ndarray:
     x = np.zeros(graph.num_bits, dtype=np.uint8)
     x[free] = info_bits & 1
     # Each echelon row reads x[pivot] + its later pivot bits + its free bits = 0.
-    x[pivots] = gf2.solve_pivots(echelon, pivots, gf2.dot_rows(echelon, gf2.pack_vector(x)))
+    x[pivots] = gf2.solve_pivots(
+        echelon, pivots, gf2.dot_rows(echelon, pivots, gf2.pack_vector(x)))
     return x
 
 

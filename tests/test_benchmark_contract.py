@@ -85,11 +85,11 @@ def test_monte_carlo_counters():
 
 
 def test_rref_counters():
-    rows = gf2.rows_from_support([0, 2, 4, 6], [0, 2, 1, 2, 0, 1], 3)
-    result = gf2.rref(rows, 3)
+    rows, lows = gf2.rows_from_support([0, 2, 4, 6], [0, 2, 1, 2, 0, 1], 3)
+    result = gf2.rref(rows, 3, lows)
     counters = TRACED[("gf2", "rref")]
-    assert counters((rows, 3), {}, result) == {"cols": 3, "rank": 2}
-    assert counters((rows,), {"ncols": 3}, result) == {"cols": 3, "rank": 2}
+    assert counters((rows, 3, lows), {}, result) == {"cols": 3, "rank": 2}
+    assert counters((rows,), {"ncols": 3, "lows": lows}, result) == {"cols": 3, "rank": 2}
 
 
 def test_encode_calls_rref_and_dot_rows_through_gf2(monkeypatch):

@@ -356,6 +356,9 @@ ENCODE_DIGESTS = {
         "ebd32db4911ededf965bf99f7c13c891873c57cbbc884ed797851e24ff2407fd",
     (params(dl=3, dr=6, L=6, w=3), 80, 11, 2):
         "9a59e458ce51412a8a2f2cfe6fa1a9f0d58bf44e1508e8a9a36f21fd66587ab7",
+    # Rows far from column 0: most checks sit thousands of columns in.
+    (params(L=64), 300, 7, 1):
+        "719b4750f7dfe356e938f5ada96d786f8645a1f2649ea6838c7fb11c164ef095",
 }
 
 
@@ -394,13 +397,16 @@ class TestEncode:
                                       (params(dl=3, dr=6, L=6, w=3), 80)], ids=str)
     def test_precode_scale_matches_bitmask_oracle(self, p, M):
         g = sample_precode(p, M, seed=11)
-        rows = gf2.rows_from_support(g.check_indptr, g.check_indices, g.num_bits)
-        got_rows, got_pivots = gf2.rref(rows, g.num_bits)
+        rows, lows = gf2.rows_from_support(g.check_indptr, g.check_indices, g.num_bits)
+        got_rows, got_pivots = gf2.rref(rows, g.num_bits, lows)
         want_rows, want_pivots = rref_masks(masks_from_supports(check_supports(g)), g.num_bits)
         rank = len(want_pivots)
-        # ``rref`` stops at the echelon form; reduced, it is the oracle's RREF.
+        # ``rref`` stops at the echelon form, each row aligned at its pivot;
+        # shifted back and reduced, it is the oracle's RREF.
         assert got_pivots == want_pivots
-        assert rref_masks(got_rows, g.num_bits) == (want_rows[:rank], want_pivots)
+        assert all(r & 1 for r in got_rows)
+        full = [r << p for r, p in zip(got_rows, got_pivots)]
+        assert rref_masks(full, g.num_bits) == (want_rows[:rank], want_pivots)
         assert not any(want_rows[rank:])
         free = sorted(set(range(g.num_bits)) - set(want_pivots))
         info = np.random.default_rng(12).integers(0, 2, len(free), dtype=np.uint8)
