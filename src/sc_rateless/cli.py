@@ -43,17 +43,39 @@ from .stability import NonConvergence, threshold_lower_bounds
 
 
 def _grid(convert):
-    """A parser for a comma-separated grid of distinct values, at least one;
-    argparse reports a value ``convert`` rejects as an "invalid grid value"."""
+    """A parser for a comma-separated grid of distinct values, at least one,
+    with no empty item; argparse reports a value ``convert`` rejects as an
+    "invalid grid value"."""
     def grid(text: str) -> list:
         values = [convert(part) for part in text.split(",") if part]
         if not values:
             raise argparse.ArgumentTypeError("needs at least one value")
+        if len(values) <= text.count(","):
+            raise argparse.ArgumentTypeError("has an empty item")
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise argparse.ArgumentTypeError(f"repeats {','.join(map(str, repeated))}")
         return values
     return grid
+
+
+def _common(dr_grid: bool = False) -> argparse.ArgumentParser:
+    """The flags every subcommand shares.  ``sweep`` takes one ``--dr`` or a
+    ``--dr-grid``, never both."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--dl", type=int, default=2, help="precode bit degree (default 2)")
+    dr = common.add_mutually_exclusive_group() if dr_grid else common
+    dr.add_argument("--dr", type=int, default=3, help="precode check degree (default 3)")
+    if dr_grid:
+        dr.add_argument("--dr-grid", type=_grid(int), default=None,
+                        help="comma-separated check degrees (one sweep per entry)")
+    common.add_argument("--dg", type=int, required=True, help="channel-node degree")
+    common.add_argument("--w", type=int, default=2, help="coupling width (default 2)")
+    common.add_argument("--eps", type=float, default=0.5, help="BEC erasure rate (default 0.5)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--out", default=None, help="output path (default: stdout)")
+    common.add_argument("--seed", type=int, default=0)
+    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,16 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dl", type=int, default=2, help="precode bit degree (default 2)")
-    common.add_argument("--dr", type=int, default=3, help="precode check degree (default 3)")
-    common.add_argument("--dg", type=int, required=True, help="channel-node degree")
-    common.add_argument("--w", type=int, default=2, help="coupling width (default 2)")
-    common.add_argument("--eps", type=float, default=0.5, help="BEC erasure rate (default 0.5)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--seed", type=int, default=0)
 
     dg1 = argparse.ArgumentParser(add_help=False)
     dg1.add_argument("--allow-dg1", action="store_true",
@@ -86,24 +98,22 @@ def build_parser() -> argparse.ArgumentParser:
     deconf.add_argument("--success-target", type=float, default=DEConfig.success_target)
     deconf.add_argument("--bisect-tol", type=float, default=DEConfig.bisection_tol)
 
-    p = sub.add_parser("threshold", parents=[common, dg1, deconf],
+    p = sub.add_parser("threshold", parents=[_common(), dg1, deconf],
                        help="DE overhead threshold at one chain length")
     p.add_argument("--L", type=int, required=True)
 
-    p = sub.add_parser("bounds", parents=[common],
+    p = sub.add_parser("bounds", parents=[_common()],
                        help="stability lower bounds at one chain length")
     p.add_argument("--L", type=int, required=True)
 
-    p = sub.add_parser("sweep", parents=[common, dg1, deconf],
+    p = sub.add_parser("sweep", parents=[_common(dr_grid=True), dg1, deconf],
                        help="threshold sweep over chain lengths")
     p.add_argument("--L-grid", type=_grid(int), required=True,
                    help="comma-separated chain lengths")
-    p.add_argument("--dr-grid", type=_grid(int), default=None,
-                   help="comma-separated check degrees (one sweep per entry)")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel workers across dr-grid entries")
 
-    p = sub.add_parser("simulate", parents=[common, dg1],
+    p = sub.add_parser("simulate", parents=[_common(), dg1],
                        help="finite-length Monte Carlo decoding trials")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--M", type=int, required=True, help="bits per section")
@@ -183,6 +193,8 @@ def cmd_sweep(args):
         "dr_grid": ",".join(map(str, dr_grid)),
         **dataclasses.asdict(config),
     })
+    if args.dr_grid:
+        del spec["dr"]  # the grid replaced --dr; each row's dr says which ran
     return spec, rows
 
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stability
-from .ensemble import EnsembleParams, NonPositiveRate, beta_from_alpha
+from .ensemble import EnsembleParams, NonPositiveRate, beta_from_alpha, check_beta
 
 # The bisection's bracket never reaches past this alpha.  While the bracket
 # is wider than two float steps at the cap, its rounded midpoint lies strictly
@@ -202,11 +202,12 @@ def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
     probabilities p and s; returns the next (p, s) as new arrays and leaves
     its inputs unchanged.
 
-    The states must lie in [0, 1].  Beta must be finite and >= 0, else
-    ``ValueError``, as in ``de_run``; the outputs then lie in [0, 1] too, so
-    iterating from the all-ones start (as ``de_run`` does) keeps the
-    contract.  The upper clamp is applied only at widths whose kernel sums
-    can round past one, so outside the contract the outputs may exceed one.
+    The states must lie in [0, 1].  Beta must pass ``ensemble.check_beta``
+    (finite and >= 0), else ``ValueError``, as in ``de_run``; the outputs
+    then lie in [0, 1] too, so iterating from the all-ones start (as
+    ``de_run`` does) keeps the contract.  The upper clamp is applied only at
+    widths whose kernel sums can round past one, so outside the contract the
+    outputs may exceed one.
 
     The step is the one a ``_stepper`` takes for a lone lane of ``_Lanes``,
     and every lane of every layout gets its bits (see the module
@@ -215,15 +216,10 @@ def de_step(params: EnsembleParams, beta: float, p: np.ndarray, s: np.ndarray):
     """
     if len(p) != params.L or len(s) != params.L:
         raise ValueError(f"p and s need {params.L} sections, got {len(p)} and {len(s)}")
-    _check_beta(beta)
+    check_beta(beta)
     x = _layout(params, np.array((p, s))[:, None])
     p_next, s_next = _sections(params, _stepper(params, x.size)(-beta, x))[:, 0]
     return p_next, s_next
-
-
-def _check_beta(beta: float) -> None:
-    if not 0.0 <= beta < math.inf:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -358,11 +354,13 @@ def _lane_betas(params: EnsembleParams, neg_betas) -> np.ndarray:
 def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -> DERun:
     """Iterate from the all-ones start until the mean erasure probability
     drops below the success target, the run fails, or the iteration cap.
-    Every step's P_b is computed, and a rise by over 1e-12 raises
-    ``NonMonotoneRun``, in this run as in every lane.  The run is the one
-    lane of a ``_Lanes`` engine (``advance({None: beta})``), which applies
-    these stop rules after each block of steps at the step where they fire,
-    so the run ends there as if they ran at every step.
+    Beta must pass ``ensemble.check_beta`` (finite and >= 0), else
+    ``ValueError``, as in ``de_step``.  Every step's P_b is computed, and a
+    rise by over 1e-12 raises ``NonMonotoneRun``, in this run as in every
+    lane.  The run is the one lane of a ``_Lanes`` engine
+    (``advance({None: beta})``), which applies these stop rules after each
+    block of steps at the step where they fire, so the run ends there as if
+    they ran at every step.
 
     A run fails on a stall or on a failure certificate.  It stalls when no
     entry of p or s moves by ``fixed_point_tol`` in one step.  The rules run
@@ -417,7 +415,7 @@ def de_run(params: EnsembleParams, beta: float, config: DEConfig = DEConfig()) -
     dr = 30, w = 12, dg = 3 and beta ~ 6 this gives E_s ~ 1,200 and e ~ 2,400u.
     ``_margin`` adds 2u to 2e for the rounding of y + margin.
     """
-    _check_beta(beta)
+    check_beta(beta)
     return _Lanes(params, config, 1).advance({None: beta})[None]
 
 

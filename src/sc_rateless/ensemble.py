@@ -16,6 +16,7 @@ generating function exp(-beta*(1-x)) the density-evolution step evaluates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +93,16 @@ def beta_from_alpha(params: EnsembleParams, alpha: float) -> float:
     return params.dg / (1.0 - params.epsilon) * per_section * (1.0 + alpha)
 
 
+def check_beta(beta: float) -> None:
+    """The one rule for a mean channel-node degree: finite and >= 0 (NaN
+    fails).  Density evolution, the stability bounds and
+    :func:`alpha_from_beta` all apply it."""
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+
+
 def alpha_from_beta(params: EnsembleParams, beta: float) -> float:
     """Overhead alpha for a given mean channel-node degree beta (exact inverse
     of :func:`beta_from_alpha`)."""
-    if not beta >= 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    check_beta(beta)
     return beta / beta_from_alpha(params, 0.0) - 1.0

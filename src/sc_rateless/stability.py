@@ -13,8 +13,11 @@ eigenvalue by power iteration, evaluates the closed-form Rayleigh/operator-norm
 sandwich, the finite-L and limiting threshold lower bounds, the capacity
 condition on dg, and the dg = 1 overhead bound.
 
-For dl > 2 the linearization vanishes identically (scale 0), so only the
-trivial capacity bound survives; the report flags that case.
+For dl > 2 the linearization vanishes identically (scale 0).  ``_scale`` is
+the one place that knows it: the matrix, both closed-form bounds and the
+spectral radius then read an exact 0 at every such dl, and only the capacity
+bound survives; the report flags that case.  Every beta must pass
+``ensemble.check_beta`` (finite and >= 0), at every dl.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import EnsembleParams, design_rate, design_rate_limit
+from .ensemble import EnsembleParams, check_beta, design_rate, design_rate_limit
 
 
 class NonConvergence(RuntimeError):
@@ -77,9 +80,10 @@ class StabilityReport:
     with the finite-L threshold lower bounds and their limits.
 
     The spectral fields are evaluated at beta = lower_bound_beta, the
-    marginal point the bounds describe.  ``stability_applies`` is False for
-    dl > 2, where only the capacity bound is available and the spectral
-    fields are all zero.
+    marginal point the bounds describe, in the same way at every dl.
+    ``stability_applies`` is False for dl > 2, where the linearization is
+    the zero matrix, so the spectral fields are all exactly zero and only
+    the capacity bound is available.
     """
 
     spectral_radius: float
@@ -93,23 +97,20 @@ class StabilityReport:
     stability_applies: bool
 
 
-def _require_finite(beta: float) -> None:
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
-
-
 def _scale(params: EnsembleParams, beta: float) -> float:
-    _require_finite(beta)
+    """The linearization's scale c = (dr-1) exp(-beta (1-eps)) at dl = 2,
+    and 0 at dl > 2, where every entry vanishes; beta is checked at every
+    dl."""
+    check_beta(beta)
+    if params.dl > 2:
+        return 0.0
     return (params.dr - 1) * math.exp(-beta * (1.0 - params.epsilon))
 
 
 def build_jacobian(params: EnsembleParams, beta: float) -> BandMatrix:
     """Band matrix of partial derivatives of the p-update at the decoded
-    state.  For dl > 2 every entry is zero, so the scale is 0; beta must
-    still be finite."""
-    _require_finite(beta)
-    scale = 0.0 if params.dl > 2 else _scale(params, beta)
-    return BandMatrix(size=params.L, half_width=params.w - 1, scale=scale)
+    state, the zero matrix for dl > 2 (see ``_scale``)."""
+    return BandMatrix(size=params.L, half_width=params.w - 1, scale=_scale(params, beta))
 
 
 def spectral_radius(m: BandMatrix, tol: float = 1e-10, max_iter: int = 100_000) -> float:
@@ -154,18 +155,16 @@ def _rayleigh_factor(L: int, w: int) -> float:
 
 def rayleigh_lower_bound(params: EnsembleParams, beta: float) -> float:
     """All-ones Rayleigh quotient of the linearization, a lower bound on its
-    spectral radius: c * (w^2 L - (w-1)w(w+1)/3) / (w^2 L) for L >= w."""
-    if params.dl != 2:
-        raise ValueError("the stability linearization requires bit degree dl = 2")
+    spectral radius: c * (w^2 L - (w-1)w(w+1)/3) / (w^2 L) for L >= w, and
+    exactly 0 for dl > 2, where c = 0."""
     return _scale(params, beta) * _rayleigh_factor(params.L, params.w)
 
 
 def norm_upper_bound(params: EnsembleParams, beta: float) -> float:
     """Max row sum of the linearization, an upper bound on its spectral
-    radius: (d_r-1)e^{-beta(1-eps)} in closed form when an interior row
-    exists (L >= 2w-1), else the truncated matrix's exact max row sum."""
-    if params.dl != 2:
-        raise ValueError("the stability linearization requires bit degree dl = 2")
+    radius: c = (d_r-1)e^{-beta(1-eps)} in closed form when an interior row
+    exists (L >= 2w-1), else the truncated matrix's exact max row sum.  For
+    dl > 2 both are exactly 0, the zero matrix's norm."""
     if params.L < 2 * params.w - 1:
         return build_jacobian(params, beta).one_norm()
     return _scale(params, beta)
@@ -202,7 +201,7 @@ def threshold_lower_bounds(params: EnsembleParams) -> StabilityReport:
     The degree bound is the larger of the marginal-stability point of the
     linearization (dl = 2 only) and the capacity point; the overhead bound
     follows by the degree/overhead conversion.  Spectral data is reported at
-    the bound degree.
+    the bound degree, computed the same way at every dl (all 0 for dl > 2).
     """
     L, w, dg, eps = params.L, params.w, params.dg, params.epsilon
     rate = design_rate(params)
@@ -218,31 +217,22 @@ def threshold_lower_bounds(params: EnsembleParams) -> StabilityReport:
         limit_alpha = max(
             params.dr * math.log(params.dr - 1) / (dg * (params.dr - 2)) - 1.0, 0.0
         )
-        applies = True
     else:
         lower_beta = capacity_beta
         limit_beta = dg / (1.0 - eps) * design_rate_limit(params)
         limit_alpha = 0.0
-        applies = False
     lower_alpha = max(lower_beta / capacity_beta - 1.0, 0.0)
 
-    if applies:
-        rayleigh = rayleigh_lower_bound(params, lower_beta)
-        norm = norm_upper_bound(params, lower_beta)
-        rho = spectral_radius(build_jacobian(params, lower_beta), tol=1e-10,
-                              max_iter=max(100_000, 100 * L * L))
-    else:
-        rayleigh = norm = rho = 0.0
-
     return StabilityReport(
-        spectral_radius=rho,
-        rayleigh_lower=rayleigh,
-        norm_upper=norm,
+        spectral_radius=spectral_radius(build_jacobian(params, lower_beta), tol=1e-10,
+                                        max_iter=max(100_000, 100 * L * L)),
+        rayleigh_lower=rayleigh_lower_bound(params, lower_beta),
+        norm_upper=norm_upper_bound(params, lower_beta),
         lower_bound_beta=lower_beta,
         lower_bound_alpha=lower_alpha,
         limit_beta=limit_beta,
         limit_alpha=limit_alpha,
         capacity_condition_holds=capacity_condition(params.dr, dg),
-        stability_applies=applies,
+        stability_applies=params.dl == 2,
     )
 

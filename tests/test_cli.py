@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import sys
 
 import jsonschema
 import numpy as np
@@ -182,6 +183,17 @@ class TestValidation:
 
     def test_unknown_flag_exits_2(self):
         assert main(["threshold", "--bogus"]) == 2
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (["--version"], 0, f"{__version__}\n"),
+        (["bounds", "--dg", "3", "--L", "0"], 2, ""),
+    ], ids=["version", "invalid-L"])
+    def test_entry_exits_with_main_code(self, monkeypatch, capsys, argv, code, out):
+        monkeypatch.setattr(sys, "argv", ["sc-rateless", *argv])
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        assert exited.value.code == code
+        assert capsys.readouterr().out == out
 
     def test_allow_dg1_is_not_a_bounds_flag(self, tmp_path, capsys):
         # The stability report has no dg = 1 guard, so the flag has no use there.
@@ -418,6 +430,9 @@ class TestSweep:
         ("--L-grid", ",", "needs at least one value"),
         ("--dr-grid", "3,4,3", "repeats 3"),
         ("--dr-grid", "", "needs at least one value"),
+        ("--L-grid", "8,,16", "has an empty item"),
+        ("--L-grid", "8,", "has an empty item"),
+        ("--dr-grid", ",4", "has an empty item"),
     ])
     def test_repeated_or_empty_grid_exits_2(self, tmp_path, capsys, flag, grid, message):
         argv = {"--L-grid": "8", flag: grid}
@@ -441,15 +456,35 @@ class TestSweep:
         assert all(sorted(row) == sorted(columns) for row in rows)
 
     def test_dr_grid_ignores_invalid_dr(self, tmp_path):
-        # --dr is replaced by the grid, so its default 3 may not pair with --dl 3.
+        # --dr is replaced by the grid, so its default 3 may not pair with
+        # --dl 3, and the header names no dr that never ran.
         code, text = run(
             tmp_path, "sweep", "--dg", "3", "--dl", "3", "--dr-grid", "6",
             "--L-grid", "4", "--bisect-tol", "0.01",
         )
         assert code == 0
         header, _, rows = parse_csv(text)
-        assert (header["dr"], header["dr_grid"]) == ("3", "6")
+        assert ("dr" in header, header["dr_grid"]) == (False, "6")
         assert [(r["dr"], r["L"], r["error"]) for r in rows] == [("6", "4", "")]
+
+    def test_dr_and_dr_grid_exclude_each_other(self, tmp_path, capsys):
+        code, text = run(tmp_path, "sweep", "--dg", "3", "--dr", "5", "--dr-grid", "4",
+                         "--L-grid", "8")
+        assert code == 2
+        assert text == ""
+        assert "argument --dr-grid: not allowed with argument --dr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, dr", [("--dr", "4"), ("--dr-grid", None)])
+    def test_header_names_dr_only_without_a_grid(self, tmp_path, flag, dr):
+        argv = ["sweep", "--dg", "3", "--L-grid", "4", "--bisect-tol", "0.01", flag, "4"]
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        header, _, rows = parse_csv(text)
+        assert (header.get("dr"), header["dr_grid"], rows[0]["dr"]) == (dr, "4", "4")
+        code, text = run(tmp_path, *argv, "--format", "json")
+        assert code == 0
+        spec = json.loads(text)["spec"]
+        assert (spec.get("dr"), spec["dr_grid"]) == (dr and int(dr), "4")
 
     def test_workers_below_one_exits_2(self, tmp_path, capsys):
         code, text = run(
@@ -525,6 +560,7 @@ class TestSimulate:
     @pytest.mark.parametrize("grid, message", [
         ("0.5,0.5", "repeats 0.5"),
         (",", "needs at least one value"),
+        ("0.2,", "has an empty item"),
     ])
     def test_repeated_or_empty_alpha_grid_exits_2(self, tmp_path, capsys, grid, message):
         code, text = run(

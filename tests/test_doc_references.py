@@ -1,9 +1,14 @@
 """No doc names code that is gone: every private name a module's docstrings
-and comments cite as ``_name`` is still an attribute of that module, and
-every ``--flag`` that README's CLI section names is still a CLI option."""
+and comments cite as ``_name`` is still an attribute of that module, every
+``--flag`` that README's CLI section names is still a CLI option, every
+command of its CLI example parses, and its Library example runs."""
 import argparse
 import importlib
+import os
 import re
+import shlex
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -12,6 +17,7 @@ import pytest
 from sc_rateless.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 SOURCES = sorted((ROOT / "src" / "sc_rateless").glob("*.py"))
 CITED = re.compile(r"``(_\w+)")
 FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
@@ -34,9 +40,22 @@ def test_cited_private_names_exist(path):
     assert missing == []
 
 
-def cli_section(text):
-    """README's ``## CLI`` section, up to the next second-level heading."""
-    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+def readme_section(title):
+    """README's ``## title`` section, up to the next second-level heading."""
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def code_block(section, language):
+    """The body of the section's first fenced block in ``language``."""
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def cli_examples():
+    """Each ``sc-rateless`` command of the CLI section's sh block, as argv,
+    with its line continuations joined."""
+    block = code_block(readme_section("CLI"), "sh").replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("sc-rateless ")]
 
 
 def parser_flags():
@@ -49,6 +68,26 @@ def parser_flags():
 
 
 def test_readme_cli_flags_exist():
-    named = set(FLAG.findall(cli_section((ROOT / "README.md").read_text(encoding="utf-8"))))
+    named = set(FLAG.findall(readme_section("CLI")))
     assert {"--L-grid", "--allow-dg1", "--fp-tol"} <= named
     assert sorted(named - parser_flags()) == []
+
+
+def test_readme_cli_examples_parse():
+    examples = cli_examples()
+    assert [argv[0] for argv in examples] == [
+        "threshold", "bounds", "sweep", "sweep", "simulate"]
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: sc-rateless {shlex.join(argv)}")
+
+
+def test_readme_library_example_runs():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code_block(readme_section("Library"), "python")],
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")

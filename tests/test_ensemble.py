@@ -117,6 +117,10 @@ class TestValidation:
             with pytest.raises(ValueError):
                 alpha_from_beta(params(), beta)
 
+    def test_alpha_requires_finite_beta(self):
+        with pytest.raises(ValueError, match="beta must be finite and >= 0, got inf"):
+            alpha_from_beta(params(), math.inf)
+
 
 class TestDegreeDistribution:
     """The Poisson(beta) channel-degree law of a bit node, from the oracle

@@ -223,6 +223,23 @@ class TestMonteCarlo:
             bound = codec._max_symbols(dg)
             assert 0 < bound * 8 * dg <= memory < (bound + 1) * 8 * dg
 
+    @pytest.mark.parametrize("error", [OSError, ValueError, AttributeError])
+    def test_max_symbols_without_reported_memory_spans_the_address_space(
+            self, monkeypatch, error):
+        def unreported(name):
+            raise error(name)
+        monkeypatch.setattr(codec.os, "sysconf", unreported, raising=False)
+        for dg in (1, 3, 8):
+            assert codec._max_symbols(dg) == sys.maxsize // (8 * dg)
+        # An alpha past that bound is still refused by name, before any trial.
+        ran = []
+        monkeypatch.setattr(codec, "_run_trial", lambda *args: ran.append(args))
+        bound = sys.maxsize // (8 * SMALL.dg)
+        with pytest.raises(ValueError, match=re.escape("alpha = 1e+16 overflows")) as refused:
+            monte_carlo(SMALL, 12, [0.3, 1e16], trials=2, seed=0, zero_codeword=True)
+        assert f"exceeds {bound}," in str(refused.value)
+        assert ran == []
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected_before_any_trial(self, monkeypatch, workers):
         ran = []

@@ -225,11 +225,21 @@ class TestClosedFormBounds:
                 with pytest.raises(ValueError, match="beta"):
                     bound(p, beta)
 
-    def test_dl_guard(self):
-        with pytest.raises(ValueError):
-            rayleigh_lower_bound(params(dl=3, dr=4), 1.0)
-        with pytest.raises(ValueError):
-            norm_upper_bound(params(dl=3, dr=4), 1.0)
+    def test_rejects_negative_beta(self):
+        # The one beta rule (finite and >= 0) holds for the matrix and both
+        # bounds, at dl = 2 and at dl > 2 alike.
+        for p in (params(dg=2), params(dl=3, dr=6)):
+            for bound in (rayleigh_lower_bound, norm_upper_bound, build_jacobian):
+                with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+                    bound(p, -0.5)
+
+    @pytest.mark.parametrize("L, w", [(16, 2), (5, 3), (2, 3)], ids=["L16w2", "L5w3", "L2w3"])
+    def test_bounds_vanish_above_dl_two(self, L, w):
+        # The linearization is the zero matrix at dl = 3, so both bounds
+        # read its exact max row sum, 0, with and without an interior row.
+        p = params(dl=3, dr=6, L=L, w=w)
+        bounds = (rayleigh_lower_bound(p, 1.0), norm_upper_bound(p, 1.0))
+        assert bounds == (0.0, 0.0) == (build_jacobian(p, 1.0).one_norm(),) * 2
 
 
 class TestSandwich:
